@@ -10,14 +10,14 @@ non-additive no matter how its sums come out.
 from __future__ import annotations
 
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import AggregatedRun, CompoundRun, Dataset, RunRef
+import numpy as np
+
+from .core import CompoundRun, Dataset
 
 __all__ = [
     "INFINITE",
@@ -39,9 +39,6 @@ INFINITE = math.inf
 #: Default stage-1 reproducibility bound: coefficient of variation across
 #: repetition samples, matching the measurement methodology's 2.5% precision.
 DEFAULT_REPRODUCIBILITY_COV = 0.025
-
-_ENV_THREADS = "EMODEL_THREADS"
-
 
 class Classification(str, Enum):
     ADDITIVE = "additive"
@@ -123,13 +120,28 @@ def _group_cov(values: Sequence[float]) -> float:
     return statistics.stdev(values) / mean
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        try:
-            threads = int(os.environ.get(_ENV_THREADS, "1"))
-        except ValueError:
-            threads = 1
-    return max(1, threads)
+def _stage1_pass(dataset: Dataset, column: int, means: np.ndarray, bound: float) -> bool:
+    """Whether every repetition group's CoV of one PMC is within ``bound``.
+
+    A two-pass CoV over all groups at once decides each group unless it lies
+    within 1e-9 of the bound (absolute below 1, where a rounded mean puts a
+    zero spread near 1e-16) or the group mean is subnormal, so rounded by
+    more than an ulp of itself; those get the exact :func:`_group_cov`.
+    """
+    index = dataset.group_index
+    repeated = np.flatnonzero(index.sizes >= 2)
+    if not repeated.size:
+        return True
+    spread = np.repeat(means, index.sizes)
+    scaled = (dataset.counts[index.order, column] - spread) / np.where(spread == 0, 1.0, spread)
+    squares = np.add.reduceat(scaled * scaled, index.starts)[repeated]
+    cov = np.sqrt(squares / (index.sizes[repeated] - 1))
+    near = np.abs(cov - bound) <= 1e-9 * np.maximum(np.maximum(cov, bound), 1.0)
+    near |= (means[repeated] > 0) & (means[repeated] < np.finfo(float).tiny)
+    for i in np.flatnonzero(near).tolist():
+        start, size = index.starts[repeated[i]], index.sizes[repeated[i]]
+        cov[i] = _group_cov(dataset.counts[index.order[start:start + size], column].tolist())
+    return bool((cov <= bound).all())
 
 
 def run_additivity_test(
@@ -149,9 +161,8 @@ def run_additivity_test(
     compounds (0.0 when there are none). A PMC is additive iff it passes
     stage 1 and its maximum error does not exceed ``tolerance_pct``.
 
-    Per-PMC work may run on ``threads`` worker threads (default: the
-    EMODEL_THREADS environment variable, else serial); the report is
-    identical regardless.
+    ``threads`` is retired: it is accepted and ignored for one release. The
+    work is vectorized over the dataset's counts matrix and runs serially.
     """
     if not (tolerance_pct > 0):
         raise ValueError(f"tolerance_pct must be > 0, got {tolerance_pct!r}")
@@ -160,43 +171,30 @@ def run_additivity_test(
     if compounds is None:
         compounds = dataset.compounds
 
-    groups = dataset.groups()
-    means: dict[RunRef, AggregatedRun] = {p.ref: p for p in dataset.points()}
-    for comp in compounds:
-        if comp.pmc.names != dataset.pmc_names:
-            raise ValueError(
-                f"compound {comp.compound_id!r} PMC names do not match the dataset"
-            )
-        for ref in (comp.base_a, comp.base_b):
-            if ref not in means:
-                raise ValueError(
-                    f"compound {comp.compound_id!r} references unknown base {ref.label()!r}"
-                )
+    dataset.check_compounds(compounds)
+    group_of = {ref: g for g, ref in enumerate(dataset.group_index.refs)}
+    means = dataset.group_means(dataset.counts)
+    base_a = np.array([group_of[comp.base_a] for comp in compounds], dtype=np.intp)
+    base_b = np.array([group_of[comp.base_b] for comp in compounds], dtype=np.intp)
+    compound_counts = np.array([comp.pmc.counts for comp in compounds], dtype=float)
+    compound_counts = compound_counts.reshape(len(compounds), len(dataset.pmc_names))
 
-    repetition_groups = [runs for runs in groups.values() if len(runs) >= 2]
-
-    def test_one(index: int) -> PmcAdditivity:
-        name = dataset.pmc_names[index]
-        stage1 = all(
-            _group_cov([r.pmc.counts[index] for r in runs]) <= reproducibility_cov
-            for runs in repetition_groups
+    per_pmc = []
+    for j, name in enumerate(dataset.pmc_names):
+        stage1 = _stage1_pass(dataset, j, means[:, j], reproducibility_cov)
+        base_sums, compound = means[base_a, j] + means[base_b, j], compound_counts[:, j]
+        with np.errstate(all="ignore"):
+            errors = np.abs(compound - base_sums) / base_sums * 100.0
+        zero = base_sums == 0
+        errors[zero] = np.where(compound[zero] == 0, 0.0, INFINITE)
+        # fmax skips the NaN of an infinite base sum, as a running Python max does.
+        max_error = float(np.fmax.reduce(errors, initial=0.0))
+        per_pmc.append(
+            PmcAdditivity(name, stage1, max_error, _classify(stage1, max_error, tolerance_pct))
         )
-        max_error = 0.0
-        for comp in compounds:
-            base_sum = means[comp.base_a].pmc.counts[index] + means[comp.base_b].pmc.counts[index]
-            max_error = max(max_error, additivity_error(base_sum, comp.pmc.counts[index]))
-        return PmcAdditivity(name, stage1, max_error, _classify(stage1, max_error, tolerance_pct))
-
-    indices = range(len(dataset.pmc_names))
-    workers = _resolve_threads(threads)
-    if workers > 1 and len(dataset.pmc_names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_pmc = tuple(pool.map(test_one, indices))
-    else:
-        per_pmc = tuple(test_one(i) for i in indices)
 
     ranking = tuple(e.pmc for e in sorted(per_pmc, key=lambda e: (e.max_error_pct, e.pmc)))
-    return AdditivityReport(tolerance_pct=tolerance_pct, per_pmc=per_pmc, ranking=ranking)
+    return AdditivityReport(tolerance_pct=tolerance_pct, per_pmc=tuple(per_pmc), ranking=ranking)
 
 
 def tolerance_sweep(

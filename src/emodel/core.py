@@ -16,7 +16,10 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .stats import MeasurementFaultWarning, dynamic_energy
 
@@ -174,6 +177,22 @@ class AggregatedRun:
         return RunRef(self.app_id, self.config)
 
 
+class GroupIndex(NamedTuple):
+    """Row positions of a dataset's run groups.
+
+    ``refs`` lists the groups in first-seen order and ``sizes`` their
+    repetition counts. ``row_group`` maps each run row to its group number.
+    ``order`` lists the rows group by group, keeping row order within a
+    group, and group ``g`` occupies ``order[starts[g]:starts[g] + sizes[g]]``.
+    """
+
+    refs: tuple[RunRef, ...]
+    sizes: np.ndarray
+    row_group: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered PMC name list with the runs (and optional compounds) that cover it.
@@ -209,8 +228,13 @@ class Dataset:
                     f"run_id={run.run_id!r})"
                 )
             seen[key] = i
+        self.check_compounds(self.compounds)
+
+    def check_compounds(self, compounds: Iterable[CompoundRun]) -> None:
+        """Raise ValueError unless every compound has this dataset's PMC names
+        and both of its bases are run groups of this dataset."""
         refs = {run.ref for run in self.runs}
-        for comp in self.compounds:
+        for comp in compounds:
             if comp.pmc.names != self.pmc_names:
                 raise ValueError(
                     f"compound {comp.compound_id!r} PMC names do not match dataset"
@@ -223,36 +247,95 @@ class Dataset:
                     )
 
     @cached_property
+    def counts(self) -> np.ndarray:
+        """Read-only runs x PMCs ``float64`` matrix of the runs' counts, in row order."""
+        matrix = np.array([run.pmc.counts for run in self.runs], dtype=float)
+        matrix = matrix.reshape(len(self.runs), len(self.pmc_names))
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
     def _groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
         grouped: dict[RunRef, list[ApplicationRun]] = {}
         for run in self.runs:
             grouped.setdefault(run.ref, []).append(run)
         return {ref: tuple(rs) for ref, rs in grouped.items()}
 
+    @cached_property
+    def group_index(self) -> GroupIndex:
+        """Run groups by (app_id, config) in first-seen order, as row positions."""
+        groups = self._groups
+        # Rows are found by identity (runs are unique), not by hashing refs again.
+        row_of = {id(run): row for row, run in enumerate(self.runs)}
+        order = np.fromiter(
+            (row_of[id(run)] for run in chain.from_iterable(groups.values())),
+            dtype=np.intp,
+            count=len(self.runs),
+        )
+        sizes = np.fromiter(map(len, groups.values()), dtype=np.intp, count=len(groups))
+        row_group = np.empty(len(self.runs), dtype=np.intp)
+        row_group[order] = np.repeat(np.arange(len(groups)), sizes)
+        return GroupIndex(
+            refs=tuple(groups), sizes=sizes, row_group=row_group, order=order,
+            starts=np.cumsum(sizes) - sizes,
+        )
+
     def groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
         """Runs grouped by (app_id, config), in first-seen order."""
         return dict(self._groups)
 
+    def group_means(self, values: np.ndarray) -> np.ndarray:
+        """Per-group repetition means of each column of a per-run array.
+
+        ``values`` has one row per run (one value per run when 1-D); the
+        result has one row per group, in ``group_index`` order. Each mean is
+        ``math.fsum(samples) / n`` bit for bit: IEEE addition is correctly
+        rounded, so groups of one or two samples are summed in numpy, and
+        larger groups go through ``math.fsum``. Like ``fsum``, a sum that
+        overflows raises :class:`OverflowError`.
+        """
+        index = self.group_index
+        values = np.asarray(values, dtype=float)
+        columns = values[:, None] if values.ndim == 1 else values
+        first = index.order[index.starts]
+        last = index.order[index.starts + index.sizes - 1]
+        pairs = index.sizes == 2
+        sizes, starts = index.sizes.tolist(), index.starts.tolist()
+        large = [g for g, n in enumerate(sizes) if n > 2]
+        spans = [(starts[g], sizes[g]) for g in large]
+        means = np.empty((len(index.refs), columns.shape[1]))
+        for j in range(columns.shape[1]):
+            column = columns[:, j]
+            # Adding +0.0 turns a -0.0 sum into 0.0, as fsum does.
+            with np.errstate(over="ignore"):
+                sums = np.where(pairs, column[first] + column[last], column[first]) + 0.0
+            if np.isinf(sums).any():
+                raise OverflowError("intermediate overflow in fsum")
+            means[:, j] = sums / index.sizes
+            if large:
+                ordered = column[index.order].tolist()
+                means[large, j] = [math.fsum(ordered[s:s + n]) / n for s, n in spans]
+        return means.reshape(-1) if values.ndim == 1 else means
+
     def points(self) -> tuple[AggregatedRun, ...]:
         """One aggregated point per (app_id, config): means over repetitions."""
-        out = []
-        for ref, runs in self._groups.items():
-            n = len(runs)
-            counts = tuple(
-                math.fsum(r.pmc.counts[i] for r in runs) / n
-                for i in range(len(self.pmc_names))
+        index = self.group_index
+        counts = self.group_means(self.counts).tolist()
+        times = self.group_means([run.exec_time_s for run in self.runs]).tolist()
+        energies = self.group_means([run.dynamic_energy_j for run in self.runs]).tolist()
+        return tuple(
+            AggregatedRun(
+                app_id=ref.app_id,
+                config=ref.config,
+                pmc=PmcVector(self.pmc_names, row),
+                exec_time_s=time_s,
+                dynamic_energy_j=energy,
+                n_samples=n,
             )
-            out.append(
-                AggregatedRun(
-                    app_id=ref.app_id,
-                    config=ref.config,
-                    pmc=PmcVector(self.pmc_names, counts),
-                    exec_time_s=math.fsum(r.exec_time_s for r in runs) / n,
-                    dynamic_energy_j=math.fsum(r.dynamic_energy_j for r in runs) / n,
-                    n_samples=n,
-                )
+            for ref, row, time_s, energy, n in zip(
+                index.refs, counts, times, energies, index.sizes.tolist()
             )
-        return tuple(out)
+        )
 
     def resolve(self, ref: str) -> RunRef:
         """Resolve a textual base reference to a run group.

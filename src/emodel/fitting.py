@@ -123,6 +123,15 @@ def _pearson(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _column_indices(dataset: Dataset, names: Sequence[str]) -> list[int]:
+    """Counts-matrix columns of the named PMCs; KeyError for an unknown name."""
+    position = {name: i for i, name in enumerate(dataset.pmc_names)}
+    for name in names:
+        if name not in position:
+            raise KeyError(f"PMC {name!r} not in dataset")
+    return [position[name] for name in names]
+
+
 def correlation_matrix(
     dataset: Dataset,
     pmcs: Sequence[str] | None = None,
@@ -135,11 +144,7 @@ def correlation_matrix(
         raise ValueError(f"need >= 2 runs for correlations, got {len(dataset.runs)}")
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names
     columns = [np.array([run.dynamic_energy_j for run in dataset.runs], dtype=float)]
-    for name in names:
-        if name not in dataset.pmc_names:
-            raise KeyError(f"PMC {name!r} not in dataset")
-        i = dataset.pmc_names.index(name)
-        columns.append(np.array([run.pmc.counts[i] for run in dataset.runs], dtype=float))
+    columns += [dataset.counts[:, i].copy() for i in _column_indices(dataset, names)]
 
     k = len(columns)
     constant = [float(np.ptp(col)) == 0.0 for col in columns]
@@ -239,27 +244,28 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names
     if not names:
         raise ValueError("need at least one PMC to fit")
-    for name in names:
-        if name not in dataset.pmc_names:
-            raise KeyError(f"PMC {name!r} not in dataset")
-    parameters = len(names) + (1 if kind is ModelKind.UNCONSTRAINED else 0)
+    columns = _column_indices(dataset, names)
+    offset = 1 if kind is ModelKind.UNCONSTRAINED else 0
+    parameters = len(names) + offset
     if len(dataset.runs) <= parameters:
         raise ValueError(
             f"need more runs than parameters: {len(dataset.runs)} runs for "
             f"{parameters} parameters"
         )
 
-    x = np.array([[run.pmc.get(name) for name in names] for run in dataset.runs])
+    # Filled column by column, so no second runs x PMCs copy is held.
+    design = np.ones((len(dataset.runs), parameters))
+    for k, column in enumerate(columns):
+        design[:, offset + k] = dataset.counts[:, column]
     y = np.array([run.dynamic_energy_j for run in dataset.runs])
 
     if kind is ModelKind.UNCONSTRAINED:
-        design = np.hstack([np.ones((len(y), 1)), x])
         solution = _qr_solve(design, y)
         intercept, coefficients = float(solution[0]), solution[1:]
     elif kind is ModelKind.ZERO_INTERCEPT:
-        intercept, coefficients = 0.0, _qr_solve(x, y)
+        intercept, coefficients = 0.0, _qr_solve(design, y)
     else:
-        intercept, coefficients = 0.0, nnls(x, y)
+        intercept, coefficients = 0.0, nnls(design, y)
 
     return EnergyModel(
         pmc_names=names,

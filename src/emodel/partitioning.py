@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -106,22 +107,29 @@ def slice_at_n(func: EnergyFunction, n: int) -> tuple[tuple[int, float], ...]:
     return curve
 
 
-def _interpolated(func: EnergyFunction, x: int, n: int) -> float | None:
-    """Piecewise-linear estimate along the y = n slice; None outside the hull."""
-    exact = func.lookup(x, n)
-    if exact is not None:
-        return exact
+def _interpolated(curve: tuple[list[int], list[float]], x: int) -> float | None:
+    """Piecewise-linear estimate at x along one slice; None outside the hull.
+
+    ``curve`` holds the slice's x values (ascending) and their energies.
+    """
+    xs, es = curve
+    i = bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return es[i]
+    if i == 0 or i == len(xs):
+        return None
+    x0, e0 = xs[i - 1], es[i - 1]
+    x1, e1 = xs[i], es[i]
+    return e0 + (e1 - e0) * (x - x0) / (x1 - x0)
+
+
+def _curve(func: EnergyFunction, n: int) -> tuple[list[int], list[float]]:
+    """The y = n slice as (xs, energies); empty when the function has none."""
     try:
         curve = slice_at_n(func, n)
     except ValueError:
-        return None
-    below = [(cx, ce) for cx, ce in curve if cx < x]
-    above = [(cx, ce) for cx, ce in curve if cx > x]
-    if not below or not above:
-        return None
-    x0, e0 = below[-1]
-    x1, e1 = above[0]
-    return e0 + (e1 - e0) * (x - x0) / (x1 - x0)
+        return [], []
+    return [x for x, _ in curve], [e for _, e in curve]
 
 
 def partition(
@@ -147,13 +155,15 @@ def partition(
             f"n must be a multiple of {g} with room for two parts, got {n}"
         )
 
+    if interpolate:
+        curve1, curve2 = _curve(func1, n), _curve(func2, n)
     best: tuple[float, int] | None = None
     best_energies = (0.0, 0.0)
     for m in range(g, n - g + 1, g):
         k = n - m
         if interpolate:
-            e1 = _interpolated(func1, m, n)
-            e2 = _interpolated(func2, k, n)
+            e1 = _interpolated(curve1, m)
+            e2 = _interpolated(curve2, k)
         else:
             e1 = func1.lookup(m, n)
             e2 = func2.lookup(k, n)

@@ -5,6 +5,8 @@ they check: exhaustive enumeration instead of active sets, candidate-list
 scans instead of streaming argmins.
 """
 
+import math
+import statistics
 from itertools import combinations
 
 import numpy as np
@@ -54,6 +56,36 @@ def dataset_from_matrix(x, y, names=None):
         for i, (row, energy) in enumerate(zip(x, np.asarray(y, dtype=float)))
     ]
     return make_dataset(names, runs)
+
+
+def additivity_by_brute_force(dataset, compounds, reproducibility_cov):
+    """Per-PMC (name, stage1_pass, max_error_pct), one group and one compound
+    at a time: statistics.stdev per group, fsum repetition means, and a
+    running max of the percent errors."""
+    groups = {}
+    for run in dataset.runs:
+        groups.setdefault((run.app_id, run.config), []).append(run)
+    out = []
+    for i, name in enumerate(dataset.pmc_names):
+        stage1 = True
+        means = {}
+        for key, runs in groups.items():
+            values = [run.pmc.counts[i] for run in runs]
+            means[key] = math.fsum(values) / len(values)
+            if len(values) >= 2:
+                cov = 0.0 if means[key] == 0 else statistics.stdev(values) / means[key]
+                stage1 = stage1 and cov <= reproducibility_cov
+        max_error = 0.0
+        for comp in compounds:
+            base = means[tuple(comp.base_a)] + means[tuple(comp.base_b)]
+            count = comp.pmc.counts[i]
+            if base == 0:
+                error = 0.0 if count == 0 else math.inf
+            else:
+                error = abs(count - base) / base * 100.0
+            max_error = max(max_error, error)
+        out.append((name, stage1, max_error))
+    return out
 
 
 def nnls_by_enumeration(x, y):

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from emodel import (
     tolerance_sweep,
 )
 from emodel.additivity import report_to_csv, report_to_json_dict
-from helpers import make_compound, make_dataset, make_run
+from helpers import additivity_by_brute_force, make_compound, make_dataset, make_run
 
 
 def fixture_dataset(base_counts, compound_counts, *, repetitions=2, names=None,
@@ -178,6 +179,92 @@ def test_threaded_run_matches_serial(monkeypatch):
     from_env = run_additivity_test(dataset)
     assert from_env == serial
     assert report_to_csv(from_env) == report_to_csv(serial)
+
+
+# Counts with exact zeros (both signs), values whose fsum mean differs from
+# the naive one, and arbitrary magnitudes down to subnormals.
+COUNTS = st.one_of(
+    st.floats(0.0, 1e12),
+    st.sampled_from([0.0, -0.0, 1.0, 0.101, 1e16, 5e-324, 3e-320]),
+)
+
+
+@st.composite
+def additivity_cases(draw):
+    """Interleaved repetition rows, compounds with zero and nonzero counts over
+    zero base sums, and a stage-1 bound that is 0, the default, or planted
+    within a few ulps of one group's exact CoV."""
+    names = tuple(f"P{i}" for i in range(draw(st.integers(1, 3))))
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=5))
+    samples = []  # per group, per PMC: the repetition values
+    for size in sizes:
+        group = []
+        for _ in names:
+            shape = draw(st.sampled_from(["zero", "constant", "noisy", "subnormal", "free"]))
+            if shape == "zero":
+                group.append([draw(st.sampled_from([0.0, -0.0])) for _ in range(size)])
+            elif shape == "constant":
+                group.append([draw(COUNTS)] * size)
+            elif shape == "noisy":
+                base = draw(st.floats(1.0, 1e12))
+                group.append([base * draw(st.floats(0.97, 1.03)) for _ in range(size)])
+            elif shape == "subnormal":
+                group.append([draw(st.integers(0, 64)) * 5e-324 for _ in range(size)])
+            else:
+                group.append([draw(COUNTS) for _ in range(size)])
+        samples.append(group)
+    runs = [
+        make_run(f"g{g}", names, [column[rep] for column in group], 1.0, run_id=f"r{rep}")
+        for g, group in enumerate(samples)
+        for rep in range(sizes[g])
+    ]
+    dataset = make_dataset(names, draw(st.permutations(runs)))
+
+    compounds = []
+    for c in range(draw(st.integers(0, 4))):
+        a, b = (draw(st.integers(0, len(sizes) - 1)) for _ in range(2))
+        counts = []
+        for i in range(len(names)):
+            base = sum(math.fsum(samples[g][i]) / sizes[g] for g in (a, b))
+            kind = draw(st.sampled_from(["sum", "scaled", "zero", "free"]))
+            if kind == "sum":
+                counts.append(base)
+            elif kind == "scaled":
+                counts.append(base * draw(st.floats(0.5, 1.5)))
+            elif kind == "zero":
+                counts.append(0.0)
+            else:
+                counts.append(draw(COUNTS))
+        compounds.append(make_compound(f"c{c}", f"g{a}", f"g{b}", names, counts, 1.0))
+
+    bound = draw(st.sampled_from([0.0, 0.025, "planted"]))
+    repeated = [(g, i) for g, size in enumerate(sizes) if size >= 2 for i in range(len(names))]
+    if bound == "planted" and repeated:
+        g, i = draw(st.sampled_from(repeated))
+        values = samples[g][i]
+        mean = math.fsum(values) / len(values)
+        bound = 0.0 if mean == 0 else statistics.stdev(values) / mean
+        for _ in range(draw(st.integers(0, 3))):
+            bound = math.nextafter(bound, draw(st.sampled_from([0.0, math.inf])))
+    elif bound == "planted":
+        bound = 0.025
+    return dataset, compounds, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(additivity_cases())
+def test_vectorized_additivity_matches_brute_force(case):
+    dataset, compounds, bound = case
+    report = run_additivity_test(dataset, compounds, 5.0, reproducibility_cov=bound)
+    got = [(e.pmc, e.stage1_pass, e.max_error_pct.hex()) for e in report.per_pmc]
+    expected = additivity_by_brute_force(dataset, compounds, bound)
+    assert got == [(name, stage1, error.hex()) for name, stage1, error in expected]
+
+    groups = dataset.groups()
+    for point in dataset.points():
+        runs = groups[point.ref]
+        for i, mean in enumerate(point.pmc.counts):
+            assert mean.hex() == (math.fsum(r.pmc.counts[i] for r in runs) / len(runs)).hex()
 
 
 def test_tolerance_sweep_counts():

@@ -15,6 +15,7 @@ from emodel import (
     load_model,
     load_runs,
     predict,
+    run_additivity_test,
     save_model,
 )
 from helpers import make_compound, make_dataset, make_run
@@ -69,6 +70,44 @@ def test_load_runs_happy_path(tmp_path):
     assert dgemm.n_samples == 2
     assert dgemm.pmc.counts == (1001.0, 499.0)
     assert dgemm.dynamic_energy_j == 101.0
+
+
+def test_points_and_additivity_share_the_fsum_repetition_mean():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16 twice; fsum gives 1e16 + 2.
+    samples = [1e16, 1.0, 1.0]
+    mean = math.fsum(samples) / 3
+    assert mean != (samples[0] + samples[1] + samples[2]) / 3
+    names = ("X1",)
+    runs = [make_run("big", names, [v], 1.0, run_id=f"r{i}") for i, v in enumerate(samples)]
+    runs.insert(1, make_run("none", names, [0.0], 1.0))
+    dataset = make_dataset(names, runs)
+    big = next(p for p in dataset.points() if p.app_id == "big")
+    assert big.pmc.counts == (mean,)
+    compound = make_compound("c", "big", "none", names, [mean], 1.0)
+    assert run_additivity_test(dataset, [compound]).per_pmc[0].max_error_pct == 0.0
+
+
+def test_points_raise_on_overflowing_repetition_sum():
+    names = ("X1",)
+    for samples in ([1e308, 1e308], [1e308, 1e308, 1e308]):
+        runs = [make_run("a", names, [v], 1.0, run_id=f"r{i}") for i, v in enumerate(samples)]
+        with pytest.raises(OverflowError):
+            make_dataset(names, runs).points()
+
+
+def test_dataset_without_runs_has_no_points():
+    dataset = Dataset(("X1", "X2"), ())
+    assert dataset.counts.shape == (0, 2)
+    assert dataset.points() == ()
+    report = run_additivity_test(dataset)
+    assert [(e.stage1_pass, e.max_error_pct) for e in report.per_pmc] == [(True, 0.0)] * 2
+
+
+def test_counts_matrix_is_read_only():
+    dataset = make_dataset(("X1", "X2"), [make_run("a", ("X1", "X2"), [1.0, 2.0], 1.0)])
+    assert dataset.counts.tolist() == [[1.0, 2.0]]
+    with pytest.raises(ValueError):
+        dataset.counts[0, 0] = 5.0
 
 
 def test_load_runs_computes_dynamic_energy(tmp_path):

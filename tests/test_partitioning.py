@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -149,6 +150,34 @@ def test_interpolation_cannot_extrapolate():
     func2 = grid_function("p2", n, lambda x: 1.0)
     result = partition(func1, func2, n, interpolate=True)
     assert result.m == 1024  # hole at the boundary stays infeasible
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_interpolated_partition_matches_numpy_interp(seed):
+    n = 16384
+    func1 = random_energy_function(seed, "p1", n, drop_probability=0.3)
+    func2 = random_energy_function(seed + 500, "p2", n, drop_probability=0.3)
+    xs1, es1 = zip(*slice_at_n(func1, n))
+    xs2, es2 = zip(*slice_at_n(func2, n))
+    # Feasible splits lie inside both hulls; numpy.interp fills the holes.
+    candidates = [
+        (float(np.interp(m, xs1, es1) + np.interp(n - m, xs2, es2)), m)
+        for m in range(G, n - G + 1, G)
+        if xs1[0] <= m <= xs1[-1] and xs2[0] <= n - m <= xs2[-1]
+    ]
+    total, m = min(candidates)
+    result = partition(func1, func2, n, interpolate=True)
+    assert result.m == m
+    assert result.total_j == pytest.approx(total, rel=1e-12)
+
+
+def test_interpolation_outside_both_hulls_has_no_split():
+    n = 8 * G
+    # Both slices cover only x in [G, 2G]: every split needs k >= 6G on one side.
+    func1 = grid_function("p1", n, lambda x: 1.0, skip=range(3 * G, n, G))
+    func2 = grid_function("p2", n, lambda x: 1.0, skip=range(3 * G, n, G))
+    with pytest.raises(ValueError, match="no feasible split"):
+        partition(func1, func2, n, interpolate=True)
 
 
 @pytest.mark.parametrize("seed", range(10))
