@@ -413,7 +413,7 @@ def run_cli(argv) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"emodel: error: {message}", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError, ValueError, RuntimeError) as exc:
+    except (DataFormatError, OSError, OverflowError, ValueError, RuntimeError) as exc:
         print(f"emodel: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,16 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-from .stats import MeasurementFaultWarning, dynamic_energy
 
 __all__ = [
     "DataFormatError",
@@ -73,6 +71,15 @@ class PmcVector:
         for name, count in zip(self.names, self.counts):
             if not math.isfinite(count) or count < 0:
                 raise ValueError(f"PMC {name!r} has invalid count {count!r}")
+
+    @classmethod
+    def _checked(cls, names: tuple[str, ...], counts: tuple[float, ...]) -> "PmcVector":
+        """A vector of unique names and finite, non-negative float counts that
+        the caller has already checked, built without ``__post_init__``."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "names", names)
+        object.__setattr__(vector, "counts", counts)
+        return vector
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, float]) -> "PmcVector":
@@ -177,6 +184,12 @@ class AggregatedRun:
         return RunRef(self.app_id, self.config)
 
 
+def _row_tuples(matrix: np.ndarray) -> Iterator[tuple[float, ...]]:
+    """The rows of a matrix as tuples of floats, one at a time: converting all
+    rows first would leave as many lists for the garbage collector to scan."""
+    return (tuple(row.tolist()) for row in matrix)
+
+
 class GroupIndex(NamedTuple):
     """Row positions of a dataset's run groups.
 
@@ -229,6 +242,18 @@ class Dataset:
                 )
             seen[key] = i
         self.check_compounds(self.compounds)
+
+    @classmethod
+    def _checked(cls, pmc_names: tuple[str, ...], runs: tuple[ApplicationRun, ...],
+                 counts: np.ndarray) -> "Dataset":
+        """A dataset without compounds of runs that the caller has already
+        checked as ``__post_init__`` does, with their read-only counts matrix."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "pmc_names", pmc_names)
+        object.__setattr__(dataset, "runs", runs)
+        object.__setattr__(dataset, "compounds", ())
+        object.__setattr__(dataset, "counts", counts)  # fills the cached property
+        return dataset
 
     def check_compounds(self, compounds: Iterable[CompoundRun]) -> None:
         """Raise ValueError unless every compound has this dataset's PMC names
@@ -303,35 +328,28 @@ class Dataset:
         sizes, starts = index.sizes.tolist(), index.starts.tolist()
         large = [g for g, n in enumerate(sizes) if n > 2]
         spans = [(starts[g], sizes[g]) for g in large]
-        means = np.empty((len(index.refs), columns.shape[1]))
-        for j in range(columns.shape[1]):
-            column = columns[:, j]
-            # Adding +0.0 turns a -0.0 sum into 0.0, as fsum does.
-            with np.errstate(over="ignore"):
-                sums = np.where(pairs, column[first] + column[last], column[first]) + 0.0
-            if np.isinf(sums).any():
-                raise OverflowError("intermediate overflow in fsum")
-            means[:, j] = sums / index.sizes
-            if large:
-                ordered = column[index.order].tolist()
+        head = columns[first]
+        # Adding +0.0 turns a -0.0 sum into 0.0, as fsum does.
+        with np.errstate(over="ignore"):
+            sums = np.where(pairs[:, None], head + columns[last], head) + 0.0
+        if np.isinf(sums).any():
+            raise OverflowError("intermediate overflow in fsum")
+        means = sums / index.sizes[:, None]
+        if large:
+            for j in range(columns.shape[1]):
+                ordered = columns[index.order, j].tolist()
                 means[large, j] = [math.fsum(ordered[s:s + n]) / n for s, n in spans]
         return means.reshape(-1) if values.ndim == 1 else means
 
     def points(self) -> tuple[AggregatedRun, ...]:
         """One aggregated point per (app_id, config): means over repetitions."""
         index = self.group_index
-        counts = self.group_means(self.counts).tolist()
+        counts = _row_tuples(self.group_means(self.counts))
         times = self.group_means([run.exec_time_s for run in self.runs]).tolist()
         energies = self.group_means([run.dynamic_energy_j for run in self.runs]).tolist()
         return tuple(
-            AggregatedRun(
-                app_id=ref.app_id,
-                config=ref.config,
-                pmc=PmcVector(self.pmc_names, row),
-                exec_time_s=time_s,
-                dynamic_energy_j=energy,
-                n_samples=n,
-            )
+            AggregatedRun(ref.app_id, ref.config, PmcVector._checked(self.pmc_names, row),
+                          time_s, energy, n)
             for ref, row, time_s, energy, n in zip(
                 index.refs, counts, times, energies, index.sizes.tolist()
             )
@@ -436,17 +454,25 @@ _RESERVED_COLUMNS = (
 )
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """A CSV file's stripped header cells, its data rows that are not blank,
+    and the row number of each of those (the header is row 1, and blank rows
+    count)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
+        rows = list(csv.reader(fh))
     if not rows or not any(cell.strip() for cell in rows[0]):
         raise DataFormatError(f"{path}: no header")
     header = [cell.strip() for cell in rows[0]]
+    numbers = [i + 1 for i, row in enumerate(rows) if i and any(map(str.strip, row))]
+    return header, [rows[i - 1] for i in numbers], numbers
+
+
+def _columns(path, header: list[str]) -> dict[str, int]:
+    """Column positions by name; each name may appear once."""
     dupes = sorted({c for c in header if header.count(c) > 1})
     if dupes:
         raise DataFormatError(f"{path}: duplicate header columns: {', '.join(dupes)}")
-    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
-    return header, body
+    return {name: i for i, name in enumerate(header)}
 
 
 def _cell_float(path, row_no: int, column: str, text: str) -> float:
@@ -463,6 +489,82 @@ def _cell_float(path, row_no: int, column: str, text: str) -> float:
     return value
 
 
+# Column-by-column parsing. Each loader checks whole columns first; when any
+# row is faulty, the row-by-row checks run from the first faulty row on, so
+# the error names the same fault as checking row by row from the top.
+
+
+def _full_rows(body: list[list[str]], width: int) -> list[list[str]]:
+    """The rows of ``body`` before the first one without ``width`` cells."""
+    if set(map(len, body)) <= {width}:
+        return body
+    return body[:next(i for i, row in enumerate(body) if len(row) != width)]
+
+
+def _text_column(rows: list[list[str]], j: int) -> list[str]:
+    return list(map(str.strip, map(itemgetter(j), rows)))
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text.strip())
+    except ValueError:
+        return math.nan
+
+
+def _float_columns(rows: list[list[str]], positions: list[int]) -> np.ndarray:
+    """Rows x positions matrix of the cells at ``positions``, as Python's
+    ``float`` parses them after stripping; NaN where a cell is not a number."""
+    pick = itemgetter(*positions)  # a tuple of cells, or one cell
+    cells = lambda: (chain.from_iterable(map(pick, rows)) if len(positions) > 1
+                     else map(pick, rows))
+    shape = (len(rows), len(positions))
+    try:
+        # float() strips the same whitespace as str.strip(), except U+001C to
+        # U+001F; cells padded with those take the slow path with the
+        # non-numeric ones.
+        return np.fromiter(map(float, cells()), float, shape[0] * shape[1]).reshape(shape)
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, cells()), float, shape[0] * shape[1]).reshape(shape)
+
+
+def _counts_and_faults(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only counts matrix in the first ``p`` columns of ``values``,
+    and a mask of the rows with a count that is not finite and non-negative."""
+    counts = values[:, :p].copy()
+    counts.flags.writeable = False
+    return counts, ~(np.isfinite(counts) & (counts >= 0)).all(axis=1)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Position of the first true entry; the length when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _first_missing(values: list, missing) -> int:
+    """Position of the first ``missing`` entry; the length when there is none."""
+    return values.index(missing) if missing in values else len(values)
+
+
+def _first_repeat(keys: list) -> int:
+    """Position of the first key equal to an earlier one; the length when none is."""
+    if len(set(keys)) == len(keys):
+        return len(keys)
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+
+
+def _positive_int(text: str) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
+
+
 def load_runs(path) -> Dataset:
     """Load a runs CSV into a :class:`Dataset`.
 
@@ -472,8 +574,8 @@ def load_runs(path) -> Dataset:
     may replace ``dynamic_energy_j``, in which case dynamic energy is computed
     at load time.
     """
-    header, body = _read_csv(path)
-    columns = {name: i for i, name in enumerate(header)}
+    header, body, _ = _read_csv(path)
+    columns = _columns(path, header)
 
     missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s") if c not in columns]
     if missing:
@@ -497,9 +599,57 @@ def load_runs(path) -> Dataset:
     if not pmc_names:
         raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
 
-    runs: list[ApplicationRun] = []
-    seen: dict[tuple[str, RunConfig, str | None], int] = {}
-    for offset, row in enumerate(body):
+    rows = _full_rows(body, len(header))
+    energy_columns = ["dynamic_energy_j"] if has_dynamic else ["total_energy_j", "static_power_w"]
+    values = _float_columns(rows, [columns[name] for name in
+                                   pmc_names + ("exec_time_s", *energy_columns)])
+    counts, bad = _counts_and_faults(values, len(pmc_names))
+    times = values[:, len(pmc_names)]
+    bad |= ~np.isfinite(times) | (times <= 0)
+    if has_dynamic:
+        energies = values[:, -1]
+        bad |= ~np.isfinite(energies)
+    else:
+        total, static = values[:, -2], values[:, -1]
+        bad |= ~np.isfinite(total) | ~np.isfinite(static) | (static < 0)
+        # The arithmetic of stats.dynamic_energy, so values match it bit for
+        # bit; a product that overflows gives -inf, a negative energy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = total - static * times
+    bad |= energies < 0
+
+    app_ids = _text_column(rows, columns["app_id"])
+    sizes = _text_column(rows, columns["problem_size"])
+    run_ids = ([text or None for text in _text_column(rows, columns["run_id"])]
+               if "run_id" in columns else [None] * len(rows))
+    cores_texts = _text_column(rows, columns["cores"])
+    cores_of = {text: _positive_int(text) for text in set(cores_texts)}
+    cores = [cores_of[text] for text in cores_texts]
+    keys = list(zip(app_ids, cores, sizes, run_ids))
+    first = min(_first(bad), _first_missing(app_ids, ""), _first_missing(cores, None),
+                _first_repeat(keys))
+    if first < len(body):
+        _check_run_rows(path, header, columns, pmc_names, body, first,
+                        dict(zip(keys[:first], range(2, first + 2))))
+    del body, rows, cores_texts, keys  # the cell strings go before the row objects come
+
+    config_of = {pair: RunConfig(*pair) for pair in set(zip(cores, sizes))}
+    runs = tuple(
+        ApplicationRun(app_id, config_of[cores_n, size],
+                       PmcVector._checked(pmc_names, row), time_s, energy, run_id)
+        for app_id, cores_n, size, row, time_s, energy, run_id in zip(
+            app_ids, cores, sizes, _row_tuples(counts), times.tolist(), energies.tolist(), run_ids
+        )
+    )
+    return Dataset._checked(pmc_names, runs, counts)
+
+
+def _check_run_rows(path, header, columns, pmc_names, rows, start, seen) -> None:
+    """Check runs-file rows one by one from row ``start`` on, raising at the
+    first fault. ``seen`` maps the (app_id, cores, problem_size, run_id) keys
+    of the rows before ``start`` to their row numbers."""
+    for offset in range(start, len(rows)):
+        row = rows[offset]
         row_no = offset + 2  # 1-based, header is row 1
         if len(row) != len(header):
             raise DataFormatError(
@@ -521,7 +671,7 @@ def load_runs(path) -> Dataset:
             raise DataFormatError(
                 f"{path}: row {row_no}, column 'cores': must be >= 1, got {cores}"
             )
-        config = RunConfig(cores, cell("problem_size"))
+        problem_size = cell("problem_size")
         run_id = cell("run_id") or None if "run_id" in columns else None
 
         exec_time_s = _cell_float(path, row_no, "exec_time_s", cell("exec_time_s"))
@@ -530,7 +680,7 @@ def load_runs(path) -> Dataset:
                 f"{path}: row {row_no}, column 'exec_time_s': must be > 0, got {exec_time_s!r}"
             )
 
-        if has_dynamic:
+        if "dynamic_energy_j" in columns:
             energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
         else:
             total = _cell_float(path, row_no, "total_energy_j", cell("total_energy_j"))
@@ -539,43 +689,27 @@ def load_runs(path) -> Dataset:
                 raise DataFormatError(
                     f"{path}: row {row_no}, column 'static_power_w': must be >= 0, got {static!r}"
                 )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MeasurementFaultWarning)
-                energy = dynamic_energy(total, static, exec_time_s)
+            energy = total - static * exec_time_s
         if energy < 0:
             raise DataFormatError(
                 f"{path}: row {row_no}: dynamic energy {energy!r} J is negative "
                 f"(measurement fault: total below static baseline)"
             )
 
-        counts = []
         for name in pmc_names:
             value = _cell_float(path, row_no, name, cell(name))
             if value < 0:
                 raise DataFormatError(
                     f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
                 )
-            counts.append(value)
 
-        key = (app_id, config, run_id)
+        key = (app_id, cores, problem_size, run_id)
         if key in seen:
             raise DataFormatError(
-                f"{path}: row {row_no}: duplicate run ({app_id!r}, {config.label()}, "
+                f"{path}: row {row_no}: duplicate run ({app_id!r}, {cores}:{problem_size}, "
                 f"run_id={run_id!r}), first seen at row {seen[key]}"
             )
         seen[key] = row_no
-        runs.append(
-            ApplicationRun(
-                app_id=app_id,
-                config=config,
-                pmc=PmcVector(pmc_names, tuple(counts)),
-                exec_time_s=exec_time_s,
-                dynamic_energy_j=energy,
-                run_id=run_id,
-            )
-        )
-
-    return Dataset(pmc_names, tuple(runs))
 
 
 def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
@@ -587,9 +721,10 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     A file with a valid header and zero data rows is an empty test set, not
     an error.
     """
-    header, body = _read_csv(path)
+    header, body, _ = _read_csv(path)
+    columns = _columns(path, header)
     required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
-    missing = [c for c in required if c not in header]
+    missing = [c for c in required if c not in columns]
     if missing:
         raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
     pmc_columns = tuple(c for c in header if c not in required)
@@ -598,22 +733,52 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
             f"{path}: PMC columns {list(pmc_columns)} do not match dataset PMC "
             f"names {list(dataset.pmc_names)}"
         )
-    columns = {name: i for i, name in enumerate(header)}
 
-    compounds: list[CompoundRun] = []
-    for offset, row in enumerate(body):
+    rows = _full_rows(body, len(header))
+    values = _float_columns(rows, [columns[name] for name in pmc_columns + ("dynamic_energy_j",)])
+    counts, bad = _counts_and_faults(values, len(pmc_columns))
+    energies = values[:, -1]
+    bad |= ~np.isfinite(energies) | (energies < 0)
+    compound_ids = _text_column(rows, columns["compound_id"])
+    base_texts = (_text_column(rows, columns["base_a"]), _text_column(rows, columns["base_b"]))
+    ref_of = {}
+    for text in set(base_texts[0]).union(base_texts[1]):
+        try:
+            ref_of[text] = dataset.resolve(text)
+        except ValueError:  # DataFormatError, or RunConfig's own check
+            ref_of[text] = None
+    bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
+    first = min(_first(bad), _first_missing(compound_ids, ""),
+                _first_missing(bases_a, None), _first_missing(bases_b, None))
+    if first < len(body):
+        _check_compound_rows(path, header, columns, dataset, body, first)
+    del body, rows, base_texts  # the cell strings go before the row objects come
+
+    return [
+        CompoundRun(compound_id, base_a, base_b, PmcVector._checked(dataset.pmc_names, row),
+                    energy)
+        for compound_id, base_a, base_b, row, energy in zip(
+            compound_ids, bases_a, bases_b, _row_tuples(counts), energies.tolist()
+        )
+    ]
+
+
+def _check_compound_rows(path, header, columns, dataset, rows, start) -> None:
+    """Check compounds-file rows one by one from row ``start`` on, raising at
+    the first fault."""
+    for offset in range(start, len(rows)):
+        row = rows[offset]
         row_no = offset + 2
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
             )
         cell = lambda name: row[columns[name]].strip()
-        compound_id = cell("compound_id")
-        if not compound_id:
+        if not cell("compound_id"):
             raise DataFormatError(f"{path}: row {row_no}: empty compound_id")
         try:
-            base_a = dataset.resolve(cell("base_a"))
-            base_b = dataset.resolve(cell("base_b"))
+            dataset.resolve(cell("base_a"))
+            dataset.resolve(cell("base_b"))
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
         energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
@@ -621,24 +786,12 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
             raise DataFormatError(
                 f"{path}: row {row_no}, column 'dynamic_energy_j': must be >= 0, got {energy!r}"
             )
-        counts = []
         for name in dataset.pmc_names:
             value = _cell_float(path, row_no, name, cell(name))
             if value < 0:
                 raise DataFormatError(
                     f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
                 )
-            counts.append(value)
-        compounds.append(
-            CompoundRun(
-                compound_id=compound_id,
-                base_a=base_a,
-                base_b=base_b,
-                pmc=PmcVector(dataset.pmc_names, tuple(counts)),
-                dynamic_energy_j=energy,
-            )
-        )
-    return compounds
 
 
 def model_to_dict(model: EnergyModel) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -281,10 +282,21 @@ def predict(model: EnergyModel, pmc: PmcVector) -> float:
     The vector may carry extra PMCs; every model PMC must be present. May be
     negative for models whose constraints permit it.
     """
+    counts = pmc.counts
     total = model.intercept
-    for name, coefficient in zip(model.pmc_names, model.coefficients):
-        total += coefficient * pmc.get(name)
+    for position, coefficient in zip(_positions(model.pmc_names, pmc.names), model.coefficients):
+        total += coefficient * counts[position]
     return total
+
+
+@lru_cache(maxsize=64)
+def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
+    """The position in ``names`` of each name in ``wanted``."""
+    index = {name: i for i, name in enumerate(names)}
+    for name in wanted:
+        if name not in index:
+            raise KeyError(f"PMC {name!r} not present in vector")
+    return tuple(map(index.__getitem__, wanted))
 
 
 def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:

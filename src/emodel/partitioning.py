@@ -9,14 +9,13 @@ exist, unless interpolation along x is explicitly requested.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .core import DataFormatError
+from .core import DataFormatError, _read_csv
 
 __all__ = [
     "EnergyFunction",
@@ -205,21 +204,14 @@ def load_energy_function(
     Granularity defaults to the GCD of every x and y in the file; pass it
     explicitly to enforce a coarser grid.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
-    if not rows or not any(cell.strip() for cell in rows[0]):
-        raise DataFormatError(f"{path}: no header")
-    header = [cell.strip() for cell in rows[0]]
+    header, body, row_numbers = _read_csv(path)
     if header != ["x", "y", "energy_j"]:
         raise DataFormatError(
             f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}"
         )
 
     samples: list[tuple[int, int, float]] = []
-    for offset, row in enumerate(rows[1:]):
-        if not any(cell.strip() for cell in row):
-            continue
-        row_no = offset + 2
+    for row_no, row in zip(row_numbers, body):
         if len(row) != 3:
             raise DataFormatError(f"{path}: row {row_no}: expected 3 cells, got {len(row)}")
         try:

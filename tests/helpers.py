@@ -2,11 +2,14 @@
 
 The oracles here are deliberately written differently from the library code
 they check: exhaustive enumeration instead of active sets, candidate-list
-scans instead of streaming argmins.
+scans instead of streaming argmins, row-by-row CSV loading instead of
+column-by-column.
 """
 
+import csv
 import math
 import statistics
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -14,11 +17,14 @@ import numpy as np
 from emodel import (
     ApplicationRun,
     CompoundRun,
+    DataFormatError,
     Dataset,
     EnergyFunction,
+    MeasurementFaultWarning,
     PmcVector,
     RunConfig,
     RunRef,
+    dynamic_energy,
 )
 
 
@@ -148,3 +154,223 @@ def random_energy_function(seed, processor_id, n, g=512, drop_probability=0.0,
     if not samples:
         samples.append((g, n, 1.0))
     return EnergyFunction(processor_id, tuple(samples), g)
+
+
+# Row-by-row reference loaders: each row is parsed and checked on its own,
+# with every object built through its public constructor.
+
+RESERVED_COLUMNS = (
+    "app_id",
+    "run_id",
+    "cores",
+    "problem_size",
+    "exec_time_s",
+    "dynamic_energy_j",
+    "total_energy_j",
+    "static_power_w",
+)
+
+
+def _read_csv_by_rows(path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh)]
+    if not rows or not any(cell.strip() for cell in rows[0]):
+        raise DataFormatError(f"{path}: no header")
+    header = [cell.strip() for cell in rows[0]]
+    dupes = sorted({c for c in header if header.count(c) > 1})
+    if dupes:
+        raise DataFormatError(f"{path}: duplicate header columns: {', '.join(dupes)}")
+    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
+    return header, body
+
+
+def _cell_float_by_rows(path, row_no: int, column: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}: row {row_no}, column {column!r}: non-numeric cell {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataFormatError(
+            f"{path}: row {row_no}, column {column!r}: non-finite value {text!r}"
+        )
+    return value
+
+
+def load_runs_by_rows(path) -> Dataset:
+    """Load a runs CSV into a :class:`Dataset`.
+
+    Header: ``app_id,cores,problem_size,exec_time_s,dynamic_energy_j`` plus one
+    column per PMC, in model variable order. ``run_id`` is optional and marks
+    repetition samples. ``total_energy_j`` together with ``static_power_w``
+    may replace ``dynamic_energy_j``, in which case dynamic energy is computed
+    at load time.
+    """
+    header, body = _read_csv_by_rows(path)
+    columns = {name: i for i, name in enumerate(header)}
+
+    missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s") if c not in columns]
+    if missing:
+        raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
+
+    has_dynamic = "dynamic_energy_j" in columns
+    has_total = "total_energy_j" in columns
+    has_static = "static_power_w" in columns
+    if has_dynamic and (has_total or has_static):
+        raise DataFormatError(
+            f"{path}: give either dynamic_energy_j or total_energy_j+static_power_w, not both"
+        )
+    if not has_dynamic:
+        if not (has_total and has_static):
+            raise DataFormatError(
+                f"{path}: missing energy columns: need dynamic_energy_j or "
+                f"total_energy_j together with static_power_w"
+            )
+
+    pmc_names = tuple(c for c in header if c not in RESERVED_COLUMNS)
+    if not pmc_names:
+        raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
+
+    runs: list[ApplicationRun] = []
+    seen: dict[tuple[str, RunConfig, str | None], int] = {}
+    for offset, row in enumerate(body):
+        row_no = offset + 2  # 1-based, header is row 1
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        cell = lambda name: row[columns[name]].strip()
+
+        app_id = cell("app_id")
+        if not app_id:
+            raise DataFormatError(f"{path}: row {row_no}: empty app_id")
+        cores_text = cell("cores")
+        try:
+            cores = int(cores_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {row_no}, column 'cores': non-integer cell {cores_text!r}"
+            ) from None
+        if cores < 1:
+            raise DataFormatError(
+                f"{path}: row {row_no}, column 'cores': must be >= 1, got {cores}"
+            )
+        config = RunConfig(cores, cell("problem_size"))
+        run_id = cell("run_id") or None if "run_id" in columns else None
+
+        exec_time_s = _cell_float_by_rows(path, row_no, "exec_time_s", cell("exec_time_s"))
+        if exec_time_s <= 0:
+            raise DataFormatError(
+                f"{path}: row {row_no}, column 'exec_time_s': must be > 0, got {exec_time_s!r}"
+            )
+
+        if has_dynamic:
+            energy = _cell_float_by_rows(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
+        else:
+            total = _cell_float_by_rows(path, row_no, "total_energy_j", cell("total_energy_j"))
+            static = _cell_float_by_rows(path, row_no, "static_power_w", cell("static_power_w"))
+            if static < 0:
+                raise DataFormatError(
+                    f"{path}: row {row_no}, column 'static_power_w': must be >= 0, got {static!r}"
+                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MeasurementFaultWarning)
+                energy = dynamic_energy(total, static, exec_time_s)
+        if energy < 0:
+            raise DataFormatError(
+                f"{path}: row {row_no}: dynamic energy {energy!r} J is negative "
+                f"(measurement fault: total below static baseline)"
+            )
+
+        counts = []
+        for name in pmc_names:
+            value = _cell_float_by_rows(path, row_no, name, cell(name))
+            if value < 0:
+                raise DataFormatError(
+                    f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
+                )
+            counts.append(value)
+
+        key = (app_id, config, run_id)
+        if key in seen:
+            raise DataFormatError(
+                f"{path}: row {row_no}: duplicate run ({app_id!r}, {config.label()}, "
+                f"run_id={run_id!r}), first seen at row {seen[key]}"
+            )
+        seen[key] = row_no
+        runs.append(
+            ApplicationRun(
+                app_id=app_id,
+                config=config,
+                pmc=PmcVector(pmc_names, tuple(counts)),
+                exec_time_s=exec_time_s,
+                dynamic_energy_j=energy,
+                run_id=run_id,
+            )
+        )
+
+    return Dataset(pmc_names, tuple(runs))
+
+
+def load_compounds_by_rows(path, dataset: Dataset) -> list[CompoundRun]:
+    """Load a compounds CSV, resolving base references against ``dataset``.
+
+    Header: ``compound_id,base_a,base_b,dynamic_energy_j`` followed by the
+    dataset's PMC columns in the same order. Base references use the
+    ``app_id@cores:problem_size`` form (bare ``app_id`` when unambiguous).
+    A file with a valid header and zero data rows is an empty test set, not
+    an error.
+    """
+    header, body = _read_csv_by_rows(path)
+    required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
+    pmc_columns = tuple(c for c in header if c not in required)
+    if pmc_columns != dataset.pmc_names:
+        raise DataFormatError(
+            f"{path}: PMC columns {list(pmc_columns)} do not match dataset PMC "
+            f"names {list(dataset.pmc_names)}"
+        )
+    columns = {name: i for i, name in enumerate(header)}
+
+    compounds: list[CompoundRun] = []
+    for offset, row in enumerate(body):
+        row_no = offset + 2
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        cell = lambda name: row[columns[name]].strip()
+        compound_id = cell("compound_id")
+        if not compound_id:
+            raise DataFormatError(f"{path}: row {row_no}: empty compound_id")
+        try:
+            base_a = dataset.resolve(cell("base_a"))
+            base_b = dataset.resolve(cell("base_b"))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
+        energy = _cell_float_by_rows(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
+        if energy < 0:
+            raise DataFormatError(
+                f"{path}: row {row_no}, column 'dynamic_energy_j': must be >= 0, got {energy!r}"
+            )
+        counts = []
+        for name in dataset.pmc_names:
+            value = _cell_float_by_rows(path, row_no, name, cell(name))
+            if value < 0:
+                raise DataFormatError(
+                    f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
+                )
+            counts.append(value)
+        compounds.append(
+            CompoundRun(
+                compound_id=compound_id,
+                base_a=base_a,
+                base_b=base_b,
+                pmc=PmcVector(dataset.pmc_names, tuple(counts)),
+                dynamic_energy_j=energy,
+            )
+        )
+    return compounds

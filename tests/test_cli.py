@@ -449,3 +449,20 @@ def test_installed_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"loss_pct": -10.0}
+
+
+def test_overflowing_repetition_sum_is_an_input_error(tmp_path):
+    runs = tmp_path / "huge.csv"
+    runs.write_text(
+        "app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1\n"
+        "a,r1,2,s,1.0,1.0,1e308\n"
+        "a,r2,2,s,1.0,1.0,1e308\n",
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "emodel.cli", "additivity", "--runs", str(runs)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "emodel: error: intermediate overflow in fsum\n"
+    assert "Traceback" not in result.stderr

@@ -1,7 +1,11 @@
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emodel import (
     DataFormatError,
@@ -18,7 +22,13 @@ from emodel import (
     run_additivity_test,
     save_model,
 )
-from helpers import make_compound, make_dataset, make_run
+from helpers import (
+    load_compounds_by_rows,
+    load_runs_by_rows,
+    make_compound,
+    make_dataset,
+    make_run,
+)
 
 RUNS_CSV = """app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2
 dgemm,r1,2,1024,10.0,100.0,1000,500
@@ -334,3 +344,161 @@ def test_dataset_is_immutable():
     dataset = make_dataset(("X1",), [make_run("a", ("X1",), (1.0,), 1.0)])
     with pytest.raises(AttributeError):
         dataset.pmc_names = ("X2",)
+
+
+# Column-by-column loaders against the row-by-row reference in helpers.py.
+
+PADS = ["", "", "", " ", "\t", "\n", "\x1c", "\u2003"]
+COUNTS = (["1", "2.5", "1_000", "١٢", "0", "-0.0", "1e-320", "1e308", "7"],
+          ["-1", "-1e-320", "nan", "inf", "-inf", "abc", "", "1__0", "1,5"])
+# (valid, faulty) cells per column; other columns take COUNTS.
+RUN_CELLS = {
+    "app_id": (["a", "b", "c"], [""]),
+    "run_id": (["", "1", "2", "3"], []),
+    "cores": (["1", "2", "02", "+2", "١", "4"], ["0", "-1", "x", "1.5", "", "1__0"]),
+    "problem_size": (["", "s", "t"], []),
+    "exec_time_s": (["1", "0.5", "2e-3", "1e10", "1_0"], ["0", "-0.0", "-1", "nan", "inf", "x"]),
+    "total_energy_j": (["10", "1e308", "5", "0", "12.5"], ["nan", "x", "-5"]),
+    "static_power_w": (["0", "1", "0.5", "1e-3", "1e308"], ["-1", "inf", ""]),
+}
+TWO_FAULTS_RUNS = (
+    "app_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2\n"
+    "a,2,s,1,1,1,-3\n"
+    ",x,s,nan,1,1,1\n"
+)
+
+
+@st.composite
+def csv_text(draw, header, cells):
+    """A CSV file with the given header and valid cells, padded, into which
+    up to three faults are planted: a faulty cell or a row of the wrong
+    width. Blank rows come now and then, with minimal or full quoting."""
+    valid = [st.sampled_from([left + cell + right for left in PADS for right in PADS
+                              for cell in cells.get(name, COUNTS)[0]]) for name in header]
+    rows = [[draw(cell) for cell in valid] for _ in range(draw(st.integers(0, 6)))]
+    faulty = [name for name in header if cells.get(name, COUNTS)[1]]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if draw(st.integers(0, 5)):
+            j = header.index(draw(st.sampled_from(faulty)))
+            if j < len(row):
+                row[j] = draw(st.sampled_from(cells.get(header[j], COUNTS)[1]))
+        elif draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [""], [" ", ""]])))
+    out = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(out, quoting=quoting).writerows([header] + rows)
+    return out.getvalue()
+
+
+@st.composite
+def runs_files(draw):
+    pmcs = draw(st.lists(st.sampled_from(["X1", "X2", "X3"]), min_size=1, max_size=3, unique=True))
+    header = ["app_id", "cores", "problem_size", "exec_time_s"] + pmcs
+    header += ["dynamic_energy_j"] if draw(st.booleans()) else ["total_energy_j", "static_power_w"]
+    if draw(st.booleans()):
+        header.append("run_id")
+    return draw(csv_text(draw(st.permutations(header)), RUN_CELLS))
+
+
+@st.composite
+def compounds_files(draw):
+    header = draw(st.permutations(["compound_id", "base_a", "base_b", "dynamic_energy_j", "X"]))
+    # The PMC columns keep the dataset's order.
+    header = [name if name != "X" else "X1" for name in header]
+    header.insert(header.index("X1") + draw(st.integers(1, 5 - header.index("X1"))), "X2")
+    bases = (["a", "a@2:s", "a@02:s", "b@4:s", "b@2:s"], ["b", "zz", "a@0:s", "a@x:s", "", "a@2"])
+    cells = {"compound_id": (["c1", "c2", "c3"], [""]), "base_a": bases, "base_b": bases}
+    return draw(csv_text(header, cells))
+
+
+def outcome(load, *args):
+    """What a loader gives: its result, or the type and text of its error."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def hexed(values):
+    return [value.hex() for value in values]
+
+
+def run_digest(dataset):
+    return (
+        dataset.pmc_names,
+        [(run.app_id, run.config, run.run_id, run.pmc.names, hexed(run.pmc.counts),
+          run.exec_time_s.hex(), run.dynamic_energy_j.hex()) for run in dataset.runs],
+        [hexed(row) for row in dataset.counts.tolist()],
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(runs_files())
+@example(TWO_FAULTS_RUNS)
+def test_load_runs_matches_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle_runs.csv"
+    path.write_text(text, encoding="utf-8")
+    got, expected = outcome(load_runs, path), outcome(load_runs_by_rows, path)
+    if isinstance(expected, Dataset):
+        assert isinstance(got, Dataset) and not got.counts.flags.writeable
+        assert got == expected
+        assert run_digest(got) == run_digest(expected)
+    else:
+        assert got == expected
+
+
+COMPOUND_BASES = (
+    "app_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2\n"
+    "a,2,s,1,1,1,1\n"
+    "b,2,s,1,1,1,1\n"
+    "b,4,s,1,1,1,1\n"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(compounds_files())
+def test_load_compounds_matches_row_by_row_reference(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    dataset = load_runs(write(base / "oracle_bases.csv", COMPOUND_BASES))
+    path = write(base / "oracle_compounds.csv", text)
+    got = outcome(load_compounds, path, dataset)
+    expected = outcome(load_compounds_by_rows, path, dataset)
+    if isinstance(expected, list):
+        assert got == expected
+        assert [hexed(c.pmc.counts) + [c.dynamic_energy_j.hex()] for c in got] == [
+            hexed(c.pmc.counts) + [c.dynamic_energy_j.hex()] for c in expected
+        ]
+    else:
+        assert got == expected
+
+
+def test_load_runs_names_the_earliest_row_first(tmp_path):
+    # Row 3 fails in earlier columns, but row 2 comes first.
+    with pytest.raises(DataFormatError, match=r"row 2, column 'X2': negative count -3\.0$"):
+        load_runs(write(tmp_path / "two.csv", TWO_FAULTS_RUNS))
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_runs_overflowing_static_baseline_is_negative_energy(tmp_path):
+    text = (
+        "app_id,cores,problem_size,exec_time_s,total_energy_j,static_power_w,X1\n"
+        "app,2,n,10.0,5.0,1e308,7\n"
+    )
+    with pytest.raises(DataFormatError, match=r"row 2: dynamic energy -inf J is negative"):
+        load_runs(write(tmp_path / "overflow.csv", text))
+
+
+def test_load_compounds_without_pmc_columns(tmp_path):
+    run = make_run("a", (), (), 1.0)
+    dataset = make_dataset((), [run])
+    path = write(tmp_path / "compounds.csv",
+                 "compound_id,base_a,base_b,dynamic_energy_j\nc,a,a,2.5\nd,a,a,1e3\n")
+    compounds = load_compounds(path, dataset)
+    assert compounds == load_compounds_by_rows(path, dataset)
+    assert [c.dynamic_energy_j for c in compounds] == [2.5, 1000.0]

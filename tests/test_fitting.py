@@ -291,6 +291,23 @@ def test_predict_arithmetic():
     assert predict(model, vector) == 10.0 + 2.0 * 3.0 + 0.5 * 4.0
 
 
+def test_predict_sums_left_to_right_on_a_reordered_superset():
+    model = EnergyModel(
+        pmc_names=("C1", "C2", "C3"), intercept=1.0,
+        coefficients=(1e16, 1.0, -1e16), kind=ModelKind.UNCONSTRAINED,
+    )
+    # 1 + 1e16 rounds to 1e16, adding 1 rounds back to 1e16, and subtracting
+    # 1e16 leaves 0; summing in another order gives 2.
+    assert predict(model, PmcVector(("C4", "C3", "C1", "C2"), (5.0, 1.0, 1.0, 1.0))).hex() == "0x0.0p+0"
+    rng = np.random.default_rng(7)
+    for names in [("C3", "C9", "C2", "C1"), ("C2", "C1", "C3"), ("C3", "C9", "C2", "C1")]:
+        vector = PmcVector(names, tuple(rng.uniform(0.0, 1e6, len(names))))
+        expected = model.intercept
+        for name, coefficient in zip(model.pmc_names, model.coefficients):
+            expected += coefficient * vector.get(name)
+        assert predict(model, vector).hex() == expected.hex()
+
+
 def test_predict_missing_pmc():
     with pytest.raises(KeyError, match="C1"):
         predict(model_c1(), PmcVector(("C9",), (1.0,)))

@@ -309,3 +309,16 @@ def test_load_duplicate_sample_rejected(tmp_path):
     )
     with pytest.raises(DataFormatError, match="duplicate"):
         load_energy_function(path)
+
+
+def test_load_names_the_expected_header_before_duplicate_columns(tmp_path):
+    path = write(tmp_path / "f.csv", "x,x,energy_j\n512,512,1.0\n")
+    with pytest.raises(DataFormatError,
+                       match=r"expected header 'x,y,energy_j', got 'x,x,energy_j'$"):
+        load_energy_function(path)
+
+
+def test_load_row_numbers_count_blank_rows(tmp_path):
+    path = write(tmp_path / "f.csv", "x,y,energy_j\n\n512,512,1.0\n\n512,1024,oops\n")
+    with pytest.raises(DataFormatError, match=r"row 5, column 'energy_j': non-numeric cell 'oops'$"):
+        load_energy_function(path)
