@@ -9,153 +9,100 @@ negative-prediction witnesses, a randomized composability harness, and
 minimum-energy two-processor data partitioning over discrete energy
 functions. The ``emodel`` command exposes the same operations for batch
 use.
-"""
 
-from .additivity import (
-    INFINITE,
-    AdditivityReport,
-    Classification,
-    PmcAdditivity,
-    additivity_error,
-    core_config_analysis,
-    run_additivity_test,
-    tolerance_sweep,
-)
-from .conservation import (
-    MAX,
-    SUM,
-    WILDCARD,
-    ComposabilityReport,
-    CompositionCounterexample,
-    Operator,
-    OperatorDetection,
-    OperatorTable,
-    Violation,
-    ViolationKind,
-    ViolationReport,
-    check_conservation,
-    compose,
-    generate_cases,
-    negative_witness,
-    strong_composability_check,
-    sum_plus_delta,
-    verify_weak_composability,
-)
-from .core import (
-    AggregatedRun,
-    ApplicationRun,
-    CompoundRun,
-    DataFormatError,
-    Dataset,
-    EnergyModel,
-    ModelKind,
-    PmcVector,
-    RunConfig,
-    RunRef,
-    drop_low_count_pmcs,
-    load_compounds,
-    load_model,
-    load_runs,
-    save_model,
-)
-from .fitting import (
-    UNDEFINED,
-    CorrelationMatrix,
-    ErrorSummary,
-    correlation_matrix,
-    evaluate,
-    fit,
-    nnls,
-    predict,
-)
-from .partitioning import (
-    EnergyFunction,
-    PartitionResult,
-    energy_loss,
-    load_energy_function,
-    partition,
-    slice_at_n,
-)
-from .stats import (
-    MeanEstimate,
-    MeasurementFaultWarning,
-    dynamic_energy,
-    dynamic_error_from_total,
-    percent_error,
-    sample_mean_ci,
-    student_t_quantile,
-)
+The public names below are loaded on first use (PEP 562), so importing the
+package imports no submodule and no numpy; partitioning and the statistics
+helpers never need numpy.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+# Public name -> the submodule that defines it.
+_EXPORTS = {
     # core types and I/O
-    "PmcVector",
-    "RunConfig",
-    "RunRef",
-    "ApplicationRun",
-    "CompoundRun",
-    "AggregatedRun",
-    "Dataset",
-    "ModelKind",
-    "EnergyModel",
-    "DataFormatError",
-    "load_runs",
-    "load_compounds",
-    "load_model",
-    "save_model",
-    "drop_low_count_pmcs",
+    "PmcVector": "core",
+    "RunConfig": "core",
+    "RunRef": "core",
+    "ApplicationRun": "core",
+    "CompoundRun": "core",
+    "AggregatedRun": "core",
+    "Dataset": "core",
+    "ModelKind": "_common",
+    "EnergyModel": "core",
+    "DataFormatError": "_common",
+    "load_runs": "core",
+    "load_compounds": "core",
+    "load_model": "core",
+    "save_model": "core",
+    "drop_low_count_pmcs": "core",
     # measurement statistics
-    "MeasurementFaultWarning",
-    "MeanEstimate",
-    "dynamic_energy",
-    "sample_mean_ci",
-    "percent_error",
-    "dynamic_error_from_total",
-    "student_t_quantile",
+    "MeasurementFaultWarning": "stats",
+    "MeanEstimate": "stats",
+    "dynamic_energy": "stats",
+    "sample_mean_ci": "stats",
+    "percent_error": "stats",
+    "dynamic_error_from_total": "stats",
+    "student_t_quantile": "stats",
     # additivity
-    "INFINITE",
-    "Classification",
-    "PmcAdditivity",
-    "AdditivityReport",
-    "additivity_error",
-    "run_additivity_test",
-    "tolerance_sweep",
-    "core_config_analysis",
+    "INFINITE": "additivity",
+    "Classification": "additivity",
+    "PmcAdditivity": "additivity",
+    "AdditivityReport": "additivity",
+    "additivity_error": "additivity",
+    "run_additivity_test": "additivity",
+    "tolerance_sweep": "additivity",
+    "core_config_analysis": "additivity",
     # model fitting
-    "UNDEFINED",
-    "CorrelationMatrix",
-    "ErrorSummary",
-    "correlation_matrix",
-    "fit",
-    "predict",
-    "evaluate",
-    "nnls",
+    "UNDEFINED": "fitting",
+    "CorrelationMatrix": "fitting",
+    "ErrorSummary": "fitting",
+    "correlation_matrix": "fitting",
+    "fit": "fitting",
+    "predict": "fitting",
+    "evaluate": "fitting",
+    "nnls": "fitting",
     # conservation and composability
-    "WILDCARD",
-    "Operator",
-    "SUM",
-    "MAX",
-    "sum_plus_delta",
-    "OperatorTable",
-    "ViolationKind",
-    "Violation",
-    "ViolationReport",
-    "check_conservation",
-    "negative_witness",
-    "compose",
-    "CompositionCounterexample",
-    "verify_weak_composability",
-    "OperatorDetection",
-    "ComposabilityReport",
-    "strong_composability_check",
-    "generate_cases",
+    "WILDCARD": "conservation",
+    "Operator": "conservation",
+    "SUM": "conservation",
+    "MAX": "conservation",
+    "sum_plus_delta": "conservation",
+    "OperatorTable": "conservation",
+    "ViolationKind": "conservation",
+    "Violation": "conservation",
+    "ViolationReport": "conservation",
+    "check_conservation": "conservation",
+    "negative_witness": "conservation",
+    "compose": "conservation",
+    "CompositionCounterexample": "conservation",
+    "verify_weak_composability": "conservation",
+    "OperatorDetection": "conservation",
+    "ComposabilityReport": "conservation",
+    "strong_composability_check": "conservation",
+    "generate_cases": "conservation",
     # partitioning
-    "EnergyFunction",
-    "PartitionResult",
-    "slice_at_n",
-    "partition",
-    "energy_loss",
-    "load_energy_function",
-]
+    "EnergyFunction": "partitioning",
+    "PartitionResult": "partitioning",
+    "slice_at_n": "partitioning",
+    "partition": "partitioning",
+    "energy_loss": "partitioning",
+    "load_energy_function": "partitioning",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,9 @@ Every subcommand is a thin adapter over one library operation: parse flags,
 load inputs, call, serialize. Exit codes: 0 success, 1 usage or input error,
 2 the analysis itself found violations. Identical arguments over identical
 input files produce byte-identical output.
+
+Each handler imports the library modules it runs, so a process pays only for
+its own subcommand: ``partition``, ``loss`` and ``stats`` never import numpy.
 """
 
 from __future__ import annotations
@@ -12,21 +15,7 @@ import argparse
 import json
 import sys
 
-from .additivity import report_to_csv, report_to_json_dict, run_additivity_test, tolerance_sweep
-from .conservation import check_conservation, strong_composability_check
-from .core import (
-    DataFormatError,
-    ModelKind,
-    PmcVector,
-    load_compounds,
-    load_model,
-    load_runs,
-    model_to_dict,
-    save_model,
-)
-from .fitting import correlation_matrix, evaluate, fit, predict
-from .partitioning import energy_loss, load_energy_function, partition
-from .stats import sample_mean_ci
+from ._common import DataFormatError, ModelKind
 
 __all__ = ["main", "run_cli", "UsageError"]
 
@@ -56,7 +45,10 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_counts(text: str) -> PmcVector:
+def _parse_counts(text: str):
+    """The ``--counts`` flag as a :class:`~emodel.core.PmcVector`."""
+    from .core import PmcVector
+
     pairs = {}
     for part in _split_names(text):
         name, eq, value = part.partition("=")
@@ -111,6 +103,11 @@ def _add_out(parser) -> None:
 
 
 def _cmd_additivity(args) -> int:
+    from .additivity import (
+        report_to_csv, report_to_json_dict, run_additivity_test, tolerance_sweep,
+    )
+    from .core import load_compounds, load_runs
+
     dataset = load_runs(args.runs)
     compounds = load_compounds(args.compounds, dataset) if args.compounds else []
     report = run_additivity_test(
@@ -136,6 +133,9 @@ def _cmd_additivity(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from .core import load_runs
+    from .fitting import correlation_matrix
+
     dataset = load_runs(args.runs)
     pmcs = _split_names(args.pmcs) if args.pmcs else None
     matrix = correlation_matrix(dataset, pmcs)
@@ -145,6 +145,9 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .core import load_runs, model_to_dict, save_model
+    from .fitting import fit
+
     dataset = load_runs(args.runs)
     pmcs = _split_names(args.pmcs) if args.pmcs else None
     model = fit(dataset, pmcs, ModelKind(args.kind))
@@ -156,6 +159,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .core import load_model, load_runs
+    from .fitting import predict
+
     model = load_model(args.model)
     if args.counts:
         value = predict(model, _parse_counts(args.counts))
@@ -196,6 +202,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .core import load_compounds, load_model, load_runs
+    from .fitting import evaluate
+
     model = load_model(args.model)
     dataset = load_runs(args.runs)
     if args.compounds:
@@ -217,6 +226,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_conserve(args) -> int:
+    from .conservation import check_conservation, strong_composability_check
+    from .core import load_model
+
     model = load_model(args.model)
     report = check_conservation(model)
     code = 0 if report.clean else 2
@@ -251,6 +263,8 @@ def _cmd_conserve(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from .partitioning import load_energy_function, partition
+
     func1 = load_energy_function(args.func1, granularity=args.granularity)
     func2 = load_energy_function(args.func2, granularity=args.granularity)
     result = partition(func1, func2, args.n, interpolate=args.interpolate)
@@ -267,6 +281,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_loss(args) -> int:
+    from .partitioning import energy_loss
+
     value = energy_loss(args.alt, args.ref)
     if args.format == "csv":
         text = "loss_pct\n" + _csv_row([value]) + "\n"
@@ -277,6 +293,8 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .stats import sample_mean_ci
+
     if args.values:
         samples = _parse_floats(args.values, "--values")
     else:

@@ -9,17 +9,17 @@ identical :class:`Dataset`.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from ._common import DataFormatError, ModelKind, _read_csv
 
 __all__ = [
     "DataFormatError",
@@ -39,11 +39,6 @@ __all__ = [
     "model_to_dict",
     "drop_low_count_pmcs",
 ]
-
-
-class DataFormatError(ValueError):
-    """An input file violates the documented format; the message carries the
-    offending file, row, and column where applicable."""
 
 
 @dataclass(frozen=True)
@@ -371,6 +366,10 @@ class Dataset:
                     f"malformed base reference {ref!r}: expected "
                     f"'app_id@cores:problem_size'"
                 ) from None
+            if cores < 1:
+                raise DataFormatError(
+                    f"malformed base reference {ref!r}: cores must be >= 1, got {cores}"
+                )
             candidate = RunRef(app_id, RunConfig(cores, problem_size))
             if candidate not in self._groups:
                 raise DataFormatError(f"unknown base reference {ref!r}")
@@ -387,14 +386,6 @@ class Dataset:
 
     def with_compounds(self, compounds: Iterable[CompoundRun]) -> "Dataset":
         return Dataset(self.pmc_names, self.runs, tuple(compounds))
-
-
-class ModelKind(str, Enum):
-    """The three linear model families, by constraint."""
-
-    UNCONSTRAINED = "unconstrained"
-    ZERO_INTERCEPT = "zero_intercept"
-    ZERO_INTERCEPT_NONNEG = "zero_intercept_nonneg"
 
 
 @dataclass(frozen=True)
@@ -452,19 +443,6 @@ _RESERVED_COLUMNS = (
     "total_energy_j",
     "static_power_w",
 )
-
-
-def _read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
-    """A CSV file's stripped header cells, its data rows that are not blank,
-    and the row number of each of those (the header is row 1, and blank rows
-    count)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not any(cell.strip() for cell in rows[0]):
-        raise DataFormatError(f"{path}: no header")
-    header = [cell.strip() for cell in rows[0]]
-    numbers = [i + 1 for i, row in enumerate(rows) if i and any(map(str.strip, row))]
-    return header, [rows[i - 1] for i in numbers], numbers
 
 
 def _columns(path, header: list[str]) -> dict[str, int]:
@@ -574,7 +552,7 @@ def load_runs(path) -> Dataset:
     may replace ``dynamic_energy_j``, in which case dynamic energy is computed
     at load time.
     """
-    header, body, _ = _read_csv(path)
+    header, body, row_numbers = _read_csv(path)
     columns = _columns(path, header)
 
     missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s") if c not in columns]
@@ -629,8 +607,8 @@ def load_runs(path) -> Dataset:
     first = min(_first(bad), _first_missing(app_ids, ""), _first_missing(cores, None),
                 _first_repeat(keys))
     if first < len(body):
-        _check_run_rows(path, header, columns, pmc_names, body, first,
-                        dict(zip(keys[:first], range(2, first + 2))))
+        _check_run_rows(path, header, columns, pmc_names, body, row_numbers, first,
+                        dict(zip(keys[:first], row_numbers)))
     del body, rows, cores_texts, keys  # the cell strings go before the row objects come
 
     config_of = {pair: RunConfig(*pair) for pair in set(zip(cores, sizes))}
@@ -644,13 +622,13 @@ def load_runs(path) -> Dataset:
     return Dataset._checked(pmc_names, runs, counts)
 
 
-def _check_run_rows(path, header, columns, pmc_names, rows, start, seen) -> None:
+def _check_run_rows(path, header, columns, pmc_names, rows, row_numbers, start,
+                    seen) -> None:
     """Check runs-file rows one by one from row ``start`` on, raising at the
-    first fault. ``seen`` maps the (app_id, cores, problem_size, run_id) keys
-    of the rows before ``start`` to their row numbers."""
-    for offset in range(start, len(rows)):
-        row = rows[offset]
-        row_no = offset + 2  # 1-based, header is row 1
+    first fault. ``row_numbers`` gives each row's number in the file, and
+    ``seen`` maps the (app_id, cores, problem_size, run_id) keys of the rows
+    before ``start`` to their row numbers."""
+    for row, row_no in zip(rows[start:], row_numbers[start:]):
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
@@ -721,7 +699,7 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     A file with a valid header and zero data rows is an empty test set, not
     an error.
     """
-    header, body, _ = _read_csv(path)
+    header, body, row_numbers = _read_csv(path)
     columns = _columns(path, header)
     required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
     missing = [c for c in required if c not in columns]
@@ -745,13 +723,13 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     for text in set(base_texts[0]).union(base_texts[1]):
         try:
             ref_of[text] = dataset.resolve(text)
-        except ValueError:  # DataFormatError, or RunConfig's own check
+        except DataFormatError:
             ref_of[text] = None
     bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
     first = min(_first(bad), _first_missing(compound_ids, ""),
                 _first_missing(bases_a, None), _first_missing(bases_b, None))
     if first < len(body):
-        _check_compound_rows(path, header, columns, dataset, body, first)
+        _check_compound_rows(path, header, columns, dataset, body, row_numbers, first)
     del body, rows, base_texts  # the cell strings go before the row objects come
 
     return [
@@ -763,12 +741,10 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     ]
 
 
-def _check_compound_rows(path, header, columns, dataset, rows, start) -> None:
+def _check_compound_rows(path, header, columns, dataset, rows, row_numbers, start) -> None:
     """Check compounds-file rows one by one from row ``start`` on, raising at
-    the first fault."""
-    for offset in range(start, len(rows)):
-        row = rows[offset]
-        row_no = offset + 2
+    the first fault. ``row_numbers`` gives each row's number in the file."""
+    for row, row_no in zip(rows[start:], row_numbers[start:]):
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"

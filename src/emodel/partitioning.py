@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .core import DataFormatError, _read_csv
+from ._common import DataFormatError, _read_csv
 
 __all__ = [
     "EnergyFunction",

@@ -171,16 +171,19 @@ RESERVED_COLUMNS = (
 )
 
 
-def _read_csv_by_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv_by_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header and the non-blank data rows, each with its row
+    number in the file as ``csv.reader`` counts records (the header is row 1,
+    and blank rows count)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
-    if not rows or not any(cell.strip() for cell in rows[0]):
+        rows = list(enumerate(csv.reader(fh), start=1))
+    if not rows or not any(cell.strip() for cell in rows[0][1]):
         raise DataFormatError(f"{path}: no header")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     dupes = sorted({c for c in header if header.count(c) > 1})
     if dupes:
         raise DataFormatError(f"{path}: duplicate header columns: {', '.join(dupes)}")
-    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
+    body = [(row_no, row) for row_no, row in rows[1:] if any(cell.strip() for cell in row)]
     return header, body
 
 
@@ -234,8 +237,7 @@ def load_runs_by_rows(path) -> Dataset:
 
     runs: list[ApplicationRun] = []
     seen: dict[tuple[str, RunConfig, str | None], int] = {}
-    for offset, row in enumerate(body):
-        row_no = offset + 2  # 1-based, header is row 1
+    for row_no, row in body:
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
@@ -336,8 +338,7 @@ def load_compounds_by_rows(path, dataset: Dataset) -> list[CompoundRun]:
     columns = {name: i for i, name in enumerate(header)}
 
     compounds: list[CompoundRun] = []
-    for offset, row in enumerate(body):
-        row_no = offset + 2
+    for row_no, row in body:
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"

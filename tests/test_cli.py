@@ -466,3 +466,22 @@ def test_overflowing_repetition_sum_is_an_input_error(tmp_path):
     assert result.returncode == 1
     assert result.stderr == "emodel: error: intermediate overflow in fsum\n"
     assert "Traceback" not in result.stderr
+
+
+def test_additivity_base_with_zero_cores_names_file_and_row(files, tmp_path):
+    compounds = tmp_path / "zero_cores.csv"
+    compounds.write_text(
+        "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\n"
+        "ab,alpha@0:1024,beta,100.0,2060,1370\n",
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "emodel.cli", "additivity", "--runs", files["runs_add.csv"],
+         "--compounds", str(compounds)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"emodel: error: {compounds}: row 2: malformed base reference 'alpha@0:1024': "
+        f"cores must be >= 1, got 0\n"
+    )

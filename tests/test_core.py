@@ -484,6 +484,31 @@ def test_load_runs_names_the_earliest_row_first(tmp_path):
         load_runs(write(tmp_path / "two.csv", TWO_FAULTS_RUNS))
 
 
+def test_load_runs_and_compounds_number_rows_as_in_the_file(tmp_path):
+    # Blank rows count, as they do in energy-function files.
+    header = "app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1\n"
+    bad_cell = header + "\na,r1,2,s,1,1,1\n\nb,r1,2,s,1,1,oops\n"
+    with pytest.raises(DataFormatError, match=r"row 5, column 'X1': non-numeric cell 'oops'$"):
+        load_runs(write(tmp_path / "cell.csv", bad_cell))
+    duplicate = header + "\na,r1,2,s,1,1,1\n\n\na,r1,2,s,1,1,1\n"
+    with pytest.raises(DataFormatError, match=r"row 6: duplicate run .*first seen at row 3$"):
+        load_runs(write(tmp_path / "dup.csv", duplicate))
+
+    dataset = load_runs(write(tmp_path / "runs.csv", header + "a,r1,2,s,1,1,1\n"))
+    compounds = "compound_id,base_a,base_b,dynamic_energy_j,X1\n\n\nc,a,a,2,2\n\nd,a,zz,2,2\n"
+    with pytest.raises(DataFormatError, match=r"row 6: unknown base reference 'zz'$"):
+        load_compounds(write(tmp_path / "compounds.csv", compounds), dataset)
+
+
+def test_resolve_rejects_cores_below_one():
+    dataset = make_dataset(("X1",), [make_run("a", ("X1",), (1.0,), 1.0, size="s")])
+    for ref, cores in (("a@0:s", 0), ("a@-3:s", -3)):
+        with pytest.raises(DataFormatError,
+                           match=rf"^malformed base reference '{ref}': cores must be >= 1, "
+                                 rf"got {cores}$"):
+            dataset.resolve(ref)
+
+
 @pytest.mark.filterwarnings("error")
 def test_load_runs_overflowing_static_baseline_is_negative_energy(tmp_path):
     text = (

@@ -1,0 +1,141 @@
+"""What the package and each CLI subcommand import.
+
+``import emodel`` resolves its public names on first use, and each ``emodel``
+subcommand imports only the modules it runs: ``partition``, ``loss`` and
+``stats`` need no numpy.
+"""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import emodel
+
+# Runs ``emodel.cli`` as ``python -m`` does, with every import of numpy failing.
+WITHOUT_NUMPY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "runpy.run_module('emodel.cli', run_name='__main__')\n"
+)
+
+RUNS = """app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2
+a,r1,2,s,1.0,22.5,10,5
+a,r2,2,s,1.0,22.5,10,5
+b,r1,2,s,1.0,41.5,20,3
+c,r1,2,s,1.0,14.5,5,9
+"""
+
+MODEL = """{"kind": "zero_intercept", "pmc_names": ["X1", "X2"], "intercept": 0.0,
+ "coefficients": [2.0, 0.5]}
+"""
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    # Processor one is sampled at the ends of y = 4096 only; the split that
+    # --interpolate finds (m = 2048) differs from the exact one (m = 512).
+    func1 = "x,y,energy_j\n512,4096,1.0\n3584,4096,7.0\n"
+    func2 = "x,y,energy_j\n" + "".join(
+        f"{k},4096,{10.0 * (k / 512 - 4) ** 2!r}\n" for k in range(512, 4096, 512)
+    )
+    paths = {}
+    for name, text in (("f1.csv", func1), ("f2.csv", func2), ("values.txt", "1.0 1.1\n0.9 1.0\n"),
+                       ("runs.csv", RUNS), ("model.json", MODEL)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+PARTITION = ["partition", "--func1", "f1.csv", "--func2", "f2.csv", "--n", "4096"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(PARTITION, id="partition"),
+    pytest.param(PARTITION + ["--interpolate"], id="partition-interpolate"),
+    pytest.param(PARTITION + ["--format", "json"], id="partition-json"),
+    pytest.param(["loss", "--alt", "90", "--ref", "100"], id="loss"),
+    pytest.param(["stats", "--values", "1.0,1.1,0.9,1.0,1.05"], id="stats-values"),
+    pytest.param(["stats", "--values-file", "values.txt", "--format", "csv"],
+                 id="stats-values-file"),
+])
+def test_subcommand_runs_without_numpy(inputs, argv):
+    argv = [inputs.get(arg, arg) for arg in argv]
+    normal = subprocess.run([sys.executable, "-m", "emodel.cli", *argv], capture_output=True)
+    blocked = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv], capture_output=True)
+    assert (normal.returncode, normal.stderr) == (0, b"")
+    assert (blocked.returncode, blocked.stderr) == (0, b"")
+    assert blocked.stdout == normal.stdout
+
+
+def loaded_emodel_modules(argv):
+    """Exit code and the ``emodel`` modules imported by ``python -m emodel.cli``."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "emodel.cli", *argv],
+        capture_output=True, text=True,
+    )
+    names = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+             if line.startswith("import time:")}
+    return result.returncode, {name for name in names if name.split(".")[0] == "emodel"}
+
+
+BASE = {"emodel", "emodel._common", "emodel.core"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(["additivity", "--runs", "runs.csv"], BASE | {"emodel.additivity"},
+                 id="additivity"),
+    pytest.param(["fit", "--runs", "runs.csv", "--kind", "zero_intercept"],
+                 BASE | {"emodel.fitting", "emodel.stats"}, id="fit"),
+    pytest.param(["predict", "--model", "model.json", "--counts", "X1=1,X2=2"],
+                 BASE | {"emodel.fitting", "emodel.stats"}, id="predict"),
+    pytest.param(["conserve", "--model", "model.json"],
+                 BASE | {"emodel.fitting", "emodel.stats", "emodel.conservation"}, id="conserve"),
+    pytest.param(PARTITION, {"emodel", "emodel._common", "emodel.partitioning"}, id="partition"),
+])
+def test_subcommand_imports_only_its_modules(inputs, argv, modules):
+    assert loaded_emodel_modules([inputs.get(arg, arg) for arg in argv]) == (0, modules)
+
+
+def test_import_emodel_defers_numpy():
+    code = (
+        "import sys\n"
+        "import emodel\n"
+        "assert not {'numpy', 'emodel.core'} & set(sys.modules), sorted(sys.modules)\n"
+        "assert set(emodel.__all__) <= set(dir(emodel))\n"
+        "emodel.energy_loss, emodel.sample_mean_ci, emodel.DataFormatError, emodel.ModelKind\n"
+        "assert 'numpy' not in sys.modules\n"
+        "emodel.fit\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_public_names_are_their_modules_objects():
+    for name in emodel.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"emodel.{emodel._EXPORTS[name]}")
+        assert getattr(emodel, name) is getattr(module, name), name
+    assert emodel.core.DataFormatError is emodel.partitioning.DataFormatError
+    assert emodel.core.DataFormatError is emodel._common.DataFormatError
+    assert emodel.core.ModelKind is emodel._common.ModelKind
+    assert {"DataFormatError", "ModelKind"} <= set(emodel.core.__all__)
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from emodel import *", namespace)
+    assert set(emodel.__all__) <= set(namespace)
+    assert set(emodel.__all__) <= set(dir(emodel))
+    assert len(set(emodel.__all__)) == len(emodel.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"module 'emodel' has no attribute 'no_such_name'"):
+        emodel.no_such_name
+    assert not hasattr(emodel, "report_to_csv")  # public in emodel.additivity only
+    with pytest.raises(ImportError):
+        exec("from emodel import no_such_name", {})
