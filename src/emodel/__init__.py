@@ -62,7 +62,6 @@ _EXPORTS = {
     "evaluate": "fitting",
     "nnls": "fitting",
     # conservation and composability
-    "WILDCARD": "conservation",
     "Operator": "conservation",
     "SUM": "conservation",
     "MAX": "conservation",

@@ -150,7 +150,6 @@ def run_additivity_test(
     tolerance_pct: float = 5.0,
     *,
     reproducibility_cov: float = DEFAULT_REPRODUCIBILITY_COV,
-    threads: int | None = None,
 ) -> AdditivityReport:
     """Run both test stages for every PMC of the dataset.
 
@@ -160,9 +159,6 @@ def run_additivity_test(
     groups' repetition means; ``max_error_pct`` is the maximum over all
     compounds (0.0 when there are none). A PMC is additive iff it passes
     stage 1 and its maximum error does not exceed ``tolerance_pct``.
-
-    ``threads`` is retired: it is accepted and ignored for one release. The
-    work is vectorized over the dataset's counts matrix and runs serially.
     """
     if not (tolerance_pct > 0):
         raise ValueError(f"tolerance_pct must be > 0, got {tolerance_pct!r}")

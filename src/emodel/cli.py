@@ -91,6 +91,14 @@ def _csv_row(values) -> str:
     return ",".join(cells)
 
 
+def _one_row(payload: dict, fmt: str) -> str:
+    """A one-row report: the payload as JSON, or its keys as a CSV header over
+    one row of its values."""
+    if fmt == "json":
+        return _json_text(payload)
+    return ",".join(payload) + "\n" + _csv_row(payload.values()) + "\n"
+
+
 def _add_format(parser, default: str = "json") -> None:
     parser.add_argument(
         "--format", choices=("csv", "json"), default=default,
@@ -165,11 +173,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     if args.counts:
         value = predict(model, _parse_counts(args.counts))
-        if args.format == "csv":
-            text = "prediction_j\n" + _csv_row([value]) + "\n"
-        else:
-            text = _json_text({"prediction_j": value})
-        _emit(text, args.out)
+        _emit(_one_row({"prediction_j": value}, args.format), args.out)
         return 0
 
     dataset = load_runs(args.runs)
@@ -213,15 +217,7 @@ def _cmd_evaluate(args) -> int:
     else:
         cases = [(r.pmc, r.dynamic_energy_j) for r in dataset.runs]
     summary = evaluate(model, cases)
-    if args.format == "csv":
-        text = (
-            "min_pct,avg_pct,max_pct,n_cases\n"
-            + _csv_row([summary.min_pct, summary.avg_pct, summary.max_pct, summary.n_cases])
-            + "\n"
-        )
-    else:
-        text = _json_text(summary.to_json_dict())
-    _emit(text, args.out)
+    _emit(_one_row(summary.to_json_dict(), args.format), args.out)
     return 0
 
 
@@ -268,27 +264,14 @@ def _cmd_partition(args) -> int:
     func1 = load_energy_function(args.func1, granularity=args.granularity)
     func2 = load_energy_function(args.func2, granularity=args.granularity)
     result = partition(func1, func2, args.n, interpolate=args.interpolate)
-    if args.format == "json":
-        text = _json_text(result.to_json_dict())
-    else:
-        text = (
-            "m,k,e1_j,e2_j,total_j\n"
-            + _csv_row([result.m, result.k, result.e1_j, result.e2_j, result.total_j])
-            + "\n"
-        )
-    _emit(text, args.out)
+    _emit(_one_row(result.to_json_dict(), args.format), args.out)
     return 0
 
 
 def _cmd_loss(args) -> int:
     from .partitioning import energy_loss
 
-    value = energy_loss(args.alt, args.ref)
-    if args.format == "csv":
-        text = "loss_pct\n" + _csv_row([value]) + "\n"
-    else:
-        text = _json_text({"loss_pct": value})
-    _emit(text, args.out)
+    _emit(_one_row({"loss_pct": energy_loss(args.alt, args.ref)}, args.format), args.out)
     return 0
 
 
@@ -309,15 +292,7 @@ def _cmd_stats(args) -> int:
         "converged": estimate.converged,
         "relative_undefined": estimate.relative_undefined,
     }
-    if args.format == "csv":
-        text = (
-            "mean,half_width,n,converged,relative_undefined\n"
-            + _csv_row(list(payload.values()))
-            + "\n"
-        )
-    else:
-        text = _json_text(payload)
-    _emit(text, args.out)
+    _emit(_one_row(payload, args.format), args.out)
     return 0
 
 

@@ -16,15 +16,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import ApplicationRun, EnergyModel, PmcVector
-from .fitting import predict
+from .fitting import _positions, predict
 
 __all__ = [
-    "WILDCARD",
     "Operator",
     "SUM",
     "MAX",
@@ -43,9 +42,6 @@ __all__ = [
     "strong_composability_check",
     "generate_cases",
 ]
-
-#: App-id wildcard for operator overrides that apply to every pair.
-WILDCARD = "*"
 
 #: Synthetic PMC counts are drawn log-uniformly from this range, wide enough
 #: to cover both rare-event counters and retired-instruction totals.
@@ -90,41 +86,25 @@ def sum_plus_delta(delta: float) -> Operator:
 
 @dataclass(frozen=True)
 class OperatorTable:
-    """Composition operators per (app_a, app_b, pmc position).
+    """Composition operators per PMC position.
 
-    ``overrides`` maps ``(app_a, app_b, index)`` with 1-based PMC positions to
-    an operator; use :data:`WILDCARD` for either app id to match every pair.
-    Positions not overridden use ``default``.
+    ``overrides`` maps 1-based PMC positions to an operator; positions not
+    overridden use ``default``.
     """
 
     default: Operator = SUM
-    overrides: Mapping[tuple[str, str, int], Operator] = field(default_factory=dict)
+    overrides: Mapping[int, Operator] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "overrides", dict(self.overrides))
-        for (app_a, app_b, index), op in self.overrides.items():
+        for index, op in self.overrides.items():
             if not isinstance(index, int) or index < 1:
-                raise ValueError(
-                    f"override index for ({app_a!r}, {app_b!r}) must be a "
-                    f"1-based position, got {index!r}"
-                )
+                raise ValueError(f"override index must be a 1-based position, got {index!r}")
             if not isinstance(op, Operator):
                 raise TypeError(f"override for index {index} is not an Operator")
 
-    def operator_for(self, app_a: str, app_b: str, index: int) -> Operator:
-        for key in ((app_a, app_b, index), (WILDCARD, WILDCARD, index)):
-            if key in self.overrides:
-                return self.overrides[key]
-        return self.default
-
-    def check_indices(self, app_a: str, app_b: str, n: int) -> None:
-        for key_a, key_b, index in self.overrides:
-            applies = (key_a, key_b) in ((app_a, app_b), (WILDCARD, WILDCARD))
-            if applies and index > n:
-                raise ValueError(
-                    f"operator override index {index} exceeds the {n}-component "
-                    f"PMC vector"
-                )
+    def operator_for(self, index: int) -> Operator:
+        return self.overrides.get(index, self.default)
 
 
 class ViolationKind(str, Enum):
@@ -230,10 +210,13 @@ def check_conservation(model: EnergyModel) -> ViolationReport:
     return ViolationReport(tuple(violations))
 
 
-def _as_vector(run: ApplicationRun | PmcVector) -> tuple[PmcVector, str]:
-    if isinstance(run, ApplicationRun):
-        return run.pmc, run.app_id
-    return run, ""
+def _pmc(run: ApplicationRun | PmcVector) -> PmcVector:
+    return run.pmc if isinstance(run, ApplicationRun) else run
+
+
+def _in_order(names: tuple[str, ...], vector: PmcVector) -> Iterator[float]:
+    """The vector's counts for ``names``, in that order."""
+    return map(vector.counts.__getitem__, _positions(names, vector.names))
 
 
 def compose(
@@ -248,17 +231,20 @@ def compose(
     exact vector addition.
     """
     ops = ops if ops is not None else OperatorTable()
-    vec_a, app_a = _as_vector(run_a)
-    vec_b, app_b = _as_vector(run_b)
+    vec_a, vec_b = _pmc(run_a), _pmc(run_b)
     if set(vec_a.names) != set(vec_b.names):
         raise ValueError(
             f"PMC name sets differ: {sorted(vec_a.names)} vs {sorted(vec_b.names)}"
         )
-    vec_b = vec_b.project(vec_a.names)
-    ops.check_indices(app_a, app_b, len(vec_a))
+    for index in ops.overrides:
+        if index > len(vec_a):
+            raise ValueError(
+                f"operator override index {index} exceeds the {len(vec_a)}-component "
+                f"PMC vector"
+            )
     counts = tuple(
-        ops.operator_for(app_a, app_b, k + 1).apply(a, b)
-        for k, (a, b) in enumerate(zip(vec_a.counts, vec_b.counts))
+        ops.operator_for(k).apply(a, b)
+        for k, (a, b) in enumerate(zip(vec_a.counts, _in_order(vec_a.names, vec_b)), start=1)
     )
     return PmcVector(vec_a.names, counts)
 
@@ -283,22 +269,28 @@ class CompositionCounterexample:
         }
 
 
-def _conservation_gap(
+def _counterexample(
     model: EnergyModel,
-    vec_a: PmcVector,
-    vec_b: PmcVector,
-    composed: PmcVector,
-) -> tuple[float, float, float]:
-    """(lhs, rhs, scale): predicted energy of the composition, sum of parts,
-    and the cancellation-aware magnitude both sides are built from."""
+    run_a: ApplicationRun | PmcVector,
+    run_b: ApplicationRun | PmcVector,
+    ops: OperatorTable,
+    tol: float,
+) -> CompositionCounterexample | None:
+    """The composed pair as a counterexample if its predicted energy differs
+    from the sum of its parts by more than ``tol`` times the
+    cancellation-aware magnitude both sides are built from, else None."""
+    vec_a, vec_b = _pmc(run_a), _pmc(run_b)
+    composed = compose(vec_a, vec_b, ops)
     lhs = predict(model, composed)
     rhs = predict(model, vec_a) + predict(model, vec_b)
     scale = 0.0
-    for name, coefficient in zip(model.pmc_names, model.coefficients):
-        scale += abs(coefficient) * (
-            abs(composed.get(name)) + vec_a.get(name) + vec_b.get(name)
-        )
-    return lhs, rhs, scale
+    names = model.pmc_names
+    for coefficient, c, a, b in zip(model.coefficients, _in_order(names, composed),
+                                    _in_order(names, vec_a), _in_order(names, vec_b)):
+        scale += abs(coefficient) * (abs(c) + a + b)
+    if abs(lhs - rhs) > tol * scale:
+        return CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
+    return None
 
 
 def _require_zero_intercept(model: EnergyModel, what: str) -> None:
@@ -324,16 +316,8 @@ def verify_weak_composability(
     """
     _require_zero_intercept(model, "weak composability")
     ops = ops if ops is not None else OperatorTable()
-    counterexamples: list[CompositionCounterexample] = []
-    for run_a, run_b in pairs:
-        vec_a, _ = _as_vector(run_a)
-        vec_b, _ = _as_vector(run_b)
-        composed = compose(run_a, run_b, ops)
-        lhs, rhs, scale = _conservation_gap(model, vec_a, vec_b, composed)
-        if abs(lhs - rhs) > tol * scale:
-            counterexamples.append(
-                CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
-            )
+    found = (_counterexample(model, run_a, run_b, ops, tol) for run_a, run_b in pairs)
+    counterexamples = [c for c in found if c is not None]
     return not counterexamples, counterexamples
 
 
@@ -392,12 +376,24 @@ class ComposabilityReport:
         }
 
 
-def _draw_pair(names: tuple[str, ...], stream: Sequence[int]) -> tuple[PmcVector, PmcVector]:
-    rng = np.random.default_rng(stream)
+def _log_uniform_counts(rng: np.random.Generator, size) -> np.ndarray:
     low, high = COUNT_RANGE
     span = math.log10(high) - math.log10(low)
-    counts = 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=(2, len(names))))
-    return PmcVector(names, tuple(counts[0])), PmcVector(names, tuple(counts[1]))
+    return 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=size))
+
+
+def _trial_counterexamples(
+    model: EnergyModel, ops: OperatorTable, stream: Sequence[int], trials: int, tol: float
+) -> Iterator[tuple[int, CompositionCounterexample]]:
+    """Yield (trial, counterexample) for each violating trial, in order; each
+    trial draws its pair from its own random stream ``[*stream, trial]``."""
+    names = model.pmc_names
+    for trial in range(trials):
+        counts = _log_uniform_counts(np.random.default_rng([*stream, trial]), (2, len(names)))
+        vec_a, vec_b = (PmcVector(names, tuple(row)) for row in counts)
+        found = _counterexample(model, vec_a, vec_b, ops, tol)
+        if found is not None:
+            yield trial, found
 
 
 def strong_composability_check(
@@ -423,42 +419,26 @@ def strong_composability_check(
     if delta == 0.0 or not math.isfinite(delta):
         raise ValueError(f"delta must be finite and nonzero, got {delta!r}")
 
-    names = model.pmc_names
-    all_sum = OperatorTable()
-
-    additive_counterexamples: list[CompositionCounterexample] = []
-    for trial in range(trials):
-        vec_a, vec_b = _draw_pair(names, [seed, 0, 0, trial])
-        composed = compose(vec_a, vec_b, all_sum)
-        lhs, rhs, scale = _conservation_gap(model, vec_a, vec_b, composed)
-        if abs(lhs - rhs) > tol * scale:
-            additive_counterexamples.append(
-                CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
-            )
+    sums = _trial_counterexamples(model, OperatorTable(), [seed, 0, 0], trials, tol)
+    additive_counterexamples = [found for _, found in sums]
 
     detections: list[OperatorDetection] = []
     for op_ordinal, operator in ((1, MAX), (2, sum_plus_delta(delta))):
         for k, coefficient in enumerate(model.coefficients, start=1):
             if coefficient == 0.0:
                 continue
-            table = OperatorTable(overrides={(WILDCARD, WILDCARD, k): operator})
-            witness = None
-            used = trials
-            for trial in range(trials):
-                vec_a, vec_b = _draw_pair(names, [seed, op_ordinal, k, trial])
-                composed = compose(vec_a, vec_b, table)
-                lhs, rhs, scale = _conservation_gap(model, vec_a, vec_b, composed)
-                if abs(lhs - rhs) > tol * scale:
-                    witness = CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
-                    used = trial + 1
-                    break
+            planted = OperatorTable(overrides={k: operator})
+            trial, witness = next(
+                _trial_counterexamples(model, planted, [seed, op_ordinal, k], trials, tol),
+                (trials - 1, None),
+            )
             detections.append(
                 OperatorDetection(
                     operator=operator,
                     pmc_index=k,
-                    pmc_name=names[k - 1],
+                    pmc_name=model.pmc_names[k - 1],
                     detected=witness is not None,
-                    trials_used=used,
+                    trials_used=trial + 1,
                     witness=witness,
                 )
             )
@@ -494,10 +474,7 @@ def generate_cases(
     cases: list[tuple[PmcVector, float]] = []
     for i in range(n_cases):
         rng = np.random.default_rng([seed, i])
-        low, high = COUNT_RANGE
-        span = math.log10(high) - math.log10(low)
-        counts = 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=len(model.pmc_names)))
-        vec = PmcVector(model.pmc_names, tuple(counts))
+        vec = PmcVector(model.pmc_names, tuple(_log_uniform_counts(rng, len(model.pmc_names))))
         measured = predict(model, vec)
         if noise_sigma > 0:
             measured += float(rng.normal(0.0, noise_sigma))

@@ -607,8 +607,14 @@ def load_runs(path) -> Dataset:
     first = min(_first(bad), _first_missing(app_ids, ""), _first_missing(cores, None),
                 _first_repeat(keys))
     if first < len(body):
-        _check_run_rows(path, header, columns, pmc_names, body, row_numbers, first,
-                        dict(zip(keys[:first], row_numbers)))
+        # The column checks found row ``first`` faulty; with no fault of its
+        # own it repeats an earlier run.
+        _check_run_row(path, header, columns, pmc_names, body[first], row_numbers[first])
+        app_id, cores_n, size, run_id = keys[first]
+        raise DataFormatError(
+            f"{path}: row {row_numbers[first]}: duplicate run ({app_id!r}, {cores_n}:{size}, "
+            f"run_id={run_id!r}), first seen at row {row_numbers[keys.index(keys[first])]}"
+        )
     del body, rows, cores_texts, keys  # the cell strings go before the row objects come
 
     config_of = {pair: RunConfig(*pair) for pair in set(zip(cores, sizes))}
@@ -622,72 +628,57 @@ def load_runs(path) -> Dataset:
     return Dataset._checked(pmc_names, runs, counts)
 
 
-def _check_run_rows(path, header, columns, pmc_names, rows, row_numbers, start,
-                    seen) -> None:
-    """Check runs-file rows one by one from row ``start`` on, raising at the
-    first fault. ``row_numbers`` gives each row's number in the file, and
-    ``seen`` maps the (app_id, cores, problem_size, run_id) keys of the rows
-    before ``start`` to their row numbers."""
-    for row, row_no in zip(rows[start:], row_numbers[start:]):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        cell = lambda name: row[columns[name]].strip()
+def _check_run_row(path, header, columns, pmc_names, row, row_no) -> None:
+    """Raise the first fault of runs-file row ``row_no`` itself, if it has one."""
+    if len(row) != len(header):
+        raise DataFormatError(
+            f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+        )
+    cell = lambda name: row[columns[name]].strip()
 
-        app_id = cell("app_id")
-        if not app_id:
-            raise DataFormatError(f"{path}: row {row_no}: empty app_id")
-        cores_text = cell("cores")
-        try:
-            cores = int(cores_text)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'cores': non-integer cell {cores_text!r}"
-            ) from None
-        if cores < 1:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'cores': must be >= 1, got {cores}"
-            )
-        problem_size = cell("problem_size")
-        run_id = cell("run_id") or None if "run_id" in columns else None
+    app_id = cell("app_id")
+    if not app_id:
+        raise DataFormatError(f"{path}: row {row_no}: empty app_id")
+    cores_text = cell("cores")
+    try:
+        cores = int(cores_text)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}: row {row_no}, column 'cores': non-integer cell {cores_text!r}"
+        ) from None
+    if cores < 1:
+        raise DataFormatError(
+            f"{path}: row {row_no}, column 'cores': must be >= 1, got {cores}"
+        )
 
-        exec_time_s = _cell_float(path, row_no, "exec_time_s", cell("exec_time_s"))
-        if exec_time_s <= 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'exec_time_s': must be > 0, got {exec_time_s!r}"
-            )
+    exec_time_s = _cell_float(path, row_no, "exec_time_s", cell("exec_time_s"))
+    if exec_time_s <= 0:
+        raise DataFormatError(
+            f"{path}: row {row_no}, column 'exec_time_s': must be > 0, got {exec_time_s!r}"
+        )
 
-        if "dynamic_energy_j" in columns:
-            energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
-        else:
-            total = _cell_float(path, row_no, "total_energy_j", cell("total_energy_j"))
-            static = _cell_float(path, row_no, "static_power_w", cell("static_power_w"))
-            if static < 0:
-                raise DataFormatError(
-                    f"{path}: row {row_no}, column 'static_power_w': must be >= 0, got {static!r}"
-                )
-            energy = total - static * exec_time_s
-        if energy < 0:
+    if "dynamic_energy_j" in columns:
+        energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
+    else:
+        total = _cell_float(path, row_no, "total_energy_j", cell("total_energy_j"))
+        static = _cell_float(path, row_no, "static_power_w", cell("static_power_w"))
+        if static < 0:
             raise DataFormatError(
-                f"{path}: row {row_no}: dynamic energy {energy!r} J is negative "
-                f"(measurement fault: total below static baseline)"
+                f"{path}: row {row_no}, column 'static_power_w': must be >= 0, got {static!r}"
             )
+        energy = total - static * exec_time_s
+    if energy < 0:
+        raise DataFormatError(
+            f"{path}: row {row_no}: dynamic energy {energy!r} J is negative "
+            f"(measurement fault: total below static baseline)"
+        )
 
-        for name in pmc_names:
-            value = _cell_float(path, row_no, name, cell(name))
-            if value < 0:
-                raise DataFormatError(
-                    f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
-                )
-
-        key = (app_id, cores, problem_size, run_id)
-        if key in seen:
+    for name in pmc_names:
+        value = _cell_float(path, row_no, name, cell(name))
+        if value < 0:
             raise DataFormatError(
-                f"{path}: row {row_no}: duplicate run ({app_id!r}, {cores}:{problem_size}, "
-                f"run_id={run_id!r}), first seen at row {seen[key]}"
+                f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
             )
-        seen[key] = row_no
 
 
 def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
@@ -729,7 +720,7 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     first = min(_first(bad), _first_missing(compound_ids, ""),
                 _first_missing(bases_a, None), _first_missing(bases_b, None))
     if first < len(body):
-        _check_compound_rows(path, header, columns, dataset, body, row_numbers, first)
+        _check_compound_row(path, header, columns, dataset, body[first], row_numbers[first])
     del body, rows, base_texts  # the cell strings go before the row objects come
 
     return [
@@ -741,33 +732,32 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     ]
 
 
-def _check_compound_rows(path, header, columns, dataset, rows, row_numbers, start) -> None:
-    """Check compounds-file rows one by one from row ``start`` on, raising at
-    the first fault. ``row_numbers`` gives each row's number in the file."""
-    for row, row_no in zip(rows[start:], row_numbers[start:]):
-        if len(row) != len(header):
+def _check_compound_row(path, header, columns, dataset, row, row_no) -> None:
+    """Raise the first fault of compounds-file row ``row_no``, which the column
+    checks found faulty."""
+    if len(row) != len(header):
+        raise DataFormatError(
+            f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+        )
+    cell = lambda name: row[columns[name]].strip()
+    if not cell("compound_id"):
+        raise DataFormatError(f"{path}: row {row_no}: empty compound_id")
+    try:
+        dataset.resolve(cell("base_a"))
+        dataset.resolve(cell("base_b"))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
+    energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
+    if energy < 0:
+        raise DataFormatError(
+            f"{path}: row {row_no}, column 'dynamic_energy_j': must be >= 0, got {energy!r}"
+        )
+    for name in dataset.pmc_names:
+        value = _cell_float(path, row_no, name, cell(name))
+        if value < 0:
             raise DataFormatError(
-                f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
+                f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
             )
-        cell = lambda name: row[columns[name]].strip()
-        if not cell("compound_id"):
-            raise DataFormatError(f"{path}: row {row_no}: empty compound_id")
-        try:
-            dataset.resolve(cell("base_a"))
-            dataset.resolve(cell("base_b"))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
-        energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
-        if energy < 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'dynamic_energy_j': must be >= 0, got {energy!r}"
-            )
-        for name in dataset.pmc_names:
-            value = _cell_float(path, row_no, name, cell(name))
-            if value < 0:
-                raise DataFormatError(
-                    f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
-                )
 
 
 def model_to_dict(model: EnergyModel) -> dict:

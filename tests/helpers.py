@@ -3,7 +3,8 @@
 The oracles here are deliberately written differently from the library code
 they check: exhaustive enumeration instead of active sets, candidate-list
 scans instead of streaming argmins, row-by-row CSV loading instead of
-column-by-column.
+column-by-column, and per-name lookups in separate trial loops instead of one
+composability check.
 """
 
 import csv
@@ -15,16 +16,22 @@ from itertools import combinations
 import numpy as np
 
 from emodel import (
+    MAX,
+    SUM,
     ApplicationRun,
+    ComposabilityReport,
+    CompositionCounterexample,
     CompoundRun,
     DataFormatError,
     Dataset,
     EnergyFunction,
     MeasurementFaultWarning,
+    OperatorDetection,
     PmcVector,
     RunConfig,
     RunRef,
     dynamic_energy,
+    sum_plus_delta,
 )
 
 
@@ -375,3 +382,158 @@ def load_compounds_by_rows(path, dataset: Dataset) -> list[CompoundRun]:
             )
         )
     return compounds
+
+
+# Reference composability harness: the per-name lookups and the three separate
+# compose -> compare -> counterexample loops the library once had, rebuilt
+# from the public report types, to pin the library's reports byte for byte.
+
+REFERENCE_COUNT_RANGE = (1.0, 1e11)
+
+
+def predict_by_names(model, vector):
+    """Intercept plus each coefficient times its count, looked up by name,
+    summed left to right in model order."""
+    total = model.intercept
+    for name, coefficient in zip(model.pmc_names, model.coefficients):
+        total += coefficient * vector.get(name)
+    return total
+
+
+def compose_by_names(run_a, run_b, default, overrides):
+    """Componentwise composition; ``overrides`` maps 1-based positions to
+    operators, every other position uses ``default``."""
+    vec_a = run_a.pmc if isinstance(run_a, ApplicationRun) else run_a
+    vec_b = run_b.pmc if isinstance(run_b, ApplicationRun) else run_b
+    if set(vec_a.names) != set(vec_b.names):
+        raise ValueError(
+            f"PMC name sets differ: {sorted(vec_a.names)} vs {sorted(vec_b.names)}"
+        )
+    vec_b = vec_b.project(vec_a.names)
+    for index in overrides:
+        if index > len(vec_a):
+            raise ValueError(
+                f"operator override index {index} exceeds the {len(vec_a)}-component "
+                f"PMC vector"
+            )
+    counts = tuple(
+        overrides.get(k + 1, default).apply(a, b)
+        for k, (a, b) in enumerate(zip(vec_a.counts, vec_b.counts))
+    )
+    return PmcVector(vec_a.names, counts)
+
+
+def conservation_gap_by_names(model, vec_a, vec_b, composed):
+    """(lhs, rhs, scale): predicted energy of the composition, sum of parts,
+    and the cancellation-aware magnitude both sides are built from."""
+    lhs = predict_by_names(model, composed)
+    rhs = predict_by_names(model, vec_a) + predict_by_names(model, vec_b)
+    scale = 0.0
+    for name, coefficient in zip(model.pmc_names, model.coefficients):
+        scale += abs(coefficient) * (
+            abs(composed.get(name)) + vec_a.get(name) + vec_b.get(name)
+        )
+    return lhs, rhs, scale
+
+
+def _require_zero_intercept_by_loops(model, what):
+    if model.intercept != 0.0:
+        raise ValueError(
+            f"{what} is defined for zero-intercept models; this model has "
+            f"intercept {model.intercept!r}"
+        )
+
+
+def weak_composability_by_loops(model, pairs, default, overrides, tol=1e-12):
+    """(ok, counterexamples) over explicit pairs, one pair at a time."""
+    _require_zero_intercept_by_loops(model, "weak composability")
+    counterexamples = []
+    for run_a, run_b in pairs:
+        vec_a = run_a.pmc if isinstance(run_a, ApplicationRun) else run_a
+        vec_b = run_b.pmc if isinstance(run_b, ApplicationRun) else run_b
+        composed = compose_by_names(run_a, run_b, default, overrides)
+        lhs, rhs, scale = conservation_gap_by_names(model, vec_a, vec_b, composed)
+        if abs(lhs - rhs) > tol * scale:
+            counterexamples.append(CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs))
+    return not counterexamples, counterexamples
+
+
+def draw_pair_by_formula(names, stream):
+    rng = np.random.default_rng(stream)
+    low, high = REFERENCE_COUNT_RANGE
+    span = math.log10(high) - math.log10(low)
+    counts = 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=(2, len(names))))
+    return PmcVector(names, tuple(counts[0])), PmcVector(names, tuple(counts[1]))
+
+
+def strong_composability_by_loops(model, trials=100, seed=0, *, delta=1.0, tol=1e-12):
+    """The strong check with its additive clause and each planted operator
+    in a loop of their own."""
+    _require_zero_intercept_by_loops(model, "strong composability")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if delta == 0.0 or not math.isfinite(delta):
+        raise ValueError(f"delta must be finite and nonzero, got {delta!r}")
+
+    names = model.pmc_names
+    additive_counterexamples = []
+    for trial in range(trials):
+        vec_a, vec_b = draw_pair_by_formula(names, [seed, 0, 0, trial])
+        composed = compose_by_names(vec_a, vec_b, SUM, {})
+        lhs, rhs, scale = conservation_gap_by_names(model, vec_a, vec_b, composed)
+        if abs(lhs - rhs) > tol * scale:
+            additive_counterexamples.append(
+                CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
+            )
+
+    detections = []
+    for op_ordinal, operator in ((1, MAX), (2, sum_plus_delta(delta))):
+        for k, coefficient in enumerate(model.coefficients, start=1):
+            if coefficient == 0.0:
+                continue
+            witness = None
+            used = trials
+            for trial in range(trials):
+                vec_a, vec_b = draw_pair_by_formula(names, [seed, op_ordinal, k, trial])
+                composed = compose_by_names(vec_a, vec_b, SUM, {k: operator})
+                lhs, rhs, scale = conservation_gap_by_names(model, vec_a, vec_b, composed)
+                if abs(lhs - rhs) > tol * scale:
+                    witness = CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
+                    used = trial + 1
+                    break
+            detections.append(
+                OperatorDetection(
+                    operator=operator,
+                    pmc_index=k,
+                    pmc_name=names[k - 1],
+                    detected=witness is not None,
+                    trials_used=used,
+                    witness=witness,
+                )
+            )
+
+    return ComposabilityReport(
+        trials=trials,
+        seed=seed,
+        delta=delta,
+        applicable=any(c != 0.0 for c in model.coefficients),
+        additive_ok=not additive_counterexamples,
+        additive_counterexamples=tuple(additive_counterexamples),
+        detections=tuple(detections),
+    )
+
+
+def generate_cases_by_formula(model, n_cases, seed=0, noise_sigma=0.0):
+    """Synthetic (pmc, measured) cases, each from its own stream [seed, i]."""
+    cases = []
+    for i in range(n_cases):
+        rng = np.random.default_rng([seed, i])
+        low, high = REFERENCE_COUNT_RANGE
+        span = math.log10(high) - math.log10(low)
+        counts = 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=len(model.pmc_names)))
+        vec = PmcVector(model.pmc_names, tuple(counts))
+        measured = predict_by_names(model, vec)
+        if noise_sigma > 0:
+            measured += float(rng.normal(0.0, noise_sigma))
+        cases.append((vec, measured))
+    return cases

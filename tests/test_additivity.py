@@ -166,21 +166,6 @@ def test_validation():
         run_additivity_test(dataset, [stranger])
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    dataset = fixture_dataset(
-        (1000.0, 500.0, 250.0, 125.0),
-        (2060.0, 1240.0, 625.0, 350.0),
-    )
-    serial = run_additivity_test(dataset, threads=1)
-    threaded = run_additivity_test(dataset, threads=4)
-    assert serial == threaded
-
-    monkeypatch.setenv("EMODEL_THREADS", "3")
-    from_env = run_additivity_test(dataset)
-    assert from_env == serial
-    assert report_to_csv(from_env) == report_to_csv(serial)
-
-
 # Counts with exact zeros (both signs), values whose fsum mean differs from
 # the naive one, and arbitrary magnitudes down to subnormals.
 COUNTS = st.one_of(

@@ -417,6 +417,41 @@ def test_stats_single_sample_rejected(files, capsys):
     assert "error" in err
 
 
+# --- one-row reports -------------------------------------------------------------
+
+# "@name" stands for the path of fixture file ``name``.
+ONE_ROW_REPORTS = [
+    (["predict", "--model", "@clean.json", "--counts", "X1=10,X2=4.5"],
+     '{\n  "prediction_j": 22.25\n}\n',
+     "prediction_j\n22.25\n"),
+    (["evaluate", "--model", "@clean.json", "--runs", "@runs_add.csv",
+      "--compounds", "@compounds_add.csv"],
+     '{\n  "min_pct": 4705.0,\n  "avg_pct": 4705.0,\n  "max_pct": 4705.0,\n  "n_cases": 1\n}\n',
+     "min_pct,avg_pct,max_pct,n_cases\n4705.0,4705.0,4705.0,1\n"),
+    (["partition", "--func1", "@f1.csv", "--func2", "@f2.csv", "--n", "4096"],
+     '{\n  "m": 2048,\n  "k": 2048,\n  "e1_j": 16.0,\n  "e2_j": 16.0,\n  "total_j": 32.0\n}\n',
+     "m,k,e1_j,e2_j,total_j\n2048,2048,16.0,16.0,32.0\n"),
+    (["loss", "--alt", "90.5", "--ref", "100"],
+     '{\n  "loss_pct": -9.5\n}\n',
+     "loss_pct\n-9.5\n"),
+    (["stats", "--values", "10,12,11"],
+     '{\n  "mean": 11.0,\n  "half_width": 2.4841377117503263,\n  "n": 3,\n'
+     '  "converged": false,\n  "relative_undefined": false\n}\n',
+     "mean,half_width,n,converged,relative_undefined\n11.0,2.4841377117503263,3,false,false\n"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv,json_text,csv_text", ONE_ROW_REPORTS, ids=[case[0][0] for case in ONE_ROW_REPORTS]
+)
+def test_one_row_report_exact_bytes(files, capsys, argv, json_text, csv_text, fmt):
+    argv = [files[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (json_text if fmt == "json" else csv_text)
+
+
 # --- global behavior -------------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emodel import (
@@ -23,9 +24,16 @@ from emodel import (
     sum_plus_delta,
     verify_weak_composability,
 )
-from emodel.conservation import COUNT_RANGE, WILDCARD
+from emodel.conservation import COUNT_RANGE
 from emodel.core import PmcVector
-from helpers import make_run
+from helpers import (
+    compose_by_names,
+    conservation_gap_by_names,
+    generate_cases_by_formula,
+    make_run,
+    strong_composability_by_loops,
+    weak_composability_by_loops,
+)
 
 
 def linear_model(coefficients, names=None, intercept=0.0,
@@ -59,23 +67,20 @@ def test_operator_validation():
 
 
 def test_operator_table_precedence():
-    table = OperatorTable(overrides={
-        ("appa", "appb", 1): MAX,
-        (WILDCARD, WILDCARD, 1): sum_plus_delta(9.0),
-    })
-    assert table.operator_for("appa", "appb", 1) is MAX
-    assert table.operator_for("x", "y", 1) == sum_plus_delta(9.0)
-    assert table.operator_for("appa", "appb", 2) is SUM
+    table = OperatorTable(default=MAX, overrides={2: sum_plus_delta(9.0)})
+    assert table.operator_for(2) == sum_plus_delta(9.0)
+    assert table.operator_for(1) is MAX
+    assert OperatorTable().operator_for(1) is SUM
 
 
 def test_operator_table_validation():
-    with pytest.raises(ValueError):
-        OperatorTable(overrides={("a", "b", 0): MAX})
+    with pytest.raises(ValueError, match="1-based position, got 0"):
+        OperatorTable(overrides={0: MAX})
     with pytest.raises(TypeError):
-        OperatorTable(overrides={("a", "b", 1): "max"})
-    table = OperatorTable(overrides={(WILDCARD, WILDCARD, 5): MAX})
-    with pytest.raises(ValueError, match="exceeds"):
-        table.check_indices("a", "b", 2)
+        OperatorTable(overrides={1: "max"})
+    # overrides are keyed by position alone; app-pair keys are rejected
+    with pytest.raises(ValueError, match=r"1-based position, got \('\*', '\*', 1\)"):
+        OperatorTable(overrides={("*", "*", 1): MAX})
 
 
 # --- composition -----------------------------------------------------------
@@ -105,24 +110,14 @@ def test_compose_rejects_different_name_sets():
 def test_compose_with_positional_override():
     a = PmcVector(("P1", "P2"), (5.0, 10.0))
     b = PmcVector(("P1", "P2"), (3.0, 20.0))
-    table = OperatorTable(overrides={(WILDCARD, WILDCARD, 1): MAX})
+    table = OperatorTable(overrides={1: MAX})
     assert compose(a, b, table).counts == (5.0, 30.0)
-
-
-def test_compose_app_keyed_override():
-    names = ("P1",)
-    run_a = make_run("appa", names, (5.0,), 1.0)
-    run_b = make_run("appb", names, (3.0,), 1.0)
-    table = OperatorTable(overrides={("appa", "appb", 1): MAX})
-    assert compose(run_a, run_b, table).counts == (5.0,)
-    # key does not match the reversed pair, so it falls back to the default
-    assert compose(run_b, run_a, table).counts == (8.0,)
 
 
 def test_compose_index_out_of_range():
     a = PmcVector(("P1",), (1.0,))
-    table = OperatorTable(overrides={(WILDCARD, WILDCARD, 2): MAX})
-    with pytest.raises(ValueError, match="exceeds"):
+    table = OperatorTable(overrides={2: MAX})
+    with pytest.raises(ValueError, match="index 2 exceeds the 1-component"):
         compose(a, a, table)
 
 
@@ -229,8 +224,6 @@ def test_violation_report_json():
 
 
 def random_pairs(names, count, seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):
@@ -374,3 +367,137 @@ def test_generate_cases_validation():
         generate_cases(model, 0)
     with pytest.raises(ValueError):
         generate_cases(model, 3, noise_sigma=-1.0)
+
+
+# --- reference harness -------------------------------------------------------
+
+NAME_POOL = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "cycles", "l1_miss")
+
+oracle_coefficient = st.one_of(
+    st.just(0.0),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([5e-324, -5e-324, 1e-300, -2.5e-309, 3.2e-9, 1e300, -1e300]),
+)
+oracle_delta = st.one_of(
+    st.sampled_from([1.0, -1.0, 1e9, -1e9, 1e12, -1e12, 0.0, math.inf, math.nan]),
+    st.floats(-1e13, 1e13),
+)
+oracle_operator = st.one_of(
+    st.just(SUM), st.just(MAX), oracle_delta.filter(math.isfinite).map(sum_plus_delta)
+)
+
+
+@st.composite
+def oracle_models(draw):
+    names = tuple(draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=8, unique=True)))
+    coefficients = draw(st.lists(oracle_coefficient, min_size=len(names), max_size=len(names)))
+    intercept = draw(st.sampled_from([0.0, 0.0, 0.0, 2.0, -1e-9]))
+    return linear_model(coefficients, names, intercept=intercept)
+
+
+def harness_outcome(check, *args, **kwargs):
+    """A check's report as JSON bytes, or the type and text of its error."""
+    try:
+        result = check(*args, **kwargs)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ComposabilityReport):
+        return json.dumps(result.to_json_dict())
+    ok, counterexamples = result
+    return json.dumps([ok, [c.to_json_dict() for c in counterexamples]])
+
+
+def composed_outcome(compose_pair, *args):
+    """A composed vector's names and exact counts, or the type and text of its error."""
+    try:
+        vector = compose_pair(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return vector.names, [count.hex() for count in vector.counts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=oracle_models(),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    delta=oracle_delta,
+)
+@example(model=linear_model((2.0, -0.5), kind=ModelKind.ZERO_INTERCEPT), trials=10, seed=1,
+         delta=-1e12)
+@example(model=linear_model((3.0, -1e-300, 0.0)), trials=40, seed=3, delta=1e9)
+def test_strong_check_matches_reference_loops(model, trials, seed, delta):
+    got = harness_outcome(strong_composability_check, model, trials, seed, delta=delta)
+    expected = harness_outcome(strong_composability_by_loops, model, trials, seed, delta=delta)
+    assert got == expected
+
+
+@st.composite
+def oracle_pairs(draw, names):
+    count = st.one_of(st.floats(0.0, 1e12), st.sampled_from([0.0, 1.0, 5e-324, 1e11]))
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        pair = []
+        for side in "ab":
+            order = tuple(draw(st.permutations(names)))
+            if len(names) > 1 and draw(st.integers(0, 9)) == 0:
+                order = order[1:] + ("other",)
+            counts = draw(st.lists(count, min_size=len(order), max_size=len(order)))
+            if draw(st.booleans()):
+                pair.append(make_run(f"app_{side}", order, counts, 1.0))
+            else:
+                pair.append(PmcVector(order, tuple(counts)))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), model=oracle_models())
+def test_weak_check_matches_reference_loops(data, model):
+    n = len(model.pmc_names)
+    pairs = data.draw(oracle_pairs(model.pmc_names))
+    default = data.draw(oracle_operator)
+    overrides = data.draw(st.dictionaries(st.integers(1, n + 1), oracle_operator, max_size=3))
+    tol = data.draw(st.sampled_from([1e-12, 0.0, 1e-6]))
+    table = OperatorTable(default, overrides)
+
+    got = harness_outcome(verify_weak_composability, model, pairs, table, tol)
+    expected = harness_outcome(weak_composability_by_loops, model, pairs, default, overrides, tol)
+    assert got == expected
+    for run_a, run_b in pairs:
+        got = composed_outcome(compose, run_a, run_b, table)
+        assert got == composed_outcome(compose_by_names, run_a, run_b, default, overrides)
+
+
+def test_weak_check_boundary_verdicts_match_reference():
+    # With tol = |lhs - rhs| / scale, a verdict turns on the last bits of the
+    # scale, so these pairs pin the scale's summation order and grouping.
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        names = tuple(f"P{i + 1}" for i in range(n))
+        magnitudes = 10.0 ** rng.integers(-9, 3, n).astype(float)
+        model = linear_model(tuple(rng.uniform(-10.0, 10.0, n) * magnitudes), names)
+        vec_a, vec_b = (PmcVector(names, tuple(10.0 ** rng.uniform(0.0, 11.0, n)))
+                        for _ in range(2))
+        composed = compose_by_names(vec_a, vec_b, MAX, {})
+        lhs, rhs, scale = conservation_gap_by_names(model, vec_a, vec_b, composed)
+        tol = abs(lhs - rhs) / scale
+        expected = weak_composability_by_loops(model, [(vec_a, vec_b)], MAX, {}, tol)
+        got = verify_weak_composability(model, [(vec_a, vec_b)], OperatorTable(MAX), tol)
+        assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=oracle_models(),
+    n_cases=st.integers(1, 20),
+    seed=st.integers(0, 2**32),
+    noise_sigma=st.sampled_from([0.0, 1e-3, 1.0, 1e6]),
+)
+def test_generate_cases_matches_reference_formula(model, n_cases, seed, noise_sigma):
+    def hexed(cases):
+        return [([c.hex() for c in vector.counts], measured.hex()) for vector, measured in cases]
+
+    got = generate_cases(model, n_cases, seed, noise_sigma)
+    assert hexed(got) == hexed(generate_cases_by_formula(model, n_cases, seed, noise_sigma))
