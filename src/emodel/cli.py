@@ -225,6 +225,8 @@ def _cmd_conserve(args) -> int:
     from .conservation import check_conservation, strong_composability_check
     from .core import load_model
 
+    if args.seed < 0:
+        raise UsageError(f"error: --seed must be a non-negative integer, got {args.seed}")
     model = load_model(args.model)
     report = check_conservation(model)
     code = 0 if report.clean else 2

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +47,28 @@ __all__ = [
 #: to cover both rare-event counters and retired-instruction totals.
 COUNT_RANGE = (1.0, 1e11)
 
+#: The most trial rows one kernel call holds, so the probe's memory stays
+#: bounded whatever the trial count. Reports do not depend on it: every
+#: trial draws from its own stream and is checked on its own row.
+_MAX_ROWS = 4096
+
+
+def _max(a, b, delta):
+    """MAX keeps ``a`` on a tie, as Python's ``max`` does, so ``0.0`` against
+    ``-0.0`` stays ``0.0``; on arrays, elementwise."""
+    if isinstance(a, np.ndarray):
+        return np.where(b > a, b, a)
+    return max(a, b)
+
+
+#: Each operator kind as a function of ``(a, b, delta)``, on scalars or
+#: elementwise on whole arrays of counts.
+_OPERATOR_KINDS = {
+    "sum": lambda a, b, delta: a + b,
+    "max": _max,
+    "sum_plus_delta": lambda a, b, delta: a + b + delta,
+}
+
 
 @dataclass(frozen=True)
 class Operator:
@@ -56,7 +78,7 @@ class Operator:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sum", "max", "sum_plus_delta"):
+        if self.kind not in _OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not math.isfinite(self.delta):
             raise ValueError(f"operator delta must be finite, got {self.delta!r}")
@@ -64,11 +86,9 @@ class Operator:
             raise ValueError(f"{self.kind} operator takes no delta")
 
     def apply(self, a: float, b: float) -> float:
-        if self.kind == "sum":
-            return a + b
-        if self.kind == "max":
-            return max(a, b)
-        return a + b + self.delta
+        """The composed count of ``a`` and ``b``; the probe's kernel also
+        passes equal-shape arrays, composed elementwise."""
+        return _OPERATOR_KINDS[self.kind](a, b, self.delta)
 
     def label(self) -> str:
         if self.kind == "sum_plus_delta":
@@ -214,9 +234,88 @@ def _pmc(run: ApplicationRun | PmcVector) -> PmcVector:
     return run.pmc if isinstance(run, ApplicationRun) else run
 
 
-def _in_order(names: tuple[str, ...], vector: PmcVector) -> Iterator[float]:
-    """The vector's counts for ``names``, in that order."""
-    return map(vector.counts.__getitem__, _positions(names, vector.names))
+# The array kernel. Rows are composed pairs (explicit pairs or seeded trials);
+# columns are PMC positions. Every value is computed with the same IEEE
+# operations, in the same order, as the scalar definition it replaces:
+# ``Operator.apply`` per count, and ``predict``'s left-to-right sum per row.
+
+
+@np.errstate(all="ignore")
+def _compose(a: np.ndarray, b: np.ndarray, default: Operator, planted=()) -> np.ndarray:
+    """``default`` at every element, then each ``(rows, columns, operator)``
+    of ``planted`` at the elements it indexes."""
+    composed = default.apply(a, b)
+    for rows, columns, operator in planted:
+        composed[rows, columns] = operator.apply(a[rows, columns], b[rows, columns])
+    return composed
+
+
+def _sums(model: EnergyModel, columns: Sequence[int], a, b, composed) -> tuple[np.ndarray, ...]:
+    """Per row: the predicted energy of the composition (lhs), the sum of the
+    parts' predictions (rhs), and the cancellation-aware magnitude both are
+    built from. ``columns`` holds each model PMC's column, in model order."""
+    lhs = np.full(len(a), model.intercept)
+    part_a = lhs.copy()
+    part_b = lhs.copy()
+    scale = np.zeros(len(a))
+    for coefficient, j in zip(model.coefficients, columns):
+        x, u, v = composed[:, j], a[:, j], b[:, j]
+        lhs += coefficient * x
+        part_a += coefficient * u
+        part_b += coefficient * v
+        scale += abs(coefficient) * (np.abs(x) + u + v)
+    return lhs, part_a + part_b, scale
+
+
+@np.errstate(all="ignore")
+def _flagged(model: EnergyModel, columns: Sequence[int], a, b, composed, tol: float
+             ) -> tuple[np.ndarray, ...]:
+    """Per row: lhs, rhs, and whether the row stops a trial loop: its composed
+    counts are not a valid PMC vector, or lhs and rhs differ by more than
+    ``tol`` times the scale.
+
+    A row whose lhs, rhs or scale overflowed is compared again on its three
+    count vectors times 2**-s, with s the least shift that bounds the scale
+    below 2**1023. Scaling every count by a power of two scales every term
+    exactly (unless it falls below the normal range), so the verdict is the
+    one unbounded exponents would give; lhs and rhs are reported unscaled.
+    """
+    lhs, rhs, scale = _sums(model, columns, a, b, composed)
+    gap, bound = np.abs(lhs - rhs), tol * scale
+    overflowed = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(scale)))
+    if overflowed.size:
+        rows = [m[overflowed] for m in (a, b, composed)]
+        # |c| < 2**e_c and each count < 2**e_m, so the scale is below
+        # 3n * 2**max(e_c + e_m) <= 2**(max(e_c + e_m) + bit_length(3n)).
+        _, e_c = np.frexp(np.array(model.coefficients))
+        _, e_m = np.frexp(np.maximum.reduce([np.abs(m[:, list(columns)]) for m in rows]))
+        top = (e_c + e_m).max(axis=1, initial=0)
+        shift = np.maximum(top + (3 * len(columns)).bit_length() - 1023, 0)
+        scaled = (np.ldexp(m, -shift[:, None]) for m in rows)
+        lhs_s, rhs_s, scale_s = _sums(model, columns, *scaled)
+        gap[overflowed], bound[overflowed] = np.abs(lhs_s - rhs_s), tol * scale_s
+    invalid = ~np.isfinite(composed) | (composed < 0)
+    return lhs, rhs, invalid.any(axis=1) | (gap > bound)
+
+
+def _compose_pair(vec_a: PmcVector, vec_b: PmcVector, ops: OperatorTable
+                  ) -> tuple[np.ndarray, ...]:
+    """One-row arrays of the counts of ``vec_a`` and of ``vec_b``, both in
+    ``vec_a``'s order, and their composition under ``ops``."""
+    if set(vec_a.names) != set(vec_b.names):
+        raise ValueError(
+            f"PMC name sets differ: {sorted(vec_a.names)} vs {sorted(vec_b.names)}"
+        )
+    for index in ops.overrides:
+        if index > len(vec_a):
+            raise ValueError(
+                f"operator override index {index} exceeds the {len(vec_a)}-component "
+                f"PMC vector"
+            )
+    a = np.array([vec_a.counts])
+    b = np.array([vec_b.counts])[:, list(_positions(vec_a.names, vec_b.names))]
+    planted = [(slice(None), index - 1, op) for index, op in ops.overrides.items()]
+    return a, b, _compose(a, b, ops.default, planted)
 
 
 def compose(
@@ -230,23 +329,9 @@ def compose(
     first argument's order wins). With the default all-SUM table this is
     exact vector addition.
     """
-    ops = ops if ops is not None else OperatorTable()
-    vec_a, vec_b = _pmc(run_a), _pmc(run_b)
-    if set(vec_a.names) != set(vec_b.names):
-        raise ValueError(
-            f"PMC name sets differ: {sorted(vec_a.names)} vs {sorted(vec_b.names)}"
-        )
-    for index in ops.overrides:
-        if index > len(vec_a):
-            raise ValueError(
-                f"operator override index {index} exceeds the {len(vec_a)}-component "
-                f"PMC vector"
-            )
-    counts = tuple(
-        ops.operator_for(k).apply(a, b)
-        for k, (a, b) in enumerate(zip(vec_a.counts, _in_order(vec_a.names, vec_b)), start=1)
-    )
-    return PmcVector(vec_a.names, counts)
+    vec_a = _pmc(run_a)
+    _, _, composed = _compose_pair(vec_a, _pmc(run_b), ops or OperatorTable())
+    return PmcVector(vec_a.names, tuple(composed[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -264,33 +349,14 @@ class CompositionCounterexample:
             "vec_a": self.vec_a.as_dict(),
             "vec_b": self.vec_b.as_dict(),
             "composed": self.composed.as_dict(),
-            "lhs_j": self.lhs_j,
-            "rhs_j": self.rhs_j,
+            "lhs_j": _finite_or_none(self.lhs_j),
+            "rhs_j": _finite_or_none(self.rhs_j),
         }
 
 
-def _counterexample(
-    model: EnergyModel,
-    run_a: ApplicationRun | PmcVector,
-    run_b: ApplicationRun | PmcVector,
-    ops: OperatorTable,
-    tol: float,
-) -> CompositionCounterexample | None:
-    """The composed pair as a counterexample if its predicted energy differs
-    from the sum of its parts by more than ``tol`` times the
-    cancellation-aware magnitude both sides are built from, else None."""
-    vec_a, vec_b = _pmc(run_a), _pmc(run_b)
-    composed = compose(vec_a, vec_b, ops)
-    lhs = predict(model, composed)
-    rhs = predict(model, vec_a) + predict(model, vec_b)
-    scale = 0.0
-    names = model.pmc_names
-    for coefficient, c, a, b in zip(model.coefficients, _in_order(names, composed),
-                                    _in_order(names, vec_a), _in_order(names, vec_b)):
-        scale += abs(coefficient) * (abs(c) + a + b)
-    if abs(lhs - rhs) > tol * scale:
-        return CompositionCounterexample(vec_a, vec_b, composed, lhs, rhs)
-    return None
+def _finite_or_none(energy: float) -> float | None:
+    """JSON has no infinity: an energy that overflowed is reported as null."""
+    return energy if math.isfinite(energy) else None
 
 
 def _require_zero_intercept(model: EnergyModel, what: str) -> None:
@@ -315,9 +381,19 @@ def verify_weak_composability(
     Returns overall truth plus every counterexample.
     """
     _require_zero_intercept(model, "weak composability")
-    ops = ops if ops is not None else OperatorTable()
-    found = (_counterexample(model, run_a, run_b, ops, tol) for run_a, run_b in pairs)
-    counterexamples = [c for c in found if c is not None]
+    counterexamples: list[CompositionCounterexample] = []
+    for run_a, run_b in pairs:
+        vec_a, vec_b = _pmc(run_a), _pmc(run_b)
+        a, b, composed = _compose_pair(vec_a, vec_b, ops or OperatorTable())
+        # Built before the model's columns are looked up, so an invalid
+        # composed count is reported ahead of a PMC the model lacks.
+        composed_vec = PmcVector(vec_a.names, tuple(composed[0].tolist()))
+        columns = _positions(model.pmc_names, vec_a.names)
+        lhs, rhs, flagged = _flagged(model, columns, a, b, composed, tol)
+        if flagged[0]:
+            counterexamples.append(CompositionCounterexample(
+                vec_a, vec_b, composed_vec, float(lhs[0]), float(rhs[0])
+            ))
     return not counterexamples, counterexamples
 
 
@@ -376,24 +452,36 @@ class ComposabilityReport:
         }
 
 
+def _require_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _log_uniform_counts(rng: np.random.Generator, size) -> np.ndarray:
     low, high = COUNT_RANGE
     span = math.log10(high) - math.log10(low)
     return 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=size))
 
 
-def _trial_counterexamples(
-    model: EnergyModel, ops: OperatorTable, stream: Sequence[int], trials: int, tol: float
-) -> Iterator[tuple[int, CompositionCounterexample]]:
-    """Yield (trial, counterexample) for each violating trial, in order; each
-    trial draws its pair from its own random stream ``[*stream, trial]``."""
-    names = model.pmc_names
-    for trial in range(trials):
-        counts = _log_uniform_counts(np.random.default_rng([*stream, trial]), (2, len(names)))
-        vec_a, vec_b = (PmcVector(names, tuple(row)) for row in counts)
-        found = _counterexample(model, vec_a, vec_b, ops, tol)
-        if found is not None:
-            yield trial, found
+def _draw_pairs(n: int, streams: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """One trial per stream: its pair of n-PMC count vectors, drawn from
+    ``np.random.default_rng(stream)``, as rows of ``a`` and of ``b``."""
+    pairs = np.array([
+        _log_uniform_counts(np.random.default_rng(stream), (2, n)) for stream in streams
+    ]).reshape(len(streams), 2, n)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _trial_witness(names: tuple[str, ...], a, b, composed, lhs, rhs) -> CompositionCounterexample:
+    """The counterexample of one flagged trial row; a row whose composed
+    counts are invalid raises the ``PmcVector`` error for its first one."""
+    return CompositionCounterexample(
+        PmcVector(names, tuple(a.tolist())),
+        PmcVector(names, tuple(b.tolist())),
+        PmcVector(names, tuple(composed.tolist())),
+        float(lhs),
+        float(rhs),
+    )
 
 
 def strong_composability_check(
@@ -410,38 +498,87 @@ def strong_composability_check(
     generated pair. Clause two: planting MAX or SUM_PLUS_DELTA(delta) at any
     position whose coefficient is nonzero must produce at least one violating
     pair within the trial budget. A model with no nonzero coefficient makes
-    clause two inapplicable. Deterministic for a given seed: every trial uses
-    its own derived random stream.
+    clause two inapplicable. Deterministic for a given seed: trial ``t`` of
+    the additive clause draws its pair from the stream ``[seed, 0, 0, t]``,
+    and of operator ``o`` (1 MAX, 2 SUM_PLUS_DELTA) planted at position ``k``
+    from ``[seed, o, k, t]``.
+
+    The additive clause runs in batches of up to ``_MAX_ROWS`` trials; the
+    planted clauses still undetected share rounds of 1, 4, 16, ... trials
+    (fewer when the round would pass ``_MAX_ROWS`` rows), each keeping its
+    first violating trial. The report, and the ``ValueError`` for a composed
+    count a negative ``delta`` made invalid, are those of a trial-by-trial
+    loop over the clauses in report order.
     """
     _require_zero_intercept(model, "strong composability")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if delta == 0.0 or not math.isfinite(delta):
         raise ValueError(f"delta must be finite and nonzero, got {delta!r}")
+    _require_seed(seed)
+    names = model.pmc_names
+    n = len(names)
+    columns = range(n)
 
-    sums = _trial_counterexamples(model, OperatorTable(), [seed, 0, 0], trials, tol)
-    additive_counterexamples = [found for _, found in sums]
+    additive_counterexamples: list[CompositionCounterexample] = []
+    for start in range(0, trials, _MAX_ROWS):
+        block = range(start, min(start + _MAX_ROWS, trials))
+        a, b = _draw_pairs(n, [[seed, 0, 0, t] for t in block])
+        composed = _compose(a, b, SUM)
+        lhs, rhs, flagged = _flagged(model, columns, a, b, composed, tol)
+        additive_counterexamples += [
+            _trial_witness(names, a[i], b[i], composed[i], lhs[i], rhs[i])
+            for i in np.flatnonzero(flagged).tolist()
+        ]
+
+    clauses = [
+        (ordinal, operator, k)
+        for ordinal, operator in ((1, MAX), (2, sum_plus_delta(delta)))
+        for k, coefficient in enumerate(model.coefficients, start=1)
+        if coefficient != 0.0
+    ]
+    first_flagged: dict[int, tuple] = {}
+    undetected = list(range(len(clauses)))
+    start, size = 0, 1
+    while undetected and start < trials:
+        # However many clauses share a round, it holds at most _MAX_ROWS rows.
+        width = min(size, max(_MAX_ROWS // len(undetected), 1), trials - start)
+        block = range(start, start + width)
+        a, b = _draw_pairs(
+            n, [[seed, clauses[c][0], clauses[c][2], t] for c in undetected for t in block]
+        )
+        planted = [
+            (slice(i * width, (i + 1) * width), clauses[c][2] - 1, clauses[c][1])
+            for i, c in enumerate(undetected)
+        ]
+        composed = _compose(a, b, SUM, planted)
+        lhs, rhs, flagged = _flagged(model, columns, a, b, composed, tol)
+        for i, c in enumerate(undetected):
+            hits = np.flatnonzero(flagged[i * width:(i + 1) * width]).tolist()
+            if hits:
+                row = i * width + hits[0]
+                first_flagged[c] = (
+                    start + hits[0], a[row], b[row], composed[row], lhs[row], rhs[row]
+                )
+        undetected = [c for c in undetected if c not in first_flagged]
+        start, size = block.stop, 4 * size
 
     detections: list[OperatorDetection] = []
-    for op_ordinal, operator in ((1, MAX), (2, sum_plus_delta(delta))):
-        for k, coefficient in enumerate(model.coefficients, start=1):
-            if coefficient == 0.0:
-                continue
-            planted = OperatorTable(overrides={k: operator})
-            trial, witness = next(
-                _trial_counterexamples(model, planted, [seed, op_ordinal, k], trials, tol),
-                (trials - 1, None),
+    for c, (_, operator, k) in enumerate(clauses):
+        trial, witness = trials - 1, None
+        if c in first_flagged:
+            trial, *row = first_flagged[c]
+            witness = _trial_witness(names, *row)
+        detections.append(
+            OperatorDetection(
+                operator=operator,
+                pmc_index=k,
+                pmc_name=names[k - 1],
+                detected=witness is not None,
+                trials_used=trial + 1,
+                witness=witness,
             )
-            detections.append(
-                OperatorDetection(
-                    operator=operator,
-                    pmc_index=k,
-                    pmc_name=model.pmc_names[k - 1],
-                    detected=witness is not None,
-                    trials_used=trial + 1,
-                    witness=witness,
-                )
-            )
+        )
 
     return ComposabilityReport(
         trials=trials,
@@ -471,6 +608,7 @@ def generate_cases(
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     if noise_sigma < 0 or not math.isfinite(noise_sigma):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+    _require_seed(seed)
     cases: list[tuple[PmcVector, float]] = []
     for i in range(n_cases):
         rng = np.random.default_rng([seed, i])

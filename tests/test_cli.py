@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from emodel import EnergyModel, ModelKind, load_model, save_model
+from emodel import (
+    EnergyModel,
+    ModelKind,
+    check_conservation,
+    load_model,
+    save_model,
+    strong_composability_check,
+)
 from emodel.cli import run_cli
 
 RUNS_ADD = """app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2
@@ -343,6 +350,72 @@ def test_conserve_composability_needs_zero_intercept(files, capsys):
     )
     assert code == 1
     assert "zero-intercept" in err
+
+
+def test_conserve_negative_seed_names_the_flag(files, capsys):
+    code, out, err = run(
+        capsys, "conserve", "--model", files["clean.json"],
+        "--composability-trials", "5", "--seed", "-1",
+    )
+    assert (code, out, err) == (1, "", "error: --seed must be a non-negative integer, got -1\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_conserve_huge_delta_detects_planted_operator(tmp_path, capsys):
+    # 2 * (a + b + 1e308) overflows; the overflowed comparison is redone on
+    # counts scaled by a power of two, so P1's shifted sum is still caught.
+    model = EnergyModel(("P1", "P2", "P3"), 0.0, (2.0, 0.0, 3.2e-9),
+                        ModelKind.ZERO_INTERCEPT_NONNEG)
+    save_model(model, tmp_path / "m.json")
+    code, out, err = run(
+        capsys, "conserve", "--model", str(tmp_path / "m.json"),
+        "--composability-trials", "5", "--delta", "1e308",
+    )
+    assert (code, err) == (0, "")
+    # Strict JSON: an energy that overflowed is null, never Infinity.
+    detections = json.loads(out, parse_constant=_reject_constant)["composability"]["detections"]
+    assert [(d["operator"], d["pmc_name"], d["detected"]) for d in detections] == [
+        ("max", "P1", True), ("max", "P3", True),
+        ("sum_plus_delta(1e+308)", "P1", True), ("sum_plus_delta(1e+308)", "P3", True),
+    ]
+    assert detections[2]["witness"]["lhs_j"] is None
+
+
+def _conserve_subprocess(model_path, *flags):
+    return subprocess.run(
+        [sys.executable, "-m", "emodel.cli", "conserve", "--model", str(model_path), *flags],
+        capture_output=True, text=True,
+    )
+
+
+def test_conserve_subprocess_huge_coefficients_exact_output(tmp_path):
+    # Coefficient times count overflows on every trial: no numpy warning may
+    # reach stderr, and the report is the library's, byte for byte.
+    model = EnergyModel(("X1", "X2"), 0.0, (1e300, 3e300), ModelKind.ZERO_INTERCEPT_NONNEG)
+    save_model(model, tmp_path / "m.json")
+    result = _conserve_subprocess(tmp_path / "m.json", "--composability-trials", "5",
+                                  "--seed", "2")
+    payload = check_conservation(model).to_json_dict()
+    payload["composability"] = strong_composability_check(model, 5, 2).to_json_dict()
+    assert payload["composability"]["passed"] is True
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == json.dumps(payload, indent=2) + "\n"
+    json.loads(result.stdout, parse_constant=_reject_constant)
+
+
+def test_conserve_subprocess_negative_delta_exact_output(files):
+    # -1e12 makes the first shifted-sum composition a negative count: an input
+    # error with the library's message, no traceback, no numpy warning.
+    with pytest.raises(ValueError) as info:
+        strong_composability_check(load_model(files["clean.json"]), 10, 0, delta=-1e12)
+    assert str(info.value).startswith("PMC 'X1' has invalid count -")
+    result = _conserve_subprocess(files["clean.json"], "--composability-trials", "10",
+                                  "--delta=-1e12")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"emodel: error: {info.value}\n"
 
 
 # --- partition and loss -------------------------------------------------------

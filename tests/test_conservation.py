@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from emodel import (
     sum_plus_delta,
     verify_weak_composability,
 )
+from emodel import conservation
 from emodel.conservation import COUNT_RANGE
 from emodel.core import PmcVector
 from helpers import (
@@ -53,6 +55,12 @@ def test_operator_arithmetic():
     assert MAX.apply(2.0, 3.0) == 3.0
     assert sum_plus_delta(4.0).apply(2.0, 3.0) == 9.0
     assert sum_plus_delta(-1.5).apply(2.0, 3.0) == 3.5
+
+
+def test_operator_apply_on_scalars_returns_python_scalars():
+    for operator in (SUM, MAX, sum_plus_delta(0.5)):
+        assert type(operator.apply(2.0, 3.0)) is float
+    assert type(MAX.apply(3, 2)) is int and MAX.apply(3, 2) == 3
 
 
 def test_operator_validation():
@@ -337,6 +345,55 @@ def test_strong_check_negative_delta_detected():
     assert labels == {"max", "sum_plus_delta(-2.5)"}
 
 
+def test_seed_must_be_non_negative():
+    model = linear_model((1.0,), kind=ModelKind.ZERO_INTERCEPT)
+    message = "^seed must be a non-negative integer, got -1$"
+    with pytest.raises(ValueError, match=message):
+        strong_composability_check(model, trials=5, seed=-1)
+    with pytest.raises(ValueError, match=message):
+        generate_cases(model, 3, seed=-1)
+
+
+def test_huge_delta_overflow_is_still_detected():
+    # delta = 1e308 overflows lhs and scale at P1 (2 * 1e308 = inf); compared
+    # on counts scaled by a power of two, the planted operator is caught.
+    model = linear_model((2.0, 0.0, 3.2e-9), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    report = strong_composability_check(model, trials=5, seed=0, delta=1e308)
+    assert report.passed
+    planted = [d for d in report.detections if d.operator == sum_plus_delta(1e308)]
+    assert [(d.pmc_index, d.detected, d.trials_used) for d in planted] == [(1, True, 1), (3, True, 1)]
+    assert planted[0].witness.lhs_j == math.inf  # reported as computed, unscaled
+    assert planted[0].witness.to_json_dict()["lhs_j"] is None  # JSON has no inf
+    assert harness_outcome(strong_composability_by_loops, model, 5, 0, delta=1e308) == json.dumps(
+        report.to_json_dict())
+
+
+def test_overflowed_comparison_matches_exact_arithmetic():
+    # Coefficients near 1e300 overflow lhs, rhs or scale; the verdict on the
+    # scaled counts must be the one exact rational arithmetic gives.
+    rng = np.random.default_rng(11)
+    overflowed = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        names = tuple(f"P{i + 1}" for i in range(n))
+        exponents = rng.integers(280, 308, n).astype(float)
+        model = linear_model(tuple(rng.uniform(-1.0, 1.0, n) * 10.0 ** exponents), names)
+        vec_a, vec_b = (PmcVector(names, tuple(10.0 ** rng.uniform(0.0, 11.0, n)))
+                        for _ in range(2))
+        operator = (SUM, MAX, sum_plus_delta(1e9))[int(rng.integers(0, 3))]
+        table = OperatorTable(overrides={int(rng.integers(1, n + 1)): operator})
+        composed = compose(vec_a, vec_b, table)
+        overflowed += not all(map(math.isfinite, conservation_gap_by_names(
+            model, vec_a, vec_b, composed)))
+        terms = [(Fraction(c), Fraction(x), Fraction(u), Fraction(v)) for c, x, u, v in zip(
+            model.coefficients, composed.counts, vec_a.counts, vec_b.counts)]
+        gap = abs(sum(c * (x - u - v) for c, x, u, v in terms))
+        scale = sum(abs(c) * (abs(x) + u + v) for c, x, u, v in terms)
+        ok, _ = verify_weak_composability(model, [(vec_a, vec_b)], table)
+        assert ok == (gap <= Fraction(1e-12) * scale)
+    assert overflowed > 50
+
+
 # --- synthetic cases -------------------------------------------------------
 
 
@@ -486,6 +543,79 @@ def test_weak_check_boundary_verdicts_match_reference():
         expected = weak_composability_by_loops(model, [(vec_a, vec_b)], MAX, {}, tol)
         got = verify_weak_composability(model, [(vec_a, vec_b)], OperatorTable(MAX), tol)
         assert got == expected
+
+
+def test_strong_check_rounds_match_reference_loops():
+    # Tiny coefficients hide planted operators from most trials, so
+    # detections land in every round of trials (1, 2-5, 6-21, 22-85) and some
+    # clauses use the whole budget of 200, whose last round is cut short.
+    model = linear_model((1.0, 1e-12, 3e-13, 1e-13, 2e-14), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    used = set()
+    for seed in range(4):
+        report = strong_composability_check(model, 200, seed)
+        assert harness_outcome(strong_composability_by_loops, model, 200, seed) == json.dumps(
+            report.to_json_dict())
+        used |= {d.trials_used for d in report.detections}
+    rounds = {next(r for r, last in enumerate((1, 5, 21, 85, 200)) if t <= last) for t in used}
+    assert rounds == {0, 1, 2, 3, 4}
+
+
+def test_strong_check_row_cap_keeps_reports(monkeypatch):
+    # A cap of 8 rows splits the 60 additive trials into 8 batches and
+    # narrows the planted rounds (6 clauses share the first one); the
+    # report is still the trial-by-trial one.
+    model = linear_model((1.0, 1e-12, 3e-13), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    monkeypatch.setattr(conservation, "_MAX_ROWS", 8)
+    rows = []
+    draw_pairs = conservation._draw_pairs
+    monkeypatch.setattr(conservation, "_draw_pairs",
+                        lambda n, streams: rows.append(len(streams)) or draw_pairs(n, streams))
+    for seed in range(3):
+        rows.clear()
+        report = strong_composability_check(model, 60, seed)
+        assert rows[:8] == [8] * 7 + [4] and max(rows) == 8
+        assert harness_outcome(strong_composability_by_loops, model, 60, seed) == json.dumps(
+            report.to_json_dict())
+    assert any(d.trials_used > 8 for d in report.detections)
+
+
+def test_strong_check_beyond_row_cap_matches_reference_loops():
+    # More trials than one kernel call holds, at the module's own cap; P2's
+    # planted operators are never seen, so both clauses run every trial.
+    trials = conservation._MAX_ROWS + 5
+    model = linear_model((1.0, 1e-300), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    report = strong_composability_check(model, trials, 4)
+    assert [d.trials_used for d in report.detections if d.pmc_index == 2] == [trials, trials]
+    assert harness_outcome(strong_composability_by_loops, model, trials, 4) == json.dumps(
+        report.to_json_dict())
+
+
+def test_strong_check_invalid_count_follows_clause_order():
+    # sum_plus_delta(-1000) composes a negative count for P3 at trial 1 but
+    # for P2 only at trial 34, three rounds later; P1's clause is detected at
+    # trial 0. A clause-by-clause loop meets P2's count first.
+    model = linear_model((1.0, 1e-300, 1e-300), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    expected = (ValueError, "PMC 'P2' has invalid count -521.3618584128378")
+    assert harness_outcome(strong_composability_check, model, 100, 8, delta=-1e3) == expected
+    assert harness_outcome(strong_composability_by_loops, model, 100, 8, delta=-1e3) == expected
+
+
+def test_max_keeps_first_operand_on_signed_zero_tie():
+    zero, negative_zero = PmcVector(("P1",), (0.0,)), PmcVector(("P1",), (-0.0,))
+    table = OperatorTable(MAX)
+    assert math.copysign(1.0, compose(zero, negative_zero, table).counts[0]) == 1.0
+    assert math.copysign(1.0, compose(negative_zero, zero, table).counts[0]) == -1.0
+    assert math.copysign(1.0, MAX.apply(-0.0, 0.0)) == -1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_composability_checks_raise_no_numpy_warnings():
+    model = linear_model((1e300, -1e300, 3.2e-9), kind=ModelKind.ZERO_INTERCEPT)
+    strong_composability_check(model, 20, 1, delta=1e308)
+    big = PmcVector(model.pmc_names, (1e308, 1e308, 1.0))
+    verify_weak_composability(model, [(big, big)], OperatorTable(MAX))
+    with pytest.raises(ValueError, match="PMC 'P1' has invalid count inf"):
+        compose(big, big)
 
 
 @settings(max_examples=100, deadline=None)

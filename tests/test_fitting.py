@@ -14,7 +14,8 @@ from emodel import (
     nnls,
     predict,
 )
-from emodel.fitting import UNDEFINED, ErrorSummary, _pearson
+from emodel import fitting
+from emodel.fitting import RANK_RATIO_THRESHOLD, UNDEFINED, ErrorSummary, _pearson
 from helpers import dataset_from_matrix, nnls_by_enumeration
 
 COUNTS = [(10.0, 5.0), (20.0, 3.0), (5.0, 9.0), (40.0, 2.0), (15.0, 15.0)]
@@ -263,6 +264,89 @@ def test_nnls_against_scipy_and_enumeration(seed):
 
     enum_beta, enum_norm = nnls_by_enumeration(design, y)
     assert ours <= enum_norm * (1 + 1e-10) + 1e-12
+
+
+def near_collinear_design(seed, ratio, m=40):
+    """Four count-like columns whose QR diagonal ratio is ``ratio``: column 2
+    is column 1 plus a small part orthogonal to the other three columns."""
+    rng = np.random.default_rng(seed)
+    design = rng.uniform(1.0, 10.0, (m, 4))
+    q, _ = np.linalg.qr(design[:, [0, 2, 3]])
+    z = rng.normal(size=m)
+    z -= q @ (q.T @ z)
+    design[:, 1] = design[:, 0] + ratio * np.linalg.norm(design[:, 0]) * z / np.linalg.norm(z)
+    return design, rng
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("ratio", [1e-11, 3e-11, 1e-10, 3e-10, 1e-9])
+def test_nnls_near_rank_threshold_against_scipy(ratio, seed):
+    design, rng = near_collinear_design(seed, ratio)
+    diag = np.abs(np.diag(np.linalg.qr(design)[1]))
+    assert diag.min() / diag.max() == pytest.approx(ratio, rel=0.01)
+    noise = rng.normal(0.0, 0.1, len(design))
+    targets = [
+        design @ np.array([1.0, 2.0, 0.5, 0.0]) + noise,
+        design @ np.array([3.0, -2.0, 0.5, 1.0]) + noise,
+        rng.normal(0.0, 10.0, len(design)),
+    ]
+    for y in targets:
+        beta = nnls(design, y)
+        assert kkt_holds(design, y, beta)
+        ref, ref_norm = scipy.optimize.nnls(design, y)
+        assert float(np.linalg.norm(y - design @ beta)) <= ref_norm * (1 + 1e-12)
+        assert np.allclose(beta, ref, rtol=1e-9, atol=1e-9)
+    # The QR path rejects the same design exactly when it falls below the threshold.
+    if ratio != RANK_RATIO_THRESHOLD:
+        dataset = dataset_from_matrix(design, targets[0])
+        if ratio < RANK_RATIO_THRESHOLD:
+            with pytest.raises(ValueError, match="rank-deficient"):
+                fit(dataset, kind=ModelKind.ZERO_INTERCEPT)
+        else:
+            fit(dataset, kind=ModelKind.ZERO_INTERCEPT)
+
+
+def correlated_design(seed):
+    """A square-ish design with strongly mixed columns, so that columns
+    enter and leave the passive set, and a target uncorrelated with it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    m = n + int(rng.integers(1, 3 * n))
+    design = rng.normal(size=(m, n))
+    design = design @ (np.eye(n) + 0.9 * rng.normal(size=(n, n)) / np.sqrt(n))
+    return design, rng.normal(size=m)
+
+
+@pytest.mark.parametrize("seed", [37, 126, 214, 281])
+def test_nnls_within_iteration_budget_against_scipy(seed):
+    # The seeds whose designs need the most active-set iterations of the
+    # first 300: up to 1.2 x predictors, inside the 3 x predictors budget
+    # scipy's nnls shares.
+    design, y = correlated_design(seed)
+    beta = nnls(design, y)
+    assert kkt_holds(design, y, beta)
+    ref, ref_norm = scipy.optimize.nnls(design, y)
+    assert float(np.linalg.norm(y - design @ beta)) <= ref_norm * (1 + 1e-12) + 1e-12
+    assert np.allclose(beta, ref, rtol=1e-8, atol=1e-10)
+
+
+def test_nnls_iteration_budget_boundary(monkeypatch):
+    # Each active-set iteration is one least-squares solve: count them, then
+    # run with the budget at exactly that count and at one fewer.
+    design, y = correlated_design(214)
+    n = design.shape[1]
+    solves = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+    expected = nnls(design, y)
+    needed = len(solves)
+    assert n < needed <= fitting.NNLS_ITERATION_FACTOR * n
+
+    monkeypatch.setattr(fitting, "NNLS_ITERATION_FACTOR", needed / n)
+    assert nnls(design, y).tolist() == expected.tolist()
+    monkeypatch.setattr(fitting, "NNLS_ITERATION_FACTOR", (needed - 1) / n)
+    with pytest.raises(RuntimeError, match=f"within {needed - 1}(\\.0)? active-set iterations"):
+        nnls(design, y)
 
 
 def test_nnls_all_active_solution():
