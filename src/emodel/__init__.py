@@ -34,7 +34,6 @@ _EXPORTS = {
     "load_compounds": "core",
     "load_model": "core",
     "save_model": "core",
-    "drop_low_count_pmcs": "core",
     # measurement statistics
     "MeasurementFaultWarning": "stats",
     "MeanEstimate": "stats",

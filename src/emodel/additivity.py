@@ -168,7 +168,7 @@ def run_additivity_test(
         compounds = dataset.compounds
 
     dataset.check_compounds(compounds)
-    group_of = {ref: g for g, ref in enumerate(dataset.group_index.refs)}
+    group_of = dataset.group_index.group_of
     means = dataset.group_means(dataset.counts)
     base_a = np.array([group_of[comp.base_a] for comp in compounds], dtype=np.intp)
     base_b = np.array([group_of[comp.base_b] for comp in compounds], dtype=np.intp)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from ._common import DataFormatError, ModelKind
@@ -25,6 +26,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Values like "-1e12" and "-1.5,-2" too, not just "-1"; no flag starts "-<digit>".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         # argparse would exit(2); the exit-code contract reserves 2 for
         # analysis findings, so usage problems must surface as code 1.

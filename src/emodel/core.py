@@ -37,7 +37,6 @@ __all__ = [
     "load_model",
     "save_model",
     "model_to_dict",
-    "drop_low_count_pmcs",
 ]
 
 
@@ -188,13 +187,15 @@ def _row_tuples(matrix: np.ndarray) -> Iterator[tuple[float, ...]]:
 class GroupIndex(NamedTuple):
     """Row positions of a dataset's run groups.
 
-    ``refs`` lists the groups in first-seen order and ``sizes`` their
-    repetition counts. ``row_group`` maps each run row to its group number.
-    ``order`` lists the rows group by group, keeping row order within a
-    group, and group ``g`` occupies ``order[starts[g]:starts[g] + sizes[g]]``.
+    ``refs`` lists the groups in first-seen order, ``group_of`` maps each ref
+    to its group number and ``sizes`` gives the groups' repetition counts.
+    ``row_group`` maps each run row to its group number. ``order`` lists the
+    rows group by group, keeping row order within a group, and group ``g``
+    occupies ``order[starts[g]:starts[g] + sizes[g]]``.
     """
 
     refs: tuple[RunRef, ...]
+    group_of: dict[RunRef, int]
     sizes: np.ndarray
     row_group: np.ndarray
     order: np.ndarray
@@ -206,9 +207,10 @@ class Dataset:
     """An ordered PMC name list with the runs (and optional compounds) that cover it.
 
     Immutable after construction; any number of readers may share one instance.
-    Repeated (app_id, config) rows are repetition samples; ``points()`` gives
-    the per-group means, which are the units for model fitting and the base
-    side of additivity testing.
+    Repeated (app_id, config) rows are repetition samples. ``points()`` gives
+    the per-group means, which are the base side of additivity testing.
+    ``fit`` and ``correlation_matrix`` take every run row as one sample,
+    repetitions included, and so does ``emodel evaluate`` on a runs file.
     """
 
     pmc_names: tuple[str, ...]
@@ -253,14 +255,13 @@ class Dataset:
     def check_compounds(self, compounds: Iterable[CompoundRun]) -> None:
         """Raise ValueError unless every compound has this dataset's PMC names
         and both of its bases are run groups of this dataset."""
-        refs = {run.ref for run in self.runs}
         for comp in compounds:
             if comp.pmc.names != self.pmc_names:
                 raise ValueError(
                     f"compound {comp.compound_id!r} PMC names do not match dataset"
                 )
             for ref in (comp.base_a, comp.base_b):
-                if ref not in refs:
+                if ref not in self.group_index.group_of:
                     raise ValueError(
                         f"compound {comp.compound_id!r} references unknown base "
                         f"{ref.label()!r}"
@@ -275,34 +276,23 @@ class Dataset:
         return matrix
 
     @cached_property
-    def _groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
-        grouped: dict[RunRef, list[ApplicationRun]] = {}
-        for run in self.runs:
-            grouped.setdefault(run.ref, []).append(run)
-        return {ref: tuple(rs) for ref, rs in grouped.items()}
-
-    @cached_property
     def group_index(self) -> GroupIndex:
         """Run groups by (app_id, config) in first-seen order, as row positions."""
-        groups = self._groups
-        # Rows are found by identity (runs are unique), not by hashing refs again.
-        row_of = {id(run): row for row, run in enumerate(self.runs)}
-        order = np.fromiter(
-            (row_of[id(run)] for run in chain.from_iterable(groups.values())),
-            dtype=np.intp,
-            count=len(self.runs),
-        )
-        sizes = np.fromiter(map(len, groups.values()), dtype=np.intp, count=len(groups))
-        row_group = np.empty(len(self.runs), dtype=np.intp)
-        row_group[order] = np.repeat(np.arange(len(groups)), sizes)
+        group_of: dict[RunRef, int] = {}
+        codes = (group_of.setdefault(run.ref, len(group_of)) for run in self.runs)
+        row_group = np.fromiter(codes, dtype=np.intp, count=len(self.runs))
+        sizes = np.bincount(row_group, minlength=len(group_of))
         return GroupIndex(
-            refs=tuple(groups), sizes=sizes, row_group=row_group, order=order,
-            starts=np.cumsum(sizes) - sizes,
+            refs=tuple(group_of), group_of=group_of, sizes=sizes, row_group=row_group,
+            order=np.argsort(row_group, kind="stable"), starts=np.cumsum(sizes) - sizes,
         )
 
     def groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
         """Runs grouped by (app_id, config), in first-seen order."""
-        return dict(self._groups)
+        index = self.group_index
+        rows = [self.runs[row] for row in index.order.tolist()]
+        return {ref: tuple(rows[start:start + size]) for ref, start, size
+                in zip(index.refs, index.starts.tolist(), index.sizes.tolist())}
 
     def group_means(self, values: np.ndarray) -> np.ndarray:
         """Per-group repetition means of each column of a per-run array.
@@ -371,10 +361,10 @@ class Dataset:
                     f"malformed base reference {ref!r}: cores must be >= 1, got {cores}"
                 )
             candidate = RunRef(app_id, RunConfig(cores, problem_size))
-            if candidate not in self._groups:
+            if candidate not in self.group_index.group_of:
                 raise DataFormatError(f"unknown base reference {ref!r}")
             return candidate
-        matches = [r for r in self._groups if r.app_id == ref]
+        matches = [r for r in self.group_index.refs if r.app_id == ref]
         if not matches:
             raise DataFormatError(f"unknown base reference {ref!r}")
         if len(matches) > 1:
@@ -383,9 +373,6 @@ class Dataset:
                 f"{', '.join(m.label() for m in matches)}"
             )
         return matches[0]
-
-    def with_compounds(self, compounds: Iterable[CompoundRun]) -> "Dataset":
-        return Dataset(self.pmc_names, self.runs, tuple(compounds))
 
 
 @dataclass(frozen=True)
@@ -811,47 +798,3 @@ def load_model(path) -> EnergyModel:
         )
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-
-
-def drop_low_count_pmcs(dataset: Dataset, threshold: float = 10.0,
-                        mode: str = "dataset-max") -> Dataset:
-    """Drop PMCs whose counts never rise meaningfully above zero.
-
-    ``dataset-max`` (default) drops a PMC when its maximum count over the
-    whole dataset is <= threshold; ``any-run`` drops it when any single run
-    is at or below the threshold.
-    """
-    if mode not in ("dataset-max", "any-run"):
-        raise ValueError(f"mode must be 'dataset-max' or 'any-run', got {mode!r}")
-    keep: list[str] = []
-    for i, name in enumerate(dataset.pmc_names):
-        values = [run.pmc.counts[i] for run in dataset.runs]
-        if not values:
-            keep.append(name)
-            continue
-        low = max(values) <= threshold if mode == "dataset-max" else min(values) <= threshold
-        if not low:
-            keep.append(name)
-    kept = tuple(keep)
-
-    def reproject(run: ApplicationRun) -> ApplicationRun:
-        return ApplicationRun(
-            app_id=run.app_id,
-            config=run.config,
-            pmc=run.pmc.project(kept),
-            exec_time_s=run.exec_time_s,
-            dynamic_energy_j=run.dynamic_energy_j,
-            run_id=run.run_id,
-        )
-
-    compounds = tuple(
-        CompoundRun(
-            compound_id=c.compound_id,
-            base_a=c.base_a,
-            base_b=c.base_b,
-            pmc=c.pmc.project(kept),
-            dynamic_energy_j=c.dynamic_energy_j,
-        )
-        for c in dataset.compounds
-    )
-    return Dataset(kept, tuple(reproject(r) for r in dataset.runs), compounds)

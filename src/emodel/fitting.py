@@ -237,9 +237,10 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
         kind: ModelKind = ModelKind.UNCONSTRAINED) -> EnergyModel:
     """Fit a linear dynamic-energy model of the given kind on the dataset's runs.
 
-    Requires more runs than fitted parameters and a numerically full-rank
-    design. The returned model satisfies its kind's invariants by
-    construction.
+    Requires more runs than fitted parameters. The QR kinds (``unconstrained``,
+    ``zero_intercept``) reject a numerically rank-deficient design with
+    ValueError; ``zero_intercept_nonneg`` returns a non-negative minimizer,
+    not unique on such a design. The model meets its kind's invariants.
     """
     kind = ModelKind(kind)
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names

@@ -3,8 +3,8 @@
 The oracles here are deliberately written differently from the library code
 they check: exhaustive enumeration instead of active sets, candidate-list
 scans instead of streaming argmins, row-by-row CSV loading instead of
-column-by-column, and per-name lookups in separate trial loops instead of one
-composability check.
+column-by-column, a plain dict of row lists instead of group codes, and
+per-name lookups in separate trial loops instead of one composability check.
 """
 
 import csv
@@ -69,6 +69,36 @@ def dataset_from_matrix(x, y, names=None):
         for i, (row, energy) in enumerate(zip(x, np.asarray(y, dtype=float)))
     ]
     return make_dataset(names, runs)
+
+
+def groups_by_dict(runs):
+    """Row positions of each run group, in a plain dict keyed by
+    ``(app_id, config)`` in first-seen order."""
+    groups = {}
+    for row, run in enumerate(runs):
+        if (run.app_id, run.config) not in groups:
+            groups[(run.app_id, run.config)] = []
+        groups[(run.app_id, run.config)].append(row)
+    return groups
+
+
+def resolve_by_scan(groups, text):
+    """The ``(app_id, config)`` key that a base reference names in
+    :func:`groups_by_dict`'s result, or the error message it must raise."""
+    if "@" not in text:
+        keys = [key for key in groups if key[0] == text]
+        if len(keys) == 1:
+            return keys[0]
+        if not keys:
+            return f"unknown base reference {text!r}"
+        labels = [f"{app}@{config.cores}:{config.problem_size}" for app, config in keys]
+        return f"ambiguous base reference {text!r}: matches {', '.join(labels)}"
+    app_id, config_text = text.split("@", 1)
+    cores, _, size = config_text.partition(":")
+    for key in groups:
+        if key[0] == app_id and str(key[1].cores) == cores and key[1].problem_size == size:
+            return key
+    return f"unknown base reference {text!r}"
 
 
 def additivity_by_brute_force(dataset, compounds, reproducibility_cov):

@@ -418,6 +418,22 @@ def test_conserve_subprocess_negative_delta_exact_output(files):
     assert result.stderr == f"emodel: error: {info.value}\n"
 
 
+def test_negative_exponent_values_are_not_flags(files, capsys):
+    # argparse alone reads "-1e12" as an unknown flag and exits with
+    # "expected one argument"; these reach the library instead.
+    flags = ["conserve", "--model", files["clean.json"], "--composability-trials", "10"]
+    code, out, err = run(capsys, *flags, "--delta", "-1e12")
+    assert (code, out, err) == run(capsys, *flags, "--delta=-1e12")
+    assert (code, out) == (1, "") and err.startswith("emodel: error: PMC 'X1' has invalid count -")
+
+    assert run(capsys, "loss", "--alt", "-1e3", "--ref", "100") == (
+        1, "", "emodel: error: alternative energy must be >= 0, got -1000.0\n")
+
+    code, out, err = run(capsys, "stats", "--values", "-1.5,-1.4,-1.6")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["mean"] == -1.5
+
+
 # --- partition and loss -------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from emodel import (
     ModelKind,
     PmcVector,
     RunConfig,
-    drop_low_count_pmcs,
     load_compounds,
     load_model,
     load_runs,
@@ -23,11 +22,13 @@ from emodel import (
     save_model,
 )
 from helpers import (
+    groups_by_dict,
     load_compounds_by_rows,
     load_runs_by_rows,
     make_compound,
     make_dataset,
     make_run,
+    resolve_by_scan,
 )
 
 RUNS_CSV = """app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2
@@ -258,6 +259,86 @@ def test_dataset_rejects_unresolvable_compound():
         make_dataset(("X1",), [run_a], [compound])
 
 
+# The group index against the plain-dict grouping oracle in helpers.py.
+
+INTERLEAVED = [("a", 2, "s"), ("b", 2, "s"), ("a", 4, "s"), ("a", 2, "s"), ("c", 1, ""),
+               ("b", 2, "s"), ("a", 2, "t"), ("a", 2, "s"), ("b", 2, "s")]
+REFERENCES = ["a@2:s", "a@4:s", "a@2:t", "b@2:s", "c@1:", "a@3:s", "a@2:", "ghost@2:s",
+              "a", "b", "c", "ghost", ""]
+
+
+def interleaved_dataset(rows):
+    runs = [make_run(app, ("X1",), (float(i),), 1.0, cores=cores, size=size, run_id=f"r{i}")
+            for i, (app, cores, size) in enumerate(rows)]
+    return make_dataset(("X1",), runs)
+
+
+def check_groups_against_dict(dataset):
+    expected = groups_by_dict(dataset.runs)
+    keys = list(expected)
+    index = dataset.group_index
+    assert [(ref.app_id, ref.config) for ref in index.refs] == keys
+    assert index.group_of == {ref: g for g, ref in enumerate(index.refs)}
+    assert index.sizes.tolist() == [len(rows) for rows in expected.values()]
+    assert index.row_group.tolist() == [keys.index((r.app_id, r.config)) for r in dataset.runs]
+    assert index.order.tolist() == [row for rows in expected.values() for row in rows]
+    assert index.starts.tolist() == [sum(map(len, list(expected.values())[:g]))
+                                     for g in range(len(keys))]
+    groups = dataset.groups()
+    assert list(groups) == list(index.refs)
+    assert [list(runs) for runs in groups.values()] == [
+        [dataset.runs[row] for row in rows] for rows in expected.values()
+    ]
+    for text in REFERENCES:
+        want = resolve_by_scan(expected, text)
+        if isinstance(want, tuple):
+            ref = dataset.resolve(text)
+            assert (ref.app_id, ref.config) == want
+        else:
+            with pytest.raises(DataFormatError) as info:
+                dataset.resolve(text)
+            assert str(info.value) == want
+
+
+def test_group_index_on_interleaved_repetitions():
+    dataset = interleaved_dataset(INTERLEAVED)
+    assert dataset.group_index.sizes.tolist() == [3, 3, 1, 1, 1]
+    check_groups_against_dict(dataset)
+
+
+def test_group_index_without_runs():
+    dataset = Dataset(("X1",), ())
+    assert dataset.groups() == {}
+    assert dataset.group_index.sizes.tolist() == []
+    check_groups_against_dict(dataset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 2), st.sampled_from(["", "s"])),
+                max_size=12))
+def test_group_index_matches_dict_grouping(rows):
+    check_groups_against_dict(interleaved_dataset(rows))
+
+
+def test_check_compounds_error_texts():
+    dataset = interleaved_dataset(INTERLEAVED)
+    ghost = make_compound("c1", "a", "ghost", ("X1",), (1.0,), 1.0, size="s")
+    renamed = make_compound("c2", "a", "b", ("X2",), (1.0,), 1.0, size="s")
+    for compound, message in [
+        (ghost, "compound 'c1' references unknown base 'ghost@2:s'"),
+        (renamed, "compound 'c2' PMC names do not match dataset"),
+    ]:
+        for check in (lambda: dataset.check_compounds([compound]),
+                      lambda: make_dataset(("X1",), dataset.runs, [compound]),
+                      lambda: run_additivity_test(dataset, [compound])):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        Dataset(("X1",), (), (make_compound("c3", "a", "a", ("X1",), (1.0,), 1.0),))
+    assert str(info.value) == "compound 'c3' references unknown base 'a@2:1024'"
+
+
 def test_model_round_trip_is_exact(tmp_path):
     model = EnergyModel(
         pmc_names=("X1", "X2", "X3", "X4", "X5", "X6"),
@@ -302,37 +383,6 @@ def test_load_model_rejects_invariant_violations(tmp_path):
                                 "coefficients": []}), encoding="utf-8")
     with pytest.raises(DataFormatError, match="kind"):
         load_model(path)
-
-
-def test_drop_low_count_pmcs_dataset_max():
-    runs = [
-        make_run("a", ("hot", "cold"), (100.0, 3.0), 10.0),
-        make_run("b", ("hot", "cold"), (200.0, 9.0), 20.0),
-    ]
-    dataset = make_dataset(("hot", "cold"), runs)
-    filtered = drop_low_count_pmcs(dataset, threshold=10.0)
-    assert filtered.pmc_names == ("hot",)
-    assert all(run.pmc.names == ("hot",) for run in filtered.runs)
-
-
-def test_drop_low_count_pmcs_any_run_mode():
-    runs = [
-        make_run("a", ("spiky", "steady"), (1000.0, 50.0), 10.0),
-        make_run("b", ("spiky", "steady"), (2.0, 60.0), 20.0),
-    ]
-    dataset = make_dataset(("spiky", "steady"), runs)
-    assert drop_low_count_pmcs(dataset, mode="any-run").pmc_names == ("steady",)
-    assert drop_low_count_pmcs(dataset, mode="dataset-max").pmc_names == ("spiky", "steady")
-    with pytest.raises(ValueError):
-        drop_low_count_pmcs(dataset, mode="per-row")
-
-
-def test_drop_low_count_projects_compounds():
-    runs = [make_run("a", ("hot", "cold"), (100.0, 1.0), 10.0)]
-    compound = make_compound("c", "a", "a", ("hot", "cold"), (200.0, 2.0), 20.0)
-    dataset = make_dataset(("hot", "cold"), runs, [compound])
-    filtered = drop_low_count_pmcs(dataset)
-    assert filtered.compounds[0].pmc.names == ("hot",)
 
 
 def test_load_runs_deterministic(tmp_path):

@@ -16,7 +16,7 @@ from emodel import (
 )
 from emodel import fitting
 from emodel.fitting import RANK_RATIO_THRESHOLD, UNDEFINED, ErrorSummary, _pearson
-from helpers import dataset_from_matrix, nnls_by_enumeration
+from helpers import dataset_from_matrix, make_dataset, make_run, nnls_by_enumeration
 
 COUNTS = [(10.0, 5.0), (20.0, 3.0), (5.0, 9.0), (40.0, 2.0), (15.0, 15.0)]
 
@@ -202,6 +202,21 @@ def test_fit_pmc_selection():
         fit(dataset, pmcs=[])
 
 
+def test_fit_uses_every_repetition_row_not_points():
+    # Group a has three identical repetitions, so it weighs three times in a
+    # fit on the rows and once in a fit on the repetition means.
+    rows = [("a", 1.0, 3.0), ("a", 1.0, 3.0), ("a", 1.0, 3.0), ("b", 2.0, 2.0), ("c", 3.0, 3.0)]
+    runs = [make_run(app, ("X1",), (x,), y, run_id=f"r{i}") for i, (app, x, y) in enumerate(rows)]
+    dataset = make_dataset(("X1",), runs)
+    points = dataset.points()
+    on_points = dataset_from_matrix([p.pmc.counts for p in points],
+                                    [p.dynamic_energy_j for p in points], names=("X1",))
+    on_rows = fit(dataset, kind=ModelKind.ZERO_INTERCEPT).coefficients[0]
+    assert on_rows == pytest.approx(22.0 / 16.0, rel=1e-12)
+    assert fit(on_points, kind=ModelKind.ZERO_INTERCEPT).coefficients[0] == pytest.approx(
+        16.0 / 14.0, rel=1e-12)
+
+
 # --- non-negative least squares -------------------------------------------
 
 
@@ -304,6 +319,20 @@ def test_nnls_near_rank_threshold_against_scipy(ratio, seed):
                 fit(dataset, kind=ModelKind.ZERO_INTERCEPT)
         else:
             fit(dataset, kind=ModelKind.ZERO_INTERCEPT)
+
+
+def test_fit_rank_rule_on_near_collinear_design():
+    # Only the QR kinds check rank; NNLS returns a non-negative minimizer.
+    design, _ = near_collinear_design(0, 1e-11)
+    y = design @ np.array([1.0, 2.0, 0.5, 0.0])
+    dataset = dataset_from_matrix(design, y)
+    for kind in (ModelKind.UNCONSTRAINED, ModelKind.ZERO_INTERCEPT):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            fit(dataset, kind=kind)
+    beta = np.array(fit(dataset, kind=ModelKind.ZERO_INTERCEPT_NONNEG).coefficients)
+    assert (beta >= 0).all()
+    _, ref_norm = scipy.optimize.nnls(design, y)
+    assert float(np.sum((y - design @ beta) ** 2)) <= ref_norm ** 2 + 1e-9 * float(y @ y)
 
 
 def correlated_design(seed):
