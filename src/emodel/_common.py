@@ -30,7 +30,13 @@ def _read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
     and the row number of each of those (the header is row 1, and blank rows
     count)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows or not any(cell.strip() for cell in rows[0]):
         raise DataFormatError(f"{path}: no header")
     header = [cell.strip() for cell in rows[0]]

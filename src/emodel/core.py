@@ -340,6 +340,14 @@ class Dataset:
             )
         )
 
+    @cached_property
+    def _refs_by_app(self) -> dict[str, list[RunRef]]:
+        """Each app's run groups, in first-seen order."""
+        by_app: dict[str, list[RunRef]] = {}
+        for ref in self.group_index.refs:
+            by_app.setdefault(ref.app_id, []).append(ref)
+        return by_app
+
     def resolve(self, ref: str) -> RunRef:
         """Resolve a textual base reference to a run group.
 
@@ -364,7 +372,7 @@ class Dataset:
             if candidate not in self.group_index.group_of:
                 raise DataFormatError(f"unknown base reference {ref!r}")
             return candidate
-        matches = [r for r in self.group_index.refs if r.app_id == ref]
+        matches = self._refs_by_app.get(ref)
         if not matches:
             raise DataFormatError(f"unknown base reference {ref!r}")
         if len(matches) > 1:
@@ -769,7 +777,7 @@ def load_model(path) -> EnergyModel:
     with open(path, encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise DataFormatError(f"{path}: expected a JSON object")

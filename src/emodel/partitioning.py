@@ -1,10 +1,12 @@
 """Model-based two-processor data partitioning over discrete energy functions.
 
 Each processor contributes a table of measured dynamic energies e(x, y) on a
-grid of granularity g. Partitioning a workload of n rows slices both tables
-at y = n and picks the split (m, k = n - m) minimizing combined energy. The
-functions are genuinely discrete: a split is only feasible where both samples
-exist, unless interpolation along x is explicitly requested.
+grid of granularity g, held as its y-slices: for each y, the samples' x and
+energy in ascending x. Partitioning a workload of n rows takes both functions'
+slice at y = n and picks the split (m, k = n - m) minimizing combined energy,
+in one loop for both split kinds. The functions are genuinely discrete: a
+split is only feasible where both samples exist, unless interpolation along x
+is explicitly requested.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from ._common import DataFormatError, _read_csv
@@ -33,7 +34,7 @@ class EnergyFunction:
 
     All x and y are positive multiples of the granularity; (x, y) pairs are
     unique. Samples are held sorted by (y, x) so identical inputs compare and
-    iterate identically.
+    iterate identically, and are also kept as y-slices ``{y: {x: energy}}``.
     """
 
     processor_id: str
@@ -55,17 +56,14 @@ class EnergyFunction:
                 raise ValueError(f"energy at ({x}, {y}) must be >= 0, got {energy!r}")
             normalized.append((int(x), int(y), energy))
         normalized.sort(key=lambda s: (s[1], s[0]))
-        for first, second in zip(normalized, normalized[1:]):
-            if first[:2] == second[:2]:
-                raise ValueError(f"duplicate sample at (x={first[0]}, y={first[1]})")
+        slices: dict[int, dict[int, float]] = {}
+        for x, y, energy in normalized:
+            curve = slices.setdefault(y, {})
+            if x in curve:
+                raise ValueError(f"duplicate sample at (x={x}, y={y})")
+            curve[x] = energy
         object.__setattr__(self, "samples", tuple(normalized))
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], float]:
-        return {(x, y): e for x, y, e in self.samples}
-
-    def lookup(self, x: int, y: int) -> float | None:
-        return self._index.get((x, y))
+        object.__setattr__(self, "_slices", slices)
 
 
 @dataclass(frozen=True)
@@ -100,35 +98,25 @@ def slice_at_n(func: EnergyFunction, n: int) -> tuple[tuple[int, float], ...]:
         raise ValueError(
             f"n must be a positive multiple of granularity {func.granularity_g}, got {n}"
         )
-    curve = tuple((x, e) for x, y, e in func.samples if y == n)
-    if not curve:
+    if n not in func._slices:
         raise ValueError(f"function {func.processor_id!r} has no samples at y={n}")
-    return curve
+    return tuple(func._slices[n].items())
 
 
-def _interpolated(curve: tuple[list[int], list[float]], x: int) -> float | None:
-    """Piecewise-linear estimate at x along one slice; None outside the hull.
-
-    ``curve`` holds the slice's x values (ascending) and their energies.
-    """
-    xs, es = curve
+def _energy_at(curve: dict[int, float], xs: list[int], x: int,
+               interpolate: bool) -> float | None:
+    """The energy at x along one slice: its sample, or else (only with
+    ``interpolate``) the piecewise-linear estimate between the neighbouring
+    samples in ``xs``, the slice's x values; None when there is neither."""
+    energy = curve.get(x)
+    if energy is not None or not interpolate:
+        return energy
     i = bisect_left(xs, x)
-    if i < len(xs) and xs[i] == x:
-        return es[i]
     if i == 0 or i == len(xs):
         return None
-    x0, e0 = xs[i - 1], es[i - 1]
-    x1, e1 = xs[i], es[i]
+    x0, x1 = xs[i - 1], xs[i]
+    e0, e1 = curve[x0], curve[x1]
     return e0 + (e1 - e0) * (x - x0) / (x1 - x0)
-
-
-def _curve(func: EnergyFunction, n: int) -> tuple[list[int], list[float]]:
-    """The y = n slice as (xs, energies); empty when the function has none."""
-    try:
-        curve = slice_at_n(func, n)
-    except ValueError:
-        return [], []
-    return [x for x, _ in curve], [e for _, e in curve]
 
 
 def partition(
@@ -154,31 +142,24 @@ def partition(
             f"n must be a multiple of {g} with room for two parts, got {n}"
         )
 
-    if interpolate:
-        curve1, curve2 = _curve(func1, n), _curve(func2, n)
-    best: tuple[float, int] | None = None
-    best_energies = (0.0, 0.0)
+    curve1, curve2 = func1._slices.get(n, {}), func2._slices.get(n, {})
+    xs1, xs2 = list(curve1), list(curve2)
+    best: tuple[float, int, float, float] | None = None
     for m in range(g, n - g + 1, g):
-        k = n - m
-        if interpolate:
-            e1 = _interpolated(curve1, m)
-            e2 = _interpolated(curve2, k)
-        else:
-            e1 = func1.lookup(m, n)
-            e2 = func2.lookup(k, n)
+        e1 = _energy_at(curve1, xs1, m, interpolate)
+        e2 = _energy_at(curve2, xs2, n - m, interpolate)
         if e1 is None or e2 is None:
             continue
-        candidate = (e1 + e2, m)
+        # m is unique, so the energies after it never decide a comparison.
+        candidate = (e1 + e2, m, e1, e2)
         if best is None or candidate < best:
             best = candidate
-            best_energies = (e1, e2)
     if best is None:
         raise ValueError(
             f"no feasible split of n={n}: no m has energy samples for both "
             f"processors at y={n}"
         )
-    total, m = best
-    e1, e2 = best_energies
+    total, m, e1, e2 = best
     return PartitionResult(m=m, k=n - m, e1_j=e1, e2_j=e2, total_j=total)
 
 

@@ -160,12 +160,15 @@ def nnls_by_enumeration(x, y):
 
 def partition_by_enumeration(func1, func2, n):
     """Feasible-split scan: gather every candidate, then take the argmin with
-    ties to the smallest m. Returns (m, k, e1, e2, total) or None."""
+    ties to the smallest m. Returns (m, k, e1, e2, total) or None. Reads the
+    samples directly, sharing no lookup structure with the partitioner."""
     g = func1.granularity_g
+    table1 = {(x, y): e for x, y, e in func1.samples}
+    table2 = {(x, y): e for x, y, e in func2.samples}
     candidates = []
     for m in range(g, n - g + 1, g):
-        e1 = func1.lookup(m, n)
-        e2 = func2.lookup(n - m, n)
+        e1 = table1.get((m, n))
+        e2 = table2.get((n - m, n))
         if e1 is not None and e2 is not None:
             candidates.append((m, n - m, e1, e2, e1 + e2))
     if not candidates:

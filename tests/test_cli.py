@@ -609,3 +609,62 @@ def test_additivity_base_with_zero_cores_names_file_and_row(files, tmp_path):
         f"emodel: error: {compounds}: row 2: malformed base reference 'alpha@0:1024': "
         f"cores must be >= 1, got 0\n"
     )
+
+
+# --- unreadable input files --------------------------------------------------
+
+OVERSIZED_CELL = "9" * 200_000  # past csv.field_size_limit()'s default of 131,072
+
+
+def _bad_input_argv(files, kind, path):
+    """The command that reads ``path`` as the given kind of input file."""
+    return {
+        "runs": ["additivity", "--runs", path],
+        "compounds": ["additivity", "--runs", files["runs_add.csv"], "--compounds", path],
+        "function": ["partition", "--func1", path, "--func2", files["f2.csv"], "--n", "4096"],
+        "model": ["conserve", "--model", path],
+    }[kind]
+
+
+_VALID_TEXT = {
+    "runs": RUNS_ADD,
+    "compounds": COMPOUNDS_ADD,
+    "function": FUNC_QUAD,
+}
+
+
+@pytest.mark.parametrize("kind", ["runs", "compounds", "function"])
+def test_oversized_csv_cell_is_an_input_error(files, capsys, kind):
+    lines = _VALID_TEXT[kind].splitlines(keepends=True)
+    # Repeat the first data row with its last cell widened, as the last line.
+    lines.append(lines[1].rsplit(",", 1)[0] + "," + OVERSIZED_CELL + "\n")
+    path = files["dir"] / f"oversized_{kind}.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, *_bad_input_argv(files, kind, str(path)))
+    assert (code, out) == (1, "")
+    assert err == (f"emodel: error: {path}: line {len(lines)}: "
+                   f"field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("kind", ["runs", "compounds", "function", "model"])
+def test_invalid_utf8_is_an_input_error(files, capsys, kind):
+    suffix = ".json" if kind == "model" else ".csv"
+    if kind == "model":
+        data = open(files["clean.json"], "rb").read()
+    else:
+        data = _VALID_TEXT[kind].encode("utf-8")
+    path = files["dir"] / f"latin1_{kind}{suffix}"
+    path.write_bytes(data.replace(b"\n", b"\n\xff", 1))
+    code, out, err = run(capsys, *_bad_input_argv(files, kind, str(path)))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"emodel: error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_model_is_an_input_error(files, capsys):
+    path = files["dir"] / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "conserve", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"emodel: error: {path}: not valid JSON: ")
+    assert err.count("\n") == 1

@@ -14,6 +14,7 @@ from emodel import (
     ModelKind,
     PmcVector,
     RunConfig,
+    RunRef,
     load_compounds,
     load_model,
     load_runs,
@@ -303,6 +304,18 @@ def check_groups_against_dict(dataset):
 def test_group_index_on_interleaved_repetitions():
     dataset = interleaved_dataset(INTERLEAVED)
     assert dataset.group_index.sizes.tolist() == [3, 3, 1, 1, 1]
+    check_groups_against_dict(dataset)
+
+
+def test_ambiguous_bare_reference_lists_groups_in_first_seen_order():
+    # App "a" has groups first seen out of config order, between other apps'.
+    rows = [("a", 8, "z"), ("b", 1, "s"), ("a", 2, "s"), ("a", 8, "z"), ("c", 1, "s"),
+            ("a", 4, "m"), ("b", 1, "s"), ("a", 2, "s")]
+    dataset = interleaved_dataset(rows)
+    with pytest.raises(DataFormatError) as info:
+        dataset.resolve("a")
+    assert str(info.value) == "ambiguous base reference 'a': matches a@8:z, a@2:s, a@4:m"
+    assert dataset.resolve("c") == RunRef("c", RunConfig(1, "s"))
     check_groups_against_dict(dataset)
 
 

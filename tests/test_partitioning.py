@@ -38,8 +38,9 @@ def test_samples_are_normalized_sorted():
         (512, 2048, 4.0),
         (1024, 2048, 5.0),
     )
-    assert func.lookup(512, 2048) == 4.0
-    assert func.lookup(512, 512) is None
+    assert slice_at_n(func, 2048) == ((512, 4.0), (1024, 5.0))
+    with pytest.raises(ValueError, match="no samples"):
+        slice_at_n(func, 512)
 
 
 def test_function_validation():
@@ -63,6 +64,41 @@ def test_slice_at_n():
         slice_at_n(func, 1000)
     with pytest.raises(ValueError, match="no samples"):
         slice_at_n(func, 1024)
+
+
+def test_invalid_sample_reported_before_duplicate():
+    # Samples are validated one by one before the slices are built, so an
+    # invalid sample wins over an earlier duplicate pair.
+    with pytest.raises(ValueError, match="not a positive multiple"):
+        EnergyFunction("p1", ((512, 512, 1.0), (512, 512, 2.0), (500, 512, 1.0)), 512)
+    with pytest.raises(ValueError, match=">= 0"):
+        EnergyFunction("p1", ((512, 512, 1.0), (512, 512, 2.0), (1024, 512, -1.0)), 512)
+    with pytest.raises(ValueError, match=r"duplicate sample at \(x=512, y=1024\)$"):
+        EnergyFunction("p1", ((512, 1024, 1.0), (1024, 512, 2.0), (512, 1024, 3.0)), 512)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slice_at_n_matches_sample_filter(seed):
+    # Several seeded slices, some with dropped samples, merged into one function.
+    ys = [G * (4 + 3 * i + seed % 3) for i in range(4)]
+    samples = tuple(
+        sample
+        for i, y in enumerate(ys)
+        for sample in random_energy_function(
+            seed * 10 + i, "p", y, drop_probability=0.4 * (i % 2)
+        ).samples
+    )
+    func = EnergyFunction("p", samples, G)
+    for y in range(G, ys[-1] + 2 * G, G):
+        expected = tuple((x, e) for x, sy, e in func.samples if sy == y)
+        if expected:
+            assert slice_at_n(func, y) == expected
+        else:
+            with pytest.raises(ValueError, match=f"has no samples at y={y}$"):
+                slice_at_n(func, y)
+    for bad in (0, -G, G + 1, ys[0] - 1):
+        with pytest.raises(ValueError, match=f"positive multiple of granularity {G}, got {bad}$"):
+            slice_at_n(func, bad)
 
 
 # --- partitioning ----------------------------------------------------------
