@@ -289,8 +289,11 @@ def _cmd_stats(args) -> int:
     if args.values:
         samples = _parse_floats(args.values, "--values")
     else:
-        with open(args.values_file, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.values_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{args.values_file}: not UTF-8 text ({exc.reason})") from None
         samples = _parse_floats(",".join(text.split()), "--values-file")
     estimate = sample_mean_ci(samples, confidence=args.confidence, precision=args.precision)
     payload = {

@@ -184,6 +184,13 @@ def _row_tuples(matrix: np.ndarray) -> Iterator[tuple[float, ...]]:
     return (tuple(row.tolist()) for row in matrix)
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: ``a + b`` rounded, and the exact error of that rounding."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
 class GroupIndex(NamedTuple):
     """Row positions of a dataset's run groups.
 
@@ -299,31 +306,29 @@ class Dataset:
 
         ``values`` has one row per run (one value per run when 1-D); the
         result has one row per group, in ``group_index`` order. Each mean is
-        ``math.fsum(samples) / n`` bit for bit: IEEE addition is correctly
-        rounded, so groups of one or two samples are summed in numpy, and
-        larger groups go through ``math.fsum``. Like ``fsum``, a sum that
-        overflows raises :class:`OverflowError`.
+        ``math.fsum(samples) / n`` bit for bit: TwoSum layers keep each running
+        sum's exact error, and a cell whose error sum was inexact or whose
+        running sum reached 2**1022 is summed again with ``fsum``, so an
+        overflowing sum raises :class:`OverflowError`.
         """
         index = self.group_index
         values = np.asarray(values, dtype=float)
         columns = values[:, None] if values.ndim == 1 else values
-        first = index.order[index.starts]
-        last = index.order[index.starts + index.sizes - 1]
-        pairs = index.sizes == 2
-        sizes, starts = index.sizes.tolist(), index.starts.tolist()
-        large = [g for g, n in enumerate(sizes) if n > 2]
-        spans = [(starts[g], sizes[g]) for g in large]
-        head = columns[first]
-        # Adding +0.0 turns a -0.0 sum into 0.0, as fsum does.
-        with np.errstate(over="ignore"):
-            sums = np.where(pairs[:, None], head + columns[last], head) + 0.0
-        if np.isinf(sums).any():
-            raise OverflowError("intermediate overflow in fsum")
+        sums = columns[index.order[index.starts]]
+        errors = np.zeros_like(sums)
+        inexact = np.zeros(sums.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, int(index.sizes.max(initial=1))):
+                groups = np.flatnonzero(index.sizes > k)
+                rows = index.order[index.starts[groups] + k]
+                sums[groups], error = _two_sum(sums[groups], columns[rows])
+                errors[groups], residue = _two_sum(errors[groups], error)
+                inexact[groups] |= (residue != 0.0) | ~(np.abs(sums[groups]) < 2.0 ** 1022)
+            sums += errors  # errors are never -0.0, so a -0.0 sum becomes 0.0, as in fsum
+        for g, j in zip(*np.nonzero(inexact)):
+            rows = index.order[index.starts[g]:index.starts[g] + index.sizes[g]]
+            sums[g, j] = math.fsum(columns[rows, j].tolist())
         means = sums / index.sizes[:, None]
-        if large:
-            for j in range(columns.shape[1]):
-                ordered = columns[index.order, j].tolist()
-                means[large, j] = [math.fsum(ordered[s:s + n]) / n for s, n in spans]
         return means.reshape(-1) if values.ndim == 1 else means
 
     def points(self) -> tuple[AggregatedRun, ...]:
@@ -371,7 +376,7 @@ class Dataset:
             candidate = RunRef(app_id, RunConfig(cores, problem_size))
             if candidate not in self.group_index.group_of:
                 raise DataFormatError(f"unknown base reference {ref!r}")
-            return candidate
+            return self.group_index.refs[self.group_index.group_of[candidate]]
         matches = self._refs_by_app.get(ref)
         if not matches:
             raise DataFormatError(f"unknown base reference {ref!r}")

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .core import Dataset, EnergyModel, ModelKind, PmcVector
-from .stats import percent_error
 
 __all__ = [
     "UNDEFINED",
@@ -113,11 +113,15 @@ class ErrorSummary:
         }
 
 
-def _pearson(u: np.ndarray, v: np.ndarray) -> float:
-    du = u - u.mean()
-    dv = v - v.mean()
-    nu = float(np.sqrt(du @ du))
-    nv = float(np.sqrt(dv @ dv))
+def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:
+    """A column minus its mean, and the Euclidean norm of that difference."""
+    deviations = column - column.mean()
+    return deviations, float(np.sqrt(deviations @ deviations))
+
+
+def _pearson(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
+    """Pearson's r of two :func:`_centred` columns, clamped to [-1, 1]."""
+    (du, nu), (dv, nv) = u, v
     if nu == 0.0 or nv == 0.0:
         return UNDEFINED
     r = float((du @ dv) / (nu * nv))
@@ -125,11 +129,13 @@ def _pearson(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _column_indices(dataset: Dataset, names: Sequence[str]) -> list[int]:
-    """Counts-matrix columns of the named PMCs; KeyError for an unknown name."""
+    """Counts-matrix columns of the named PMCs; KeyError if unknown, ValueError if repeated."""
     position = {name: i for i, name in enumerate(dataset.pmc_names)}
-    for name in names:
+    for k, name in enumerate(names):
         if name not in position:
             raise KeyError(f"PMC {name!r} not in dataset")
+        if name in names[:k]:
+            raise ValueError(f"PMC {name!r} is listed twice")
     return [position[name] for name in names]
 
 
@@ -138,26 +144,23 @@ def correlation_matrix(
     pmcs: Sequence[str] | None = None,
     target: str = TARGET_LABEL,
 ) -> CorrelationMatrix:
-    """Pearson correlations of dynamic energy and PMCs over all runs."""
+    """Pearson correlations of dynamic energy and PMCs over all runs. Each
+    column is centred once; each pair then takes one dot product."""
     if target != TARGET_LABEL:
         raise ValueError(f"unsupported target {target!r}; only {TARGET_LABEL!r} is defined")
     if len(dataset.runs) < 2:
         raise ValueError(f"need >= 2 runs for correlations, got {len(dataset.runs)}")
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names
     columns = [np.array([run.dynamic_energy_j for run in dataset.runs], dtype=float)]
-    columns += [dataset.counts[:, i].copy() for i in _column_indices(dataset, names)]
+    columns += [dataset.counts[:, i] for i in _column_indices(dataset, names)]
 
     k = len(columns)
-    constant = [float(np.ptp(col)) == 0.0 for col in columns]
+    centred = [_centred(col) for col in columns]
     values = [[UNDEFINED] * k for _ in range(k)]
     for i in range(k):
-        for j in range(i, k):
-            if i == j:
-                r = UNDEFINED if constant[i] else 1.0
-            else:
-                r = _pearson(columns[i], columns[j])
-            values[i][j] = r
-            values[j][i] = r
+        values[i][i] = UNDEFINED if float(np.ptp(columns[i])) == 0.0 else 1.0
+        for j in range(i + 1, k):
+            values[i][j] = values[j][i] = _pearson(centred[i], centred[j])
     return CorrelationMatrix(labels=(target,) + names, values=tuple(map(tuple, values)))
 
 
@@ -303,16 +306,27 @@ def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ..
 def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:
     """Percentage prediction errors (min, avg, max) over measured cases.
 
-    Every measured energy must be positive; errors are on dynamic energy.
+    Every measured energy must be positive; errors are on dynamic energy. All
+    cases are predicted at once in :func:`predict`'s left-to-right order.
     """
     if not cases:
         raise ValueError("need at least one (pmc, measured) case")
-    errors = [percent_error(predict(model, pmc), measured) for pmc, measured in cases]
+    rows, measured, names = [], [], None
+    for pmc, energy in cases:
+        if pmc.names is not names:
+            names = pmc.names
+            positions = _positions(model.pmc_names, names)
+            pick = itemgetter(*positions) if positions else (lambda counts: ())
+        if energy <= 0:
+            raise ValueError(f"measured must be > 0, got {energy!r}")
+        rows.append(pick(pmc.counts))
+        measured.append(energy)
+    counts = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names))
+    energies = np.array(measured, dtype=float)
+    totals = np.full(len(rows), model.intercept, dtype=float)
+    for j, coefficient in enumerate(model.coefficients):
+        totals += coefficient * counts[:, j]
+    errors = (np.abs(totals - energies) / energies * 100.0).tolist()
     low, high = min(errors), max(errors)
-    avg = math.fsum(errors) / len(errors)
-    return ErrorSummary(
-        min_pct=low,
-        avg_pct=min(max(avg, low), high),
-        max_pct=high,
-        n_cases=len(errors),
-    )
+    avg = min(max(math.fsum(errors) / len(errors), low), high)
+    return ErrorSummary(min_pct=low, avg_pct=avg, max_pct=high, n_cases=len(errors))

@@ -3,8 +3,10 @@
 The oracles here are deliberately written differently from the library code
 they check: exhaustive enumeration instead of active sets, candidate-list
 scans instead of streaming argmins, row-by-row CSV loading instead of
-column-by-column, a plain dict of row lists instead of group codes, and
-per-name lookups in separate trial loops instead of one composability check.
+column-by-column, a plain dict of row lists instead of group codes,
+per-name lookups in separate trial loops instead of one composability check,
+``math.fsum`` per group instead of TwoSum layers, per-pair centring instead of
+one centring per column, and one ``predict`` call per evaluated case.
 """
 
 import csv
@@ -31,6 +33,8 @@ from emodel import (
     RunConfig,
     RunRef,
     dynamic_energy,
+    percent_error,
+    predict,
     sum_plus_delta,
 )
 
@@ -99,6 +103,56 @@ def resolve_by_scan(groups, text):
         if key[0] == app_id and str(key[1].cores) == cores and key[1].problem_size == size:
             return key
     return f"unknown base reference {text!r}"
+
+
+def group_means_by_fsum(runs, values):
+    """Each run group's mean of each column of ``values`` (one row per run,
+    or one value per run when 1-D): ``math.fsum`` of the group's samples in
+    row order, over their count. An overflowing sum raises OverflowError."""
+    values = np.asarray(values, dtype=float)
+    columns = values[:, None] if values.ndim == 1 else values
+    groups = groups_by_dict(runs)
+    means = []
+    for rows in groups.values():
+        means.append([math.fsum(columns[rows, j].tolist()) / len(rows)
+                      for j in range(columns.shape[1])])
+    means = np.array(means, dtype=float).reshape(len(groups), columns.shape[1])
+    return means[:, 0] if values.ndim == 1 else means
+
+
+def correlation_by_pairs(dataset, names):
+    """Pearson matrix rows over dynamic energy and the named PMCs, one pair
+    at a time: every pair centres both of its columns again."""
+    def pearson(u, v):
+        du = u - u.mean()
+        dv = v - v.mean()
+        nu = float(np.sqrt(du @ du))
+        nv = float(np.sqrt(dv @ dv))
+        if nu == 0.0 or nv == 0.0:
+            return math.nan
+        return max(-1.0, min(1.0, float((du @ dv) / (nu * nv))))
+
+    columns = [np.array([run.dynamic_energy_j for run in dataset.runs], dtype=float)]
+    columns += [np.array([run.pmc.get(name) for run in dataset.runs]) for name in names]
+    k = len(columns)
+    values = [[math.nan] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if i == j:
+                r = math.nan if float(np.ptp(columns[i])) == 0.0 else 1.0
+            else:
+                r = pearson(columns[i], columns[j])
+            values[i][j] = values[j][i] = r
+    return values
+
+
+def evaluate_by_cases(model, cases):
+    """(min, avg, max, n) of ``percent_error(predict(model, pmc), measured)``
+    taken case by case, with the mean by ``math.fsum`` clamped to [min, max]."""
+    errors = [percent_error(predict(model, pmc), measured) for pmc, measured in cases]
+    low, high = min(errors), max(errors)
+    avg = math.fsum(errors) / len(errors)
+    return low, min(max(avg, low), high), high, len(errors)
 
 
 def additivity_by_brute_force(dataset, compounds, reproducibility_cov):

@@ -174,6 +174,14 @@ def test_correlate_subset(files, capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("command", [["correlate"], ["fit", "--kind", "unconstrained"]])
+def test_repeated_pmc_is_an_input_error(files, capsys, command):
+    code, out, err = run(
+        capsys, *command, "--runs", files["runs_fit.csv"], "--pmcs", "X1,X2,X1",
+    )
+    assert (code, out, err) == (1, "", "emodel: error: PMC 'X1' is listed twice\n")
+
+
 def test_fit_stdout_and_file(files, capsys):
     code, out, _ = run(
         capsys, "fit", "--runs", files["runs_fit.csv"], "--kind", "zero_intercept",
@@ -498,6 +506,16 @@ def test_stats_values_file(files, capsys):
     assert code == 0
     assert out.splitlines()[0] == "mean,half_width,n,converged,relative_undefined"
     assert out.splitlines()[1] == "5.0,0.0,3,true,false"
+
+
+def test_stats_values_file_not_utf8(files, capsys):
+    path = files["dir"] / "latin1_samples.txt"
+    path.write_bytes(b"5.0 5.0\n\xff5.0\n")
+    code, out, err = run(capsys, "stats", "--values-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"emodel: error: {path}: not UTF-8 text (invalid start byte)\n"
+    )
 
 
 def test_stats_single_sample_rejected(files, capsys):

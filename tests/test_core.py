@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from emodel import (
     save_model,
 )
 from helpers import (
+    group_means_by_fsum,
     groups_by_dict,
     load_compounds_by_rows,
     load_runs_by_rows,
@@ -105,6 +108,89 @@ def test_points_raise_on_overflowing_repetition_sum():
         runs = [make_run("a", names, [v], 1.0, run_id=f"r{i}") for i, v in enumerate(samples)]
         with pytest.raises(OverflowError):
             make_dataset(names, runs).points()
+
+
+# Cells for the exactness oracle: the whole finite range, subnormals and
+# signed zeros included, and ordinary magnitudes that mostly sum without overflow.
+FSUM_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1e16,
+                     1e308, -1e308]),
+)
+BIG = sys.float_info.max
+
+
+@st.composite
+def grouped_cells(draw):
+    """Group labels of interleaved rows (groups of 1 to 12 samples) and one
+    row of 1 to 3 cells per label."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    labels = draw(st.permutations([g for g, n in enumerate(sizes) for _ in range(n)]))
+    width = draw(st.integers(1, 3))
+    row = st.lists(FSUM_CELLS, min_size=width, max_size=width)
+    return labels, draw(st.lists(row, min_size=len(labels), max_size=len(labels)))
+
+
+def dataset_of_groups(labels):
+    names = ("X1",)
+    runs = [make_run(f"g{g}", names, [1.0], 1.0, run_id=f"r{i}") for i, g in enumerate(labels)]
+    return make_dataset(names, runs)
+
+
+def hexes(array):
+    return [v.hex() for v in np.asarray(array).ravel().tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_cells())
+@example(([0, 1, 0, 0], [[1e16], [2.0], [1.0], [1.0]]))
+@example(([0, 0, 1], [[-0.0, 1e308], [-0.0, 1e308], [-0.0, -0.0]]))
+@example(([0, 0, 0], [[1e308], [1e308], [1e308]]))
+def test_group_means_match_fsum(case):
+    labels, cells = case
+    dataset = dataset_of_groups(labels)
+    matrix = np.array(cells, dtype=float)
+    for values in (matrix, matrix[:, 0]):
+        try:
+            expected = group_means_by_fsum(dataset.runs, values)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=f"^{exc}$"):
+                dataset.group_means(values)
+            continue
+        means = dataset.group_means(values)
+        assert means.shape == expected.shape
+        assert hexes(means) == hexes(expected)
+
+
+@pytest.mark.parametrize("samples, rechecked", [
+    # The 2**-200 that the error sum loses breaks a rounding tie upwards.
+    ([1.0, 2.0 ** -53, 2.0 ** -200], True),
+    ([1.0, 2.0 ** -60, 2.0 ** -170], True),
+    # fsum's partial sums overflow on the third sample; the running sum does not.
+    ([BIG, 2.0 ** 969, 2.0 ** 969 + 2.0 ** 918, -BIG], True),
+    ([1e308, 1e308, 1e308], True),
+    ([1e16, 1.0, 1.0], False),
+    ([-0.0, -0.0], False),
+    ([-0.0], False),
+])
+def test_group_means_recheck_with_fsum(monkeypatch, samples, rechecked):
+    labels = [0, 1] + [0] * (len(samples) - 1)
+    cells = [[samples[0]], [3.0]] + [[v] for v in samples[1:]]
+    dataset = dataset_of_groups(labels)
+    try:
+        expected = hexes(group_means_by_fsum(dataset.runs, np.array(cells)))
+    except OverflowError:
+        expected = "intermediate overflow in fsum"
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(xs) or fsum(xs))
+    try:
+        got = hexes(dataset.group_means(np.array(cells)))
+    except OverflowError as exc:
+        got = str(exc)
+    monkeypatch.undo()
+    assert got == expected
+    assert calls == ([samples] if rechecked else [])
 
 
 def test_dataset_without_runs_has_no_points():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emodel import (
     EnergyModel,
@@ -15,8 +17,15 @@ from emodel import (
     predict,
 )
 from emodel import fitting
-from emodel.fitting import RANK_RATIO_THRESHOLD, UNDEFINED, ErrorSummary, _pearson
-from helpers import dataset_from_matrix, make_dataset, make_run, nnls_by_enumeration
+from emodel.fitting import RANK_RATIO_THRESHOLD, UNDEFINED, ErrorSummary, _centred
+from helpers import (
+    correlation_by_pairs,
+    dataset_from_matrix,
+    evaluate_by_cases,
+    make_dataset,
+    make_run,
+    nnls_by_enumeration,
+)
 
 COUNTS = [(10.0, 5.0), (20.0, 3.0), (5.0, 9.0), (40.0, 2.0), (15.0, 15.0)]
 
@@ -86,6 +95,20 @@ def test_correlation_subset_and_errors():
         correlation_matrix(tiny)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_fit_rejects_a_repeated_pmc(kind):
+    with pytest.raises(ValueError, match="^PMC 'C1' is listed twice$"):
+        fit(exact_dataset(30.0, (0.5, 2.0)), ["C1", "C2", "C1"], kind)
+
+
+def test_correlation_rejects_a_repeated_pmc():
+    dataset = exact_dataset(30.0, (0.5, 2.0))
+    with pytest.raises(ValueError, match="^PMC 'C2' is listed twice$"):
+        correlation_matrix(dataset, ["C2", "C2"])
+    with pytest.raises(KeyError, match="C9"):
+        correlation_matrix(dataset, ["C9", "C9"])
+
+
 def test_correlation_matches_numpy_corrcoef():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 100.0, size=(12, 3))
@@ -97,12 +120,55 @@ def test_correlation_matches_numpy_corrcoef():
 
 
 def test_pearson_stays_in_bounds():
+    def _pearson(u, v):
+        return fitting._pearson(_centred(u), _centred(v))
+
     u = np.array([1.0, 2.0, 3.0])
     assert _pearson(u, 2.0 * u) == pytest.approx(1.0, abs=1e-12)
     assert -1.0 <= _pearson(u, 2.0 * u) <= 1.0
     assert _pearson(u, -u) == pytest.approx(-1.0, abs=1e-12)
     assert -1.0 <= _pearson(u, -u) <= 1.0
     assert math.isnan(_pearson(u, np.full(3, 4.0)))
+
+
+def value_keys(rows):
+    return [["nan" if math.isnan(v) else v.hex() for v in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_correlation_matrix_matches_per_pair_oracle(data):
+    n, k = data.draw(st.integers(2, 25)), data.draw(st.integers(1, 5))
+    cell = st.one_of(st.floats(0.0, 1e12), st.integers(0, 4).map(float),
+                     st.sampled_from([0.0, 5e-324, 1e-300, 1e150]))
+    x = np.array(data.draw(st.lists(st.lists(cell, min_size=k, max_size=k),
+                                    min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))
+    # Column 0 is the energy; a constant column makes its correlations undefined.
+    for column in data.draw(st.sets(st.integers(0, k))):
+        if column == 0:
+            y[:] = y[0]
+        else:
+            x[:, column - 1] = x[0, column - 1]
+    dataset = dataset_from_matrix(x, y)
+    names = data.draw(st.permutations(dataset.pmc_names))[:data.draw(st.integers(0, k))]
+    matrix = correlation_matrix(dataset, names)
+    assert matrix.labels == ("dynamic_energy", *names)
+    assert value_keys(matrix.values) == value_keys(correlation_by_pairs(dataset, names))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_correlation_matrix_matches_per_pair_oracle_on_many_runs(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1e9, size=(3000, 6)) * rng.uniform(0.0, 1.0, size=(3000, 6)) ** 4
+    x[:, 2] = 7.0
+    y = x @ rng.uniform(0.0, 1e-6, size=6) + rng.uniform(0.0, 5.0, size=3000)
+    dataset = dataset_from_matrix(x, y)
+    expected = correlation_by_pairs(dataset, dataset.pmc_names)
+    assert value_keys(correlation_matrix(dataset).values) == value_keys(expected)
+    constant = dataset_from_matrix(x, np.full(3000, 2.5))
+    expected = correlation_by_pairs(constant, constant.pmc_names)
+    assert value_keys(correlation_matrix(constant).values) == value_keys(expected)
 
 
 def test_correlation_csv_layout():
@@ -453,6 +519,63 @@ def test_evaluate_single_case():
 def test_evaluate_requires_cases():
     with pytest.raises(ValueError):
         evaluate(model_c1(), [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_per_case_oracle(data):
+    names = tuple(f"C{j}" for j in range(10))
+    m = data.draw(st.integers(0, 8))
+    model_names = data.draw(st.permutations(names))[:m]
+    magnitude = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e-9, 3.0, -7.5, 1e6])
+    model = EnergyModel(
+        pmc_names=model_names, intercept=data.draw(magnitude),
+        coefficients=data.draw(st.lists(magnitude, min_size=m, max_size=m)),
+        kind=ModelKind.UNCONSTRAINED,
+    )
+    count = st.floats(0.0, 1e12) | st.integers(0, 10 ** 6).map(float)
+    cases = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        # Each case lists the model's PMCs, and maybe more, in any order.
+        extra = data.draw(st.sets(st.sampled_from(names)))
+        vector_names = data.draw(st.permutations(sorted(set(model_names) | extra)))
+        counts = data.draw(st.lists(count, min_size=len(vector_names),
+                                    max_size=len(vector_names)))
+        measured = data.draw(st.floats(1e-3, 1e9))
+        cases.append((PmcVector(tuple(vector_names), tuple(counts)), measured))
+    summary = evaluate(model, cases)
+    got = (summary.min_pct, summary.avg_pct, summary.max_pct)
+    low, avg, high, n = evaluate_by_cases(model, cases)
+    assert [v.hex() for v in got] == [v.hex() for v in (low, avg, high)]
+    assert summary.n_cases == n
+
+
+def test_evaluate_matches_per_case_oracle_on_many_pmcs():
+    rng = np.random.default_rng(3)
+    names = tuple(f"C{j}" for j in range(24))
+    model = EnergyModel(pmc_names=names[::-1], intercept=0.0,
+                        coefficients=rng.uniform(0.0, 1e-6, size=24).tolist(),
+                        kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    counts = rng.uniform(0.0, 1e9, size=(500, 24)) * rng.uniform(0.0, 1.0, size=(500, 24)) ** 4
+    cases = [(PmcVector(names, row), energy)
+             for row, energy in zip(counts.tolist(), rng.uniform(1.0, 1e4, size=500).tolist())]
+    summary = evaluate(model, cases)
+    got = (summary.min_pct, summary.avg_pct, summary.max_pct)
+    assert [v.hex() for v in got] == [v.hex() for v in evaluate_by_cases(model, cases)[:3]]
+
+
+def test_evaluate_error_precedence_matches_per_case_oracle():
+    model = model_c1()
+    missing = (PmcVector(("C9",), (1.0,)), 100.0)
+    nonpositive = (PmcVector(("C1",), (1.0,)), 0.0)
+    both = (PmcVector(("C9",), (1.0,)), -1.0)
+    for cases, error in [([missing, nonpositive], KeyError), ([nonpositive, missing], ValueError),
+                         ([both], KeyError)]:
+        with pytest.raises(error) as expected:
+            evaluate_by_cases(model, cases)
+        with pytest.raises(error) as raised:
+            evaluate(model, cases)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_error_summary_validation():

@@ -1,8 +1,8 @@
 """Fuzzing of every input-file loader and of the CLI commands that read them.
 
-Whatever bytes a runs, compounds, energy-function or model file holds, the
-loader returns a result or raises :class:`DataFormatError`, and ``run_cli``
-returns 0, 1 or 2 without raising.
+Whatever bytes a runs, compounds, energy-function, model or values file
+holds, the loader returns a result or raises :class:`DataFormatError`, and
+``run_cli`` returns 0, 1 or 2 without raising.
 """
 
 import contextlib
@@ -130,6 +130,15 @@ def test_fuzzed_energy_function_file(fixed, data):
     for flags in ([], ["--interpolate"]):
         check_cli("partition", "--func1", str(path), "--func2", fixed["func.csv"],
                   "--n", "2048", *flags)
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=300),
+                      st.lists(st.sampled_from(CELLS), max_size=9).map(b" ".join)))
+def test_fuzzed_values_file(fixed, data):
+    path = fixed["root"] / "fuzzed_values.txt"
+    path.write_bytes(data)
+    check_cli("stats", "--values-file", str(path))
 
 
 @FUZZ

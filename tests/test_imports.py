@@ -87,11 +87,11 @@ BASE = {"emodel", "emodel._common", "emodel.core"}
     pytest.param(["additivity", "--runs", "runs.csv"], BASE | {"emodel.additivity"},
                  id="additivity"),
     pytest.param(["fit", "--runs", "runs.csv", "--kind", "zero_intercept"],
-                 BASE | {"emodel.fitting", "emodel.stats"}, id="fit"),
+                 BASE | {"emodel.fitting"}, id="fit"),
     pytest.param(["predict", "--model", "model.json", "--counts", "X1=1,X2=2"],
-                 BASE | {"emodel.fitting", "emodel.stats"}, id="predict"),
+                 BASE | {"emodel.fitting"}, id="predict"),
     pytest.param(["conserve", "--model", "model.json"],
-                 BASE | {"emodel.fitting", "emodel.stats", "emodel.conservation"}, id="conserve"),
+                 BASE | {"emodel.fitting", "emodel.conservation"}, id="conserve"),
     pytest.param(PARTITION, {"emodel", "emodel._common", "emodel.partitioning"}, id="partition"),
 ])
 def test_subcommand_imports_only_its_modules(inputs, argv, modules):
