@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -80,7 +81,23 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The payload as indented JSON; JSON has no infinity or NaN, so a
+    non-finite float is written as null."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(_finite_or_null(payload), indent=2) + "\n"
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _csv_row(values) -> str:
@@ -174,7 +191,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     from .core import load_model, load_runs
-    from .fitting import predict
+    from .fitting import _positions, _predict_rows, predict
 
     model = load_model(args.model)
     if args.counts:
@@ -183,30 +200,19 @@ def _cmd_predict(args) -> int:
         return 0
 
     dataset = load_runs(args.runs)
+    values = []
+    if dataset.runs:  # a file without rows has no PMC to look up
+        counts = dataset.counts[:, list(_positions(model.pmc_names, dataset.pmc_names))]
+        values = _predict_rows(model.intercept, model.coefficients, counts).tolist()
+    fields = ("app_id", "run_id", "cores", "problem_size", "prediction_j")
     rows = [
-        (run.app_id, run.run_id, run.config.cores, run.config.problem_size,
-         predict(model, run.pmc))
-        for run in dataset.runs
+        (run.app_id, run.run_id, run.config.cores, run.config.problem_size, value)
+        for run, value in zip(dataset.runs, values)
     ]
     if args.format == "csv":
-        lines = ["app_id,run_id,cores,problem_size,prediction_j"]
-        lines += [_csv_row(row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(fields)] + [_csv_row(row) for row in rows]) + "\n"
     else:
-        text = _json_text(
-            {
-                "predictions": [
-                    {
-                        "app_id": app_id,
-                        "run_id": run_id,
-                        "cores": cores,
-                        "problem_size": problem_size,
-                        "prediction_j": value,
-                    }
-                    for app_id, run_id, cores, problem_size, value in rows
-                ]
-            }
-        )
+        text = _json_text({"predictions": [dict(zip(fields, row)) for row in rows]})
     _emit(text, args.out)
     return 0
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ApplicationRun, EnergyModel, PmcVector
-from .fitting import _positions, predict
+from .fitting import _positions, _predict_rows, predict
 
 __all__ = [
     "Operator",
@@ -250,29 +250,21 @@ def _compose(a: np.ndarray, b: np.ndarray, default: Operator, planted=()) -> np.
     return composed
 
 
-def _sums(model: EnergyModel, columns: Sequence[int], a, b, composed) -> tuple[np.ndarray, ...]:
+def _sums(model: EnergyModel, a, b, composed) -> tuple[np.ndarray, ...]:
     """Per row: the predicted energy of the composition (lhs), the sum of the
     parts' predictions (rhs), and the cancellation-aware magnitude both are
-    built from. ``columns`` holds each model PMC's column, in model order."""
-    lhs = np.full(len(a), model.intercept)
-    part_a = lhs.copy()
-    part_b = lhs.copy()
-    scale = np.zeros(len(a))
-    for coefficient, j in zip(model.coefficients, columns):
-        x, u, v = composed[:, j], a[:, j], b[:, j]
-        lhs += coefficient * x
-        part_a += coefficient * u
-        part_b += coefficient * v
-        scale += abs(coefficient) * (np.abs(x) + u + v)
+    built from. The columns are the model's PMCs, in model order."""
+    lhs, part_a, part_b = (_predict_rows(model.intercept, model.coefficients, m)
+                           for m in (composed, a, b))
+    scale = _predict_rows(0.0, [abs(c) for c in model.coefficients], np.abs(composed) + a + b)
     return lhs, part_a + part_b, scale
 
 
 @np.errstate(all="ignore")
-def _flagged(model: EnergyModel, columns: Sequence[int], a, b, composed, tol: float
-             ) -> tuple[np.ndarray, ...]:
+def _flagged(model: EnergyModel, columns, a, b, composed, tol: float) -> tuple[np.ndarray, ...]:
     """Per row: lhs, rhs, and whether the row stops a trial loop: its composed
     counts are not a valid PMC vector, or lhs and rhs differ by more than
-    ``tol`` times the scale.
+    ``tol`` times the scale. ``columns`` picks the model's PMCs, in order.
 
     A row whose lhs, rhs or scale overflowed is compared again on its three
     count vectors times 2**-s, with s the least shift that bounds the scale
@@ -280,19 +272,20 @@ def _flagged(model: EnergyModel, columns: Sequence[int], a, b, composed, tol: fl
     exactly (unless it falls below the normal range), so the verdict is the
     one unbounded exponents would give; lhs and rhs are reported unscaled.
     """
-    lhs, rhs, scale = _sums(model, columns, a, b, composed)
+    picked = [m[:, columns] for m in (a, b, composed)]
+    lhs, rhs, scale = _sums(model, *picked)
     gap, bound = np.abs(lhs - rhs), tol * scale
     overflowed = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(scale)))
     if overflowed.size:
-        rows = [m[overflowed] for m in (a, b, composed)]
+        rows = [m[overflowed] for m in picked]
         # |c| < 2**e_c and each count < 2**e_m, so the scale is below
         # 3n * 2**max(e_c + e_m) <= 2**(max(e_c + e_m) + bit_length(3n)).
         _, e_c = np.frexp(np.array(model.coefficients))
-        _, e_m = np.frexp(np.maximum.reduce([np.abs(m[:, list(columns)]) for m in rows]))
+        _, e_m = np.frexp(np.maximum.reduce([np.abs(m) for m in rows]))
         top = (e_c + e_m).max(axis=1, initial=0)
-        shift = np.maximum(top + (3 * len(columns)).bit_length() - 1023, 0)
+        shift = np.maximum(top + (3 * len(model.coefficients)).bit_length() - 1023, 0)
         scaled = (np.ldexp(m, -shift[:, None]) for m in rows)
-        lhs_s, rhs_s, scale_s = _sums(model, columns, *scaled)
+        lhs_s, rhs_s, scale_s = _sums(model, *scaled)
         gap[overflowed], bound[overflowed] = np.abs(lhs_s - rhs_s), tol * scale_s
     invalid = ~np.isfinite(composed) | (composed < 0)
     return lhs, rhs, invalid.any(axis=1) | (gap > bound)
@@ -388,7 +381,7 @@ def verify_weak_composability(
         # Built before the model's columns are looked up, so an invalid
         # composed count is reported ahead of a PMC the model lacks.
         composed_vec = PmcVector(vec_a.names, tuple(composed[0].tolist()))
-        columns = _positions(model.pmc_names, vec_a.names)
+        columns = list(_positions(model.pmc_names, vec_a.names))
         lhs, rhs, flagged = _flagged(model, columns, a, b, composed, tol)
         if flagged[0]:
             counterexamples.append(CompositionCounterexample(
@@ -518,7 +511,7 @@ def strong_composability_check(
     _require_seed(seed)
     names = model.pmc_names
     n = len(names)
-    columns = range(n)
+    columns = slice(None)
 
     additive_counterexamples: list[CompositionCounterexample] = []
     for start in range(0, trials, _MAX_ROWS):

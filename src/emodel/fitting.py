@@ -114,7 +114,16 @@ class ErrorSummary:
 
 
 def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:
-    """A column minus its mean, and the Euclidean norm of that difference."""
+    """A column minus its mean, and the Euclidean norm of that difference,
+    both for the column times 2**-e, where 2**e bounds its largest magnitude.
+
+    Pearson's r does not change when a column is scaled, and a power of two
+    scales every step exactly, so r keeps its bits wherever the unscaled
+    arithmetic neither overflows nor underflows. Scaled, the deviations'
+    squares can do neither: deviations of 1e200 or of 1e-200 give r, not NaN.
+    """
+    _, exponent = math.frexp(float(np.abs(column).max()))
+    column = np.ldexp(column, -exponent)
     deviations = column - column.mean()
     return deviations, float(np.sqrt(deviations @ deviations))
 
@@ -139,15 +148,9 @@ def _column_indices(dataset: Dataset, names: Sequence[str]) -> list[int]:
     return [position[name] for name in names]
 
 
-def correlation_matrix(
-    dataset: Dataset,
-    pmcs: Sequence[str] | None = None,
-    target: str = TARGET_LABEL,
-) -> CorrelationMatrix:
+def correlation_matrix(dataset: Dataset, pmcs: Sequence[str] | None = None) -> CorrelationMatrix:
     """Pearson correlations of dynamic energy and PMCs over all runs. Each
     column is centred once; each pair then takes one dot product."""
-    if target != TARGET_LABEL:
-        raise ValueError(f"unsupported target {target!r}; only {TARGET_LABEL!r} is defined")
     if len(dataset.runs) < 2:
         raise ValueError(f"need >= 2 runs for correlations, got {len(dataset.runs)}")
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names
@@ -161,7 +164,7 @@ def correlation_matrix(
         values[i][i] = UNDEFINED if float(np.ptp(columns[i])) == 0.0 else 1.0
         for j in range(i + 1, k):
             values[i][j] = values[j][i] = _pearson(centred[i], centred[j])
-    return CorrelationMatrix(labels=(target,) + names, values=tuple(map(tuple, values)))
+    return CorrelationMatrix(labels=(TARGET_LABEL,) + names, values=tuple(map(tuple, values)))
 
 
 def _qr_solve(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -293,6 +296,20 @@ def predict(model: EnergyModel, pmc: PmcVector) -> float:
     return total
 
 
+def _predict_rows(intercept: float, coefficients: Sequence[float], counts: np.ndarray
+                  ) -> np.ndarray:
+    """:func:`predict` for each row of ``counts`` (columns: the model's PMCs,
+    in model order), bit for bit: the one array form of the model-order sum.
+    Totals start at the intercept and add ``coefficient * column`` one column
+    at a time, never a matrix product, which BLAS would sum in another order.
+    An overflow gives the scalar sum's inf or NaN, without a numpy warning."""
+    totals = np.full(len(counts), intercept, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, coefficient in enumerate(coefficients):
+            totals += coefficient * counts[:, j]
+    return totals
+
+
 @lru_cache(maxsize=64)
 def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
     """The position in ``names`` of each name in ``wanted``."""
@@ -306,8 +323,9 @@ def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ..
 def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:
     """Percentage prediction errors (min, avg, max) over measured cases.
 
-    Every measured energy must be positive; errors are on dynamic energy. All
-    cases are predicted at once in :func:`predict`'s left-to-right order.
+    Every measured energy must be positive and every prediction finite;
+    errors are on dynamic energy. All cases are predicted at once by
+    :func:`_predict_rows`.
     """
     if not cases:
         raise ValueError("need at least one (pmc, measured) case")
@@ -322,11 +340,14 @@ def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> Er
         rows.append(pick(pmc.counts))
         measured.append(energy)
     counts = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names))
+    totals = _predict_rows(model.intercept, model.coefficients, counts)
+    unpredictable = np.flatnonzero(~np.isfinite(totals))
+    if unpredictable.size:
+        case = int(unpredictable[0])
+        raise ValueError(f"prediction for case {case + 1} is not finite: {float(totals[case])!r}")
     energies = np.array(measured, dtype=float)
-    totals = np.full(len(rows), model.intercept, dtype=float)
-    for j, coefficient in enumerate(model.coefficients):
-        totals += coefficient * counts[:, j]
-    errors = (np.abs(totals - energies) / energies * 100.0).tolist()
+    with np.errstate(over="ignore"):
+        errors = (np.abs(totals - energies) / energies * 100.0).tolist()
     low, high = min(errors), max(errors)
     avg = min(max(math.fsum(errors) / len(errors), low), high)
     return ErrorSummary(min_pct=low, avg_pct=avg, max_pct=high, n_cases=len(errors))

@@ -148,11 +148,61 @@ def correlation_by_pairs(dataset, names):
 
 def evaluate_by_cases(model, cases):
     """(min, avg, max, n) of ``percent_error(predict(model, pmc), measured)``
-    taken case by case, with the mean by ``math.fsum`` clamped to [min, max]."""
-    errors = [percent_error(predict(model, pmc), measured) for pmc, measured in cases]
+    taken case by case, with the mean by ``math.fsum`` clamped to [min, max].
+    Once every case has passed those two calls, the first case whose
+    prediction is not finite raises ValueError."""
+    predictions, errors = [], []
+    for pmc, measured in cases:
+        predictions.append(predict(model, pmc))
+        errors.append(percent_error(predictions[-1], measured))
+    for case, predicted in enumerate(predictions, start=1):
+        if not math.isfinite(predicted):
+            raise ValueError(f"prediction for case {case} is not finite: {predicted!r}")
     low, high = min(errors), max(errors)
     avg = math.fsum(errors) / len(errors)
     return low, min(max(avg, low), high), high, len(errors)
+
+
+def headline_workload(seed, groups=40, repetitions=3, compounds=60):
+    """A seeded (dataset, serial compounds) pair with planted PMC roles:
+
+    - E1 and E2 carry the energy (1 J per 1e9 and per 5e7 events);
+    - U is additive but unrelated to the energy;
+    - N tracks each base run's measured energy within 2%, but a compound's N
+      is the larger of its bases' N, not their sum: it is not additive.
+
+    Repetitions and compounds carry 0.5% Gaussian noise on every count and on
+    the energy. A compound runs two distinct base applications one after the
+    other, so its energy and its additive counts are the bases' sums.
+    """
+    rng = np.random.default_rng(seed)
+    names = ("E1", "E2", "U", "N")
+    noise = 0.005
+    e1 = 10.0 ** rng.uniform(8.0, 10.0, groups)
+    e2 = 10.0 ** rng.uniform(7.0, 9.0, groups)
+    u = 10.0 ** rng.uniform(6.0, 8.0, groups)
+    energy = e1 / 1e9 + e2 / 5e7
+    tracking = 1e6 * (1.0 + rng.uniform(-0.02, 0.02, groups))
+    runs, means = [], []
+    for g in range(groups):
+        rows = []
+        for r in range(repetitions):
+            jitter = 1.0 + noise * rng.standard_normal(4)
+            measured = energy[g] * jitter[3]
+            rows.append((e1[g] * jitter[0], e2[g] * jitter[1], u[g] * jitter[2],
+                         tracking[g] * measured, measured))
+            runs.append(make_run(f"a{g:02d}", names, rows[-1][:4], measured, run_id=f"r{r}"))
+        means.append(np.mean(rows, axis=0))
+    serial = []
+    for c in range(compounds):
+        a, b = rng.choice(groups, size=2, replace=False)
+        jitter = 1.0 + noise * rng.standard_normal(4)
+        ma, mb = means[a], means[b]
+        counts = ((ma[0] + mb[0]) * jitter[0], (ma[1] + mb[1]) * jitter[1],
+                  (ma[2] + mb[2]) * jitter[2], max(ma[3], mb[3]))
+        serial.append(make_compound(f"c{c:02d}", f"a{a:02d}", f"a{b:02d}", names, counts,
+                                    (energy[a] + energy[b]) * jitter[3]))
+    return make_dataset(names, runs, serial), serial
 
 
 def additivity_by_brute_force(dataset, compounds, reproducibility_cov):

@@ -18,6 +18,7 @@ from emodel import (
     PmcVector,
     core_config_analysis,
     dynamic_error_from_total,
+    evaluate,
     fit,
     load_model,
     partition,
@@ -33,6 +34,7 @@ from emodel.core import EnergyModel
 from emodel.partitioning import energy_loss
 from helpers import (
     dataset_from_matrix,
+    headline_workload,
     make_compound,
     make_dataset,
     make_run,
@@ -398,3 +400,28 @@ def test_criterion_9_hardware_shape_checks(acceptance):
         f"cores {counts}, sweep {sweep_counts}",
     )
     assert passed
+
+
+def test_criterion_10_additive_nonneg_model_beats_unconstrained_on_compounds(acceptance):
+    """The direction of the paper's headline: on serial compounds, a
+    zero-intercept non-negative model on the additive PMCs predicts better
+    than an unconstrained model on every PMC."""
+    kept_ok, ratios = True, []
+    for seed in range(5):
+        dataset, compounds = headline_workload(seed)
+        additive = run_additivity_test(dataset, compounds, tolerance_pct=5.0).additive_names()
+        kept_ok = kept_ok and additive == ("E1", "E2", "U")
+        cases = [(c.pmc, c.dynamic_energy_j) for c in compounds]
+        constrained = evaluate(fit(dataset, additive, ModelKind.ZERO_INTERCEPT_NONNEG), cases)
+        unconstrained = evaluate(fit(dataset, None, ModelKind.UNCONSTRAINED), cases)
+        ratios.append(constrained.avg_pct / unconstrained.avg_pct)
+
+    passed = kept_ok and max(ratios) <= 0.5
+    acceptance(
+        10,
+        "additivity keeps exactly the additive PMCs; on serial compounds the additive "
+        "non-negative model's average error is at most half the unconstrained one's",
+        passed,
+        f"worst error ratio {max(ratios):.3f} over 5 seeds",
+    )
+    assert passed, ratios

@@ -9,6 +9,8 @@ from emodel import (
     ModelKind,
     check_conservation,
     load_model,
+    load_runs,
+    predict,
     save_model,
     strong_composability_check,
 )
@@ -257,6 +259,55 @@ def test_predict_runs(files, capsys):
     assert lines[1] == "a,r1,2,1024,22.5"
 
 
+def per_row_report(model, dataset, fmt):
+    """The ``predict --runs`` report built from one ``predict`` call per row."""
+    rows = [(run.app_id, run.run_id, run.config.cores, run.config.problem_size,
+             predict(model, run.pmc)) for run in dataset.runs]
+    fields = ("app_id", "run_id", "cores", "problem_size", "prediction_j")
+    if fmt == "csv":
+        return "".join(",".join(map(cell, row)) + "\n" for row in [fields, *rows])
+    return json.dumps({"predictions": [dict(zip(fields, row)) for row in rows]}, indent=2) + "\n"
+
+
+def cell(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("runs", ["runs_add.csv", "runs_fit.csv"])
+def test_predict_runs_matches_per_row_predict(files, capsys, runs, fmt):
+    subset = EnergyModel(pmc_names=("X2",), intercept=-0.1, coefficients=(0.3,),
+                         kind=ModelKind.UNCONSTRAINED)
+    save_model(subset, files["dir"] / "subset.json")
+    for model_file in ("clean.json", "dirty.json", "subset.json"):
+        path = str(files["dir"] / model_file)
+        code, out, err = run(capsys, "predict", "--model", path, "--runs", files[runs],
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == per_row_report(load_model(path), load_runs(files[runs]), fmt)
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("json", '{\n  "predictions": []\n}\n'),
+    ("csv", "app_id,run_id,cores,problem_size,prediction_j\n"),
+])
+def test_predict_runs_with_no_rows(files, capsys, fmt, expected):
+    """A header-only runs file gives an empty report, even when the model
+    names PMCs the file lacks: there is no row to predict."""
+    header = RUNS_ADD.splitlines()[0] + "\n"
+    (files["dir"] / "empty.csv").write_text(header, encoding="utf-8")
+    lacking = EnergyModel(pmc_names=("X9", "X1"), intercept=0.0, coefficients=(1.0, 2.0),
+                          kind=ModelKind.ZERO_INTERCEPT)
+    save_model(lacking, files["dir"] / "lacking.json")
+    for model_file in ("clean.json", "lacking.json"):
+        code, out, err = run(capsys, "predict", "--model", str(files["dir"] / model_file),
+                             "--runs", str(files["dir"] / "empty.csv"), "--format", fmt)
+        assert (code, out, err) == (0, expected, "")
+    code, out, err = run(capsys, "predict", "--model", str(files["dir"] / "lacking.json"),
+                         "--runs", files["runs_add.csv"], "--format", fmt)
+    assert (code, out, err) == (1, "", "emodel: error: PMC 'X9' not present in vector\n")
+
+
 def test_predict_missing_pmc(files, capsys):
     code, _, err = run(
         capsys, "predict", "--model", files["clean.json"], "--counts", "X1=10",
@@ -485,6 +536,57 @@ def test_loss(files, capsys):
 
     code, _, err = run(capsys, "loss", "--alt", "1", "--ref", "0")
     assert code == 1
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture
+def huge(files):
+    """A model whose prediction on one-row runs file ``one.csv`` is inf - inf."""
+    huge = EnergyModel(pmc_names=("X1", "X2"), intercept=0.0, coefficients=(1e300, -1e300),
+                       kind=ModelKind.UNCONSTRAINED)
+    save_model(huge, files["dir"] / "huge.json")
+    (files["dir"] / "one.csv").write_text(
+        RUNS_ADD.splitlines()[0] + "\nalpha,r1,2,1024,10.0,50.0,1e300,1e300\n", encoding="utf-8")
+    return files
+
+
+def test_non_finite_results_are_json_null(huge, capsys):
+    files = huge
+    (files["dir"] / "huge.csv").write_text("x,y,energy_j\n512,1024,1e308\n", encoding="utf-8")
+    for argv, key, expected in [
+        (["loss", "--alt", "1e308", "--ref", "1e-300"], "loss_pct", None),
+        (["partition", "--func1", "@huge.csv", "--func2", "@huge.csv", "--n", "1024"],
+         "total_j", None),
+        (["predict", "--model", "@huge.json", "--counts", "X1=1e300,X2=1e300"],
+         "prediction_j", None),
+        (["predict", "--model", "@huge.json", "--runs", "@one.csv"], "predictions", [{
+            "app_id": "alpha", "run_id": "r1", "cores": 2, "problem_size": "1024",
+            "prediction_j": None}]),
+    ]:
+        argv = [str(files["dir"] / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert strict_json(out)[key] == expected
+    # CSV keeps Python's spelling of a non-finite float.
+    code, out, _ = run(capsys, "loss", "--alt", "1e308", "--ref", "1e-300", "--format", "csv")
+    assert (code, out) == (0, "loss_pct\ninf\n")
+
+
+def test_evaluate_non_finite_prediction_is_one_error_line(huge):
+    result = subprocess.run(
+        [sys.executable, "-m", "emodel.cli", "evaluate", "--model",
+         str(huge["dir"] / "huge.json"), "--runs", str(huge["dir"] / "one.csv")],
+        capture_output=True, text=True, check=False,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "emodel: error: prediction for case 1 is not finite: nan\n"
 
 
 # --- stats ---------------------------------------------------------------------

@@ -87,8 +87,6 @@ def test_correlation_subset_and_errors():
     assert matrix.labels == ("dynamic_energy", "C2")
     with pytest.raises(KeyError):
         correlation_matrix(dataset, pmcs=["C9"])
-    with pytest.raises(ValueError):
-        correlation_matrix(dataset, target="exec_time")
 
     tiny = dataset_from_matrix([(1.0,)], [1.0], names=("C1",))
     with pytest.raises(ValueError):
@@ -135,6 +133,13 @@ def value_keys(rows):
     return [["nan" if math.isnan(v) else v.hex() for v in row] for row in rows]
 
 
+def scaled_columns(x):
+    """Each column times the power of two that brings its largest magnitude into [0.5, 1)."""
+    return np.column_stack([
+        np.ldexp(column, -math.frexp(float(np.abs(column).max()))[1]) for column in x.T
+    ])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_correlation_matrix_matches_per_pair_oracle(data):
@@ -154,7 +159,28 @@ def test_correlation_matrix_matches_per_pair_oracle(data):
     names = data.draw(st.permutations(dataset.pmc_names))[:data.draw(st.integers(0, k))]
     matrix = correlation_matrix(dataset, names)
     assert matrix.labels == ("dynamic_energy", *names)
-    assert value_keys(matrix.values) == value_keys(correlation_by_pairs(dataset, names))
+    # Each column is scaled before it is centred.
+    scaled = dataset_from_matrix(scaled_columns(x), scaled_columns(y[:, None])[:, 0])
+    assert value_keys(matrix.values) == value_keys(correlation_by_pairs(scaled, names))
+    # Where the unscaled per-pair arithmetic neither overflows nor underflows,
+    # that scaling changes no bit.
+    try:
+        with np.errstate(over="raise", under="raise"):
+            unscaled = correlation_by_pairs(dataset, names)
+    except FloatingPointError:
+        return
+    assert value_keys(matrix.values) == value_keys(unscaled)
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_correlation_survives_huge_and_tiny_deviations(tiny):
+    """Squared deviations of 1e200 overflow and those of 1e-200 underflow;
+    neither may turn a perfect anti-correlation into -0.0 or UNDEFINED."""
+    base = 1e-200 if tiny else 1e200
+    dataset = dataset_from_matrix([[base], [2 * base], [3 * base]], [3.0, 2.0, 1.0])
+    matrix = correlation_matrix(dataset)
+    assert matrix.get("dynamic_energy", "P1") == pytest.approx(-1.0, abs=1e-12)
+    assert matrix.get("P1", "P1") == 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -487,6 +513,51 @@ def test_predict_sums_left_to_right_on_a_reordered_superset():
         assert predict(model, vector).hex() == expected.hex()
 
 
+def bit_keys(values):
+    """``float.hex`` and the sign bit of each value, so -0.0 and a NaN's sign count."""
+    return [(v.hex(), math.copysign(1.0, v)) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_predict_rows_matches_predict_bit_for_bit(data):
+    names = tuple(f"C{j}" for j in range(8))
+    m = data.draw(st.sampled_from([0, 1, 2, 5, 8]))
+    model_names = data.draw(st.permutations(names))[:m]
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.5, -3.0])
+    coefficient = edge | st.floats(allow_nan=False, allow_infinity=False)
+    intercept = st.sampled_from([0.0, -0.0]) | coefficient
+    model = EnergyModel(pmc_names=model_names, intercept=data.draw(intercept),
+                        coefficients=data.draw(st.lists(coefficient, min_size=m, max_size=m)),
+                        kind=ModelKind.UNCONSTRAINED)
+    count = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 1e300, 1.7e308]) | st.floats(
+        0.0, allow_infinity=False, allow_nan=False)
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        # The model's PMCs, maybe more, in any order.
+        extra = data.draw(st.sets(st.sampled_from(names)))
+        vector_names = data.draw(st.permutations(sorted(set(model_names) | extra)))
+        counts = data.draw(st.lists(count, min_size=len(vector_names), max_size=len(vector_names)))
+        vectors.append(PmcVector(tuple(vector_names), tuple(counts)))
+    picked = np.array([[vector.get(name) for name in model_names] for vector in vectors])
+    totals = fitting._predict_rows(model.intercept, model.coefficients,
+                                   picked.reshape(len(vectors), m))
+    assert bit_keys(totals.tolist()) == bit_keys([predict(model, v) for v in vectors])
+
+
+def test_predict_rows_keeps_zero_signs_and_overflow():
+    model = EnergyModel(pmc_names=("C1", "C2"), intercept=-0.0,
+                        coefficients=(1e300, -1e300), kind=ModelKind.UNCONSTRAINED)
+    vectors = [PmcVector(("C2", "C1"), counts) for counts in
+               [(0.0, -0.0), (-0.0, -0.0), (0.0, 1e300), (1e300, 0.0), (1e300, 1e300),
+                (5e-324, 5e-324)]]
+    picked = np.array([[v.get("C1"), v.get("C2")] for v in vectors])
+    totals = fitting._predict_rows(model.intercept, model.coefficients, picked).tolist()
+    expected = [predict(model, v) for v in vectors]
+    assert bit_keys(totals) == bit_keys(expected)
+    assert [str(v) for v in expected] == ["-0.0", "0.0", "inf", "-inf", "nan", "0.0"]
+
+
 def test_predict_missing_pmc():
     with pytest.raises(KeyError, match="C1"):
         predict(model_c1(), PmcVector(("C9",), (1.0,)))
@@ -576,6 +647,25 @@ def test_evaluate_error_precedence_matches_per_case_oracle():
         with pytest.raises(error) as raised:
             evaluate(model, cases)
         assert str(raised.value) == str(expected.value)
+
+    # A prediction that is not finite is reported after every case's own checks.
+    huge = EnergyModel(pmc_names=("C1", "C2"), intercept=0.0,
+                       coefficients=(1e300, -1e300), kind=ModelKind.UNCONSTRAINED)
+    fine = (PmcVector(("C1", "C2"), (1.0, 1.0)), 100.0)
+    infinite = (PmcVector(("C1", "C2"), (1e300, 1.0)), 100.0)
+    undefined = (PmcVector(("C1", "C2"), (1e300, 1e300)), 100.0)
+    for cases, error, message in [
+        ([fine, undefined, infinite], ValueError, "prediction for case 2 is not finite: nan"),
+        ([fine, infinite], ValueError, "prediction for case 2 is not finite: inf"),
+        ([undefined, (fine[0], 0.0)], ValueError, "measured must be > 0, got 0.0"),
+        ([infinite, missing], KeyError, "PMC 'C1' not present in vector"),
+    ]:
+        with pytest.raises(error) as expected:
+            evaluate_by_cases(huge, cases)
+        with pytest.raises(error) as raised:
+            evaluate(huge, cases)
+        assert str(raised.value) == str(expected.value)
+        assert message in str(raised.value)
 
 
 def test_error_summary_validation():
