@@ -3,7 +3,11 @@
 Every subcommand is a thin adapter over one library operation: parse flags,
 load inputs, call, serialize. Exit codes: 0 success, 1 usage or input error,
 2 the analysis itself found violations. Identical arguments over identical
-input files produce byte-identical output.
+input files produce byte-identical output. For ``additivity``, ``predict``,
+``evaluate``, ``conserve`` (the composability probe included), ``partition``,
+``loss`` and ``stats`` that holds on every machine; ``fit`` and ``correlate``
+go through BLAS, whose summation order depends on the CPU, so theirs holds
+per machine and BLAS build.
 
 Each handler imports the library modules it runs, so a process pays only for
 its own subcommand: ``partition``, ``loss`` and ``stats`` never import numpy.
@@ -239,6 +243,9 @@ def _cmd_conserve(args) -> int:
 
     if args.seed < 0:
         raise UsageError(f"error: --seed must be a non-negative integer, got {args.seed}")
+    if args.composability_trials is not None and args.composability_trials < 1:
+        raise UsageError(
+            f"error: --composability-trials must be >= 1, got {args.composability_trials}")
     model = load_model(args.model)
     report = check_conservation(model)
     code = 0 if report.clean else 2

@@ -43,13 +43,14 @@ __all__ = [
     "generate_cases",
 ]
 
-#: Synthetic PMC counts are drawn log-uniformly from this range, wide enough
-#: to cover both rare-event counters and retired-instruction totals.
-COUNT_RANGE = (1.0, 1e11)
+#: Synthetic PMC counts are drawn log-uniformly per octave from this range,
+#: wide enough to cover both rare-event counters and retired-instruction totals.
+_OCTAVES = 37
+COUNT_RANGE = (1.0, 2.0 ** _OCTAVES)
 
 #: The most trial rows one kernel call holds, so the probe's memory stays
-#: bounded whatever the trial count. Reports do not depend on it: every
-#: trial draws from its own stream and is checked on its own row.
+#: bounded whatever the trial count. Reports do not depend on it: row t of a
+#: clause's stream is its trial t, and every row is checked on its own.
 _MAX_ROWS = 4096
 
 
@@ -450,19 +451,14 @@ def _require_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _log_uniform_counts(rng: np.random.Generator, size) -> np.ndarray:
-    low, high = COUNT_RANGE
-    span = math.log10(high) - math.log10(low)
-    return 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=size))
-
-
-def _draw_pairs(n: int, streams: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """One trial per stream: its pair of n-PMC count vectors, drawn from
-    ``np.random.default_rng(stream)``, as rows of ``a`` and of ``b``."""
-    pairs = np.array([
-        _log_uniform_counts(np.random.default_rng(stream), (2, n)) for stream in streams
-    ]).reshape(len(streams), 2, n)
-    return pairs[:, 0], pairs[:, 1]
+def _draw_counts(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """The next ``rows`` rows of ``width`` counts from ``rng``. Each count is
+    ``ldexp(1 + u1, floor(u2 * 37))`` of the next two ``random`` values, so
+    every octave of ``COUNT_RANGE`` is equally likely. Only correctly rounded
+    operations make a count, so it is the same on every machine; and as each
+    value takes one 64-bit word, rows drawn in blocks equal rows drawn at once."""
+    u = rng.random((rows, width, 2))
+    return np.ldexp(1.0 + u[..., 0], np.floor(u[..., 1] * _OCTAVES).astype(np.intc))
 
 
 def _trial_witness(names: tuple[str, ...], a, b, composed, lhs, rhs) -> CompositionCounterexample:
@@ -491,17 +487,21 @@ def strong_composability_check(
     generated pair. Clause two: planting MAX or SUM_PLUS_DELTA(delta) at any
     position whose coefficient is nonzero must produce at least one violating
     pair within the trial budget. A model with no nonzero coefficient makes
-    clause two inapplicable. Deterministic for a given seed: trial ``t`` of
-    the additive clause draws its pair from the stream ``[seed, 0, 0, t]``,
-    and of operator ``o`` (1 MAX, 2 SUM_PLUS_DELTA) planted at position ``k``
-    from ``[seed, o, k, t]``.
+    clause two inapplicable.
 
-    The additive clause runs in batches of up to ``_MAX_ROWS`` trials; the
-    planted clauses still undetected share rounds of 1, 4, 16, ... trials
-    (fewer when the round would pass ``_MAX_ROWS`` rows), each keeping its
-    first violating trial. The report, and the ``ValueError`` for a composed
-    count a negative ``delta`` made invalid, are those of a trial-by-trial
-    loop over the clauses in report order.
+    Deterministic for a given seed, and the same on every machine: each
+    clause draws from one stream, ``np.random.default_rng([seed, o, k])``
+    with ``o`` 0 for the additive clause (``k`` 0), 1 for MAX and 2 for
+    SUM_PLUS_DELTA planted at the 1-based position ``k``. Row ``t`` of a
+    stream, ``2 * PMCs`` counts drawn as by ``_draw_counts``, is trial ``t``:
+    the first run's counts, then the second's.
+
+    Every live clause takes its next rows in one round of at most
+    ``_MAX_ROWS`` rows (one per clause when more clauses are live). The
+    additive clause keeps every violating trial; a planted clause keeps its
+    first and then drops out. The report, and the ``ValueError`` for a
+    composed count a negative ``delta`` made invalid, are those of a
+    trial-by-trial loop over the clauses in report order.
     """
     _require_zero_intercept(model, "strong composability")
     if trials < 1:
@@ -511,67 +511,43 @@ def strong_composability_check(
     _require_seed(seed)
     names = model.pmc_names
     n = len(names)
-    columns = slice(None)
-
-    additive_counterexamples: list[CompositionCounterexample] = []
-    for start in range(0, trials, _MAX_ROWS):
-        block = range(start, min(start + _MAX_ROWS, trials))
-        a, b = _draw_pairs(n, [[seed, 0, 0, t] for t in block])
-        composed = _compose(a, b, SUM)
-        lhs, rhs, flagged = _flagged(model, columns, a, b, composed, tol)
-        additive_counterexamples += [
-            _trial_witness(names, a[i], b[i], composed[i], lhs[i], rhs[i])
-            for i in np.flatnonzero(flagged).tolist()
-        ]
-
-    clauses = [
+    clauses = [(0, SUM, 0)] + [
         (ordinal, operator, k)
         for ordinal, operator in ((1, MAX), (2, sum_plus_delta(delta)))
         for k, coefficient in enumerate(model.coefficients, start=1)
         if coefficient != 0.0
     ]
-    first_flagged: dict[int, tuple] = {}
-    undetected = list(range(len(clauses)))
-    start, size = 0, 1
-    while undetected and start < trials:
-        # However many clauses share a round, it holds at most _MAX_ROWS rows.
-        width = min(size, max(_MAX_ROWS // len(undetected), 1), trials - start)
-        block = range(start, start + width)
-        a, b = _draw_pairs(
-            n, [[seed, clauses[c][0], clauses[c][2], t] for c in undetected for t in block]
-        )
-        planted = [
-            (slice(i * width, (i + 1) * width), clauses[c][2] - 1, clauses[c][1])
-            for i, c in enumerate(undetected)
-        ]
+    streams = [np.random.default_rng([seed, o, k]) for o, _, k in clauses]
+    hits: list[list[tuple]] = [[] for _ in clauses]
+    live, start = list(range(len(clauses))), 0
+    while start < trials:
+        width = min(max(_MAX_ROWS // len(live), 1), trials - start)
+        counts = np.concatenate([_draw_counts(streams[c], width, 2 * n) for c in live])
+        a, b = counts[:, :n], counts[:, n:]
+        planted = [(slice(i * width, (i + 1) * width), clauses[c][2] - 1, clauses[c][1])
+                   for i, c in enumerate(live) if c]
         composed = _compose(a, b, SUM, planted)
-        lhs, rhs, flagged = _flagged(model, columns, a, b, composed, tol)
-        for i, c in enumerate(undetected):
-            hits = np.flatnonzero(flagged[i * width:(i + 1) * width]).tolist()
-            if hits:
-                row = i * width + hits[0]
-                first_flagged[c] = (
-                    start + hits[0], a[row], b[row], composed[row], lhs[row], rhs[row]
-                )
-        undetected = [c for c in undetected if c not in first_flagged]
-        start, size = block.stop, 4 * size
+        lhs, rhs, flagged = _flagged(model, slice(None), a, b, composed, tol)
+        for i, c in enumerate(live):
+            found = np.flatnonzero(flagged[i * width:(i + 1) * width]).tolist()
+            hits[c] += [(start + t, *(m[i * width + t] for m in (a, b, composed, lhs, rhs)))
+                        for t in (found if c == 0 else found[:1])]
+        live = [c for c in live if c == 0 or not hits[c]]
+        start += width
 
-    detections: list[OperatorDetection] = []
-    for c, (_, operator, k) in enumerate(clauses):
-        trial, witness = trials - 1, None
-        if c in first_flagged:
-            trial, *row = first_flagged[c]
-            witness = _trial_witness(names, *row)
-        detections.append(
-            OperatorDetection(
-                operator=operator,
-                pmc_index=k,
-                pmc_name=names[k - 1],
-                detected=witness is not None,
-                trials_used=trial + 1,
-                witness=witness,
-            )
+    # In report order, so the first invalid witness raises as a clause loop would.
+    additive_counterexamples = [_trial_witness(names, *row) for _, *row in hits[0]]
+    detections = [
+        OperatorDetection(
+            operator=operator,
+            pmc_index=k,
+            pmc_name=names[k - 1],
+            detected=bool(found),
+            trials_used=found[0][0] + 1 if found else trials,
+            witness=_trial_witness(names, *found[0][1:]) if found else None,
         )
+        for (_, operator, k), found in zip(clauses[1:], hits[1:])
+    ]
 
     return ComposabilityReport(
         trials=trials,
@@ -592,22 +568,21 @@ def generate_cases(
 ) -> list[tuple[PmcVector, float]]:
     """Synthetic (pmc, measured energy) cases drawn around a generating model.
 
-    Counts are log-uniform over the standard range; measured energy is the
-    model's prediction plus Gaussian noise of the given standard deviation.
-    With zero noise the generating model evaluates to zero error on its own
-    cases.
+    Row ``i`` of the stream ``np.random.default_rng(seed)``, drawn as the
+    probe draws its counts, is case ``i``'s counts; measured energy is the
+    model's prediction plus Gaussian noise of the given standard deviation,
+    drawn from the same stream after every case's counts. With zero noise the
+    generating model evaluates to zero error on its own cases.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     if noise_sigma < 0 or not math.isfinite(noise_sigma):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     _require_seed(seed)
-    cases: list[tuple[PmcVector, float]] = []
-    for i in range(n_cases):
-        rng = np.random.default_rng([seed, i])
-        vec = PmcVector(model.pmc_names, tuple(_log_uniform_counts(rng, len(model.pmc_names))))
-        measured = predict(model, vec)
-        if noise_sigma > 0:
-            measured += float(rng.normal(0.0, noise_sigma))
-        cases.append((vec, measured))
-    return cases
+    rng = np.random.default_rng(seed)
+    counts = _draw_counts(rng, n_cases, len(model.pmc_names))
+    measured = _predict_rows(model.intercept, model.coefficients, counts)
+    if noise_sigma > 0:
+        measured += rng.normal(0.0, noise_sigma, n_cases)
+    return [(PmcVector(model.pmc_names, tuple(row)), energy)
+            for row, energy in zip(counts.tolist(), measured.tolist())]

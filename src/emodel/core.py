@@ -405,6 +405,7 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pmc_names", tuple(self.pmc_names))
+        object.__setattr__(self, "intercept", float(self.intercept))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "kind", ModelKind(self.kind))
         if len(self.pmc_names) != len(self.coefficients):

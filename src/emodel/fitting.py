@@ -330,13 +330,15 @@ def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> Er
     if not cases:
         raise ValueError("need at least one (pmc, measured) case")
     rows, measured, names = [], [], None
-    for pmc, energy in cases:
+    for case, (pmc, energy) in enumerate(cases, start=1):
         if pmc.names is not names:
             names = pmc.names
             positions = _positions(model.pmc_names, names)
             pick = itemgetter(*positions) if positions else (lambda counts: ())
         if energy <= 0:
             raise ValueError(f"measured must be > 0, got {energy!r}")
+        if not math.isfinite(energy):
+            raise ValueError(f"measured energy for case {case} is not finite: {energy!r}")
         rows.append(pick(pmc.counts))
         measured.append(energy)
     counts = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names))

@@ -127,10 +127,10 @@ def partition(
 ) -> PartitionResult:
     """Minimum-energy split of n rows across two processors.
 
-    Scans every m on the shared grid with both parts at least one granule,
-    keeping splits where both energies are available (sampled, or
-    interpolable along x when ``interpolate`` is set). Ties go to the
-    smallest m.
+    When both functions have samples at y = n, scans every m on the shared
+    grid with both parts at least one granule, keeping splits where both
+    energies are available (sampled, or interpolable along x when
+    ``interpolate`` is set). Ties go to the smallest m.
     """
     g = func1.granularity_g
     if func2.granularity_g != g:
@@ -145,7 +145,8 @@ def partition(
     curve1, curve2 = func1._slices.get(n, {}), func2._slices.get(n, {})
     xs1, xs2 = list(curve1), list(curve2)
     best: tuple[float, int, float, float] | None = None
-    for m in range(g, n - g + 1, g):
+    # Interpolation is along x only, so a missing slice leaves no m to scan.
+    for m in range(g, n - g + 1, g) if curve1 and curve2 else ():
         e1 = _energy_at(curve1, xs1, m, interpolate)
         e2 = _energy_at(curve2, xs2, n - m, interpolate)
         if e1 is None or e2 is None:

@@ -4,7 +4,8 @@ The oracles here are deliberately written differently from the library code
 they check: exhaustive enumeration instead of active sets, candidate-list
 scans instead of streaming argmins, row-by-row CSV loading instead of
 column-by-column, a plain dict of row lists instead of group codes,
-per-name lookups in separate trial loops instead of one composability check,
+per-name lookups in separate trial loops with scalar draws instead of one
+composability check over blocks of rows,
 ``math.fsum`` per group instead of TwoSum layers, per-pair centring instead of
 one centring per column, and one ``predict`` call per evaluated case.
 """
@@ -525,7 +526,7 @@ def load_compounds_by_rows(path, dataset: Dataset) -> list[CompoundRun]:
 # compose -> compare -> counterexample loops the library once had, rebuilt
 # from the public report types, to pin the library's reports byte for byte.
 
-REFERENCE_COUNT_RANGE = (1.0, 1e11)
+REFERENCE_COUNT_RANGE = (1.0, 2.0**37)
 
 
 def predict_by_names(model, vector):
@@ -616,12 +617,19 @@ def weak_composability_by_loops(model, pairs, default, overrides, tol=1e-12):
     return not counterexamples, counterexamples
 
 
-def draw_pair_by_formula(names, stream):
-    rng = np.random.default_rng(stream)
-    low, high = REFERENCE_COUNT_RANGE
-    span = math.log10(high) - math.log10(low)
-    counts = 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=(2, len(names))))
-    return PmcVector(names, tuple(counts[0])), PmcVector(names, tuple(counts[1]))
+def draw_counts_by_formula(rng, count):
+    """The stream's next ``count`` counts, one scalar draw at a time: each is
+    ldexp(1 + u1, floor(u2 * octaves)) of its next two values, for the 37
+    octaves of REFERENCE_COUNT_RANGE."""
+    octaves = int(math.log2(REFERENCE_COUNT_RANGE[1]))
+    return [math.ldexp(1.0 + rng.random(), math.floor(rng.random() * octaves))
+            for _ in range(count)]
+
+
+def draw_pair_by_formula(names, rng):
+    """The next trial of a clause stream: the first run's counts, then the second's."""
+    counts = draw_counts_by_formula(rng, 2 * len(names))
+    return PmcVector(names, tuple(counts[:len(names)])), PmcVector(names, tuple(counts[len(names):]))
 
 
 def strong_composability_by_loops(model, trials=100, seed=0, *, delta=1.0, tol=1e-12):
@@ -635,8 +643,9 @@ def strong_composability_by_loops(model, trials=100, seed=0, *, delta=1.0, tol=1
 
     names = model.pmc_names
     additive_counterexamples = []
+    rng = np.random.default_rng([seed, 0, 0])
     for trial in range(trials):
-        vec_a, vec_b = draw_pair_by_formula(names, [seed, 0, 0, trial])
+        vec_a, vec_b = draw_pair_by_formula(names, rng)
         composed = compose_by_names(vec_a, vec_b, SUM, {})
         if breaks_conservation_by_names(model, vec_a, vec_b, composed, tol):
             lhs, rhs, _ = conservation_gap_by_names(model, vec_a, vec_b, composed)
@@ -651,8 +660,9 @@ def strong_composability_by_loops(model, trials=100, seed=0, *, delta=1.0, tol=1
                 continue
             witness = None
             used = trials
+            rng = np.random.default_rng([seed, op_ordinal, k])
             for trial in range(trials):
-                vec_a, vec_b = draw_pair_by_formula(names, [seed, op_ordinal, k, trial])
+                vec_a, vec_b = draw_pair_by_formula(names, rng)
                 composed = compose_by_names(vec_a, vec_b, SUM, {k: operator})
                 if breaks_conservation_by_names(model, vec_a, vec_b, composed, tol):
                     lhs, rhs, _ = conservation_gap_by_names(model, vec_a, vec_b, composed)
@@ -682,14 +692,15 @@ def strong_composability_by_loops(model, trials=100, seed=0, *, delta=1.0, tol=1
 
 
 def generate_cases_by_formula(model, n_cases, seed=0, noise_sigma=0.0):
-    """Synthetic (pmc, measured) cases, each from its own stream [seed, i]."""
+    """Synthetic (pmc, measured) cases: every case's counts from the stream
+    [seed], case by case, then every case's noise from the same stream."""
+    rng = np.random.default_rng(seed)
+    vectors = [
+        PmcVector(model.pmc_names, tuple(draw_counts_by_formula(rng, len(model.pmc_names))))
+        for _ in range(n_cases)
+    ]
     cases = []
-    for i in range(n_cases):
-        rng = np.random.default_rng([seed, i])
-        low, high = REFERENCE_COUNT_RANGE
-        span = math.log10(high) - math.log10(low)
-        counts = 10.0 ** (math.log10(low) + rng.uniform(0.0, span, size=len(model.pmc_names)))
-        vec = PmcVector(model.pmc_names, tuple(counts))
+    for vec in vectors:
         measured = predict_by_names(model, vec)
         if noise_sigma > 0:
             measured += float(rng.normal(0.0, noise_sigma))

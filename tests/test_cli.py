@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -419,6 +420,13 @@ def test_conserve_negative_seed_names_the_flag(files, capsys):
     assert (code, out, err) == (1, "", "error: --seed must be a non-negative integer, got -1\n")
 
 
+def test_conserve_composability_trials_below_one_names_the_flag(files, capsys):
+    for trials in ("0", "-1"):
+        assert run(capsys, "conserve", "--model", files["clean.json"],
+                   "--composability-trials", trials) == (
+            1, "", f"error: --composability-trials must be >= 1, got {trials}\n")
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -443,11 +451,39 @@ def test_conserve_huge_delta_detects_planted_operator(tmp_path, capsys):
     assert detections[2]["witness"]["lhs_j"] is None
 
 
-def _conserve_subprocess(model_path, *flags):
+def _conserve_subprocess(model_path, *flags, env=None):
     return subprocess.run(
         [sys.executable, "-m", "emodel.cli", "conserve", "--model", str(model_path), *flags],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
+
+
+def _dispatched_cpu_features():
+    """The features numpy dispatches to at run time that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+def test_conserve_composability_report_is_the_same_at_every_simd_level(tmp_path):
+    # The probe makes its counts with correctly rounded operations only, so
+    # switching off numpy's run-time SIMD kernels changes no byte of it.
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy dispatches to no SIMD feature of this CPU at run time, "
+                    "so there is no lower SIMD level to compare with")
+    model = EnergyModel(tuple(f"X{i}" for i in range(1, 9)), 0.0,
+                        (2.0, 0.5, 3e-9, 1e-10, 7.0, 0.0, 1e-3, 4.2),
+                        ModelKind.ZERO_INTERCEPT_NONNEG)
+    save_model(model, tmp_path / "m.json")
+    flags = ("--composability-trials", "100", "--seed", "1")
+    default = _conserve_subprocess(tmp_path / "m.json", *flags)
+    reduced = _conserve_subprocess(tmp_path / "m.json", *flags, env={
+        **os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+    assert default.returncode in (0, 2) and default.stdout
+    assert (reduced.returncode, reduced.stdout) == (default.returncode, default.stdout)
 
 
 def test_conserve_subprocess_huge_coefficients_exact_output(tmp_path):

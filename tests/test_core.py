@@ -24,6 +24,7 @@ from emodel import (
     run_additivity_test,
     save_model,
 )
+from emodel.core import model_to_dict
 from helpers import (
     group_means_by_fsum,
     groups_by_dict,
@@ -452,6 +453,14 @@ def test_model_round_trip_is_exact(tmp_path):
 
     vec = PmcVector(model.pmc_names, (7022011, 623142, 121489, 5101219180, 33210, 186971207082))
     assert predict(loaded, vec) == predict(model, vec)
+
+
+def test_model_intercept_is_stored_as_float():
+    model = EnergyModel(("C1",), 0, (2.0,), ModelKind.ZERO_INTERCEPT)
+    assert type(model.intercept) is float
+    assert json.dumps(model_to_dict(model)["intercept"]) == "0.0"
+    bare = EnergyModel((), 3, (), ModelKind.UNCONSTRAINED)
+    assert type(predict(bare, PmcVector((), ()))) is float
 
 
 def test_model_kind_invariants_enforced():

@@ -668,6 +668,14 @@ def test_evaluate_error_precedence_matches_per_case_oracle():
         assert message in str(raised.value)
 
 
+def test_evaluate_rejects_non_finite_measured_energy():
+    fine = (PmcVector(("C1",), (1.0,)), 100.0)
+    for energy in (math.inf, math.nan):
+        with pytest.raises(ValueError) as info:
+            evaluate(model_c1(), [fine, (PmcVector(("C1",), (1.0,)), energy)])
+        assert str(info.value) == f"measured energy for case 2 is not finite: {energy!r}"
+
+
 def test_error_summary_validation():
     with pytest.raises(ValueError):
         ErrorSummary(min_pct=5.0, avg_pct=4.0, max_pct=6.0, n_cases=2)

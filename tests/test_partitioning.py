@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,6 +153,17 @@ def test_partition_no_feasible_split():
     func2 = grid_function("p2", n, lambda x: 1.0)
     with pytest.raises(ValueError, match="no feasible"):
         partition(func1, func2, n)
+
+
+def test_partition_fails_at_once_without_a_slice_at_n():
+    # Interpolation is along x only, so no m can be fed without both slices.
+    func1 = EnergyFunction("p1", ((1, 1, 1.0), (2, 1, 2.0), (1, 2, 3.0)), 1)
+    func2 = EnergyFunction("p2", ((1, 1, 1.0), (2, 1, 2.0), (1, 10**8, 3.0)), 1)
+    for interpolate in (False, True):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^no feasible split of n=100000000: "):
+            partition(func1, func2, 10**8, interpolate)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_partition_argument_validation():
