@@ -141,9 +141,9 @@ def _cmd_additivity(args) -> int:
     from .additivity import (
         report_to_csv, report_to_json_dict, run_additivity_test, tolerance_sweep,
     )
-    from .core import load_compounds, load_runs
+    from .core import _load_run_columns, load_compounds
 
-    dataset = load_runs(args.runs)
+    dataset = _load_run_columns(args.runs)
     compounds = load_compounds(args.compounds, dataset) if args.compounds else []
     report = run_additivity_test(
         dataset, compounds, args.tolerance, reproducibility_cov=args.cov
@@ -168,10 +168,10 @@ def _cmd_additivity(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    from .core import load_runs
+    from .core import _load_run_columns
     from .fitting import correlation_matrix
 
-    dataset = load_runs(args.runs)
+    dataset = _load_run_columns(args.runs)
     pmcs = _split_names(args.pmcs) if args.pmcs else None
     matrix = correlation_matrix(dataset, pmcs)
     text = matrix.to_csv() if args.format == "csv" else _json_text(matrix.to_json_dict())
@@ -180,10 +180,10 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .core import load_runs, model_to_dict, save_model
+    from .core import _load_run_columns, model_to_dict, save_model
     from .fitting import fit
 
-    dataset = load_runs(args.runs)
+    dataset = _load_run_columns(args.runs)
     pmcs = _split_names(args.pmcs) if args.pmcs else None
     model = fit(dataset, pmcs, ModelKind(args.kind))
     if args.out:
@@ -194,7 +194,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .core import load_model, load_runs
+    from .core import _load_run_columns, load_model
     from .fitting import _positions, _predict_rows, predict
 
     model = load_model(args.model)
@@ -203,16 +203,13 @@ def _cmd_predict(args) -> int:
         _emit(_one_row({"prediction_j": value}, args.format), args.out)
         return 0
 
-    dataset = load_runs(args.runs)
+    dataset = _load_run_columns(args.runs)
     values = []
-    if dataset.runs:  # a file without rows has no PMC to look up
+    if dataset.app_id:  # a file without rows has no PMC to look up
         counts = dataset.counts[:, list(_positions(model.pmc_names, dataset.pmc_names))]
         values = _predict_rows(model.intercept, model.coefficients, counts).tolist()
     fields = ("app_id", "run_id", "cores", "problem_size", "prediction_j")
-    rows = [
-        (run.app_id, run.run_id, run.config.cores, run.config.problem_size, value)
-        for run, value in zip(dataset.runs, values)
-    ]
+    rows = list(zip(dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size, values))
     if args.format == "csv":
         text = "\n".join([",".join(fields)] + [_csv_row(row) for row in rows]) + "\n"
     else:
@@ -222,17 +219,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .core import load_compounds, load_model, load_runs
-    from .fitting import evaluate
+    from .core import _load_run_columns, load_compounds, load_model
+    from .fitting import _evaluate_rows, evaluate
 
     model = load_model(args.model)
-    dataset = load_runs(args.runs)
+    dataset = _load_run_columns(args.runs)
     if args.compounds:
         compounds = load_compounds(args.compounds, dataset)
-        cases = [(c.pmc, c.dynamic_energy_j) for c in compounds]
+        summary = evaluate(model, [(c.pmc, c.dynamic_energy_j) for c in compounds])
     else:
-        cases = [(r.pmc, r.dynamic_energy_j) for r in dataset.runs]
-    summary = evaluate(model, cases)
+        summary = _evaluate_rows(model, dataset.pmc_names, dataset.counts, dataset.dynamic_energy_j)
     _emit(_one_row(summary.to_json_dict(), args.format), args.out)
     return 0
 

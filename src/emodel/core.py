@@ -184,6 +184,13 @@ def _row_tuples(matrix: np.ndarray) -> Iterator[tuple[float, ...]]:
     return (tuple(row.tolist()) for row in matrix)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only ``float64`` copy of ``values``, holding no view of a larger matrix."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knuth's TwoSum: ``a + b`` rounded, and the exact error of that rounding."""
     total = a + b
@@ -214,6 +221,11 @@ class Dataset:
     """An ordered PMC name list with the runs (and optional compounds) that cover it.
 
     Immutable after construction; any number of readers may share one instance.
+    The runs are stored as columns in row order: read-only ``float64`` arrays
+    ``counts`` (runs x PMCs), ``exec_time_s`` and ``dynamic_energy_j``, and
+    tuples ``app_id``, ``run_id``, ``cores`` and ``problem_size``. ``runs``,
+    the :class:`ApplicationRun` rows, is built from them on first access:
+    :func:`load_runs` builds it at load, the ``emodel`` commands never do.
     Repeated (app_id, config) rows are repetition samples. ``points()`` gives
     the per-group means, which are the base side of additivity testing.
     ``fit`` and ``correlation_matrix`` take every run row as one sample,
@@ -230,8 +242,8 @@ class Dataset:
         object.__setattr__(self, "compounds", tuple(self.compounds))
         if len(set(self.pmc_names)) != len(self.pmc_names):
             raise ValueError("dataset PMC names are not unique")
-        seen: dict[tuple[str, RunConfig, str | None], int] = {}
-        for i, run in enumerate(self.runs):
+        seen: set[tuple[str, RunConfig, str | None]] = set()
+        for run in self.runs:
             if run.pmc.names != self.pmc_names:
                 raise ValueError(
                     f"run {run.app_id!r} ({run.config.label()}) PMC names "
@@ -244,20 +256,44 @@ class Dataset:
                     f"duplicate run ({run.app_id!r}, {run.config.label()}, "
                     f"run_id={run.run_id!r})"
                 )
-            seen[key] = i
+            seen.add(key)
+        runs, width = self.runs, len(self.pmc_names)
+        self._store(_frozen([run.pmc.counts for run in runs]).reshape(len(runs), width),
+                    [run.exec_time_s for run in runs], [run.dynamic_energy_j for run in runs],
+                    [run.app_id for run in runs], [run.run_id for run in runs],
+                    [run.config.cores for run in runs], [run.config.problem_size for run in runs])
         self.check_compounds(self.compounds)
 
     @classmethod
-    def _checked(cls, pmc_names: tuple[str, ...], runs: tuple[ApplicationRun, ...],
-                 counts: np.ndarray) -> "Dataset":
-        """A dataset without compounds of runs that the caller has already
-        checked as ``__post_init__`` does, with their read-only counts matrix."""
+    def _from_columns(cls, pmc_names: tuple[str, ...], *columns: Sequence) -> "Dataset":
+        """A dataset without compounds whose runs, given as columns in ``_store``
+        order, the caller has already checked as ``__post_init__`` does."""
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "pmc_names", pmc_names)
-        object.__setattr__(dataset, "runs", runs)
-        object.__setattr__(dataset, "compounds", ())
-        object.__setattr__(dataset, "counts", counts)  # fills the cached property
+        dataset.__dict__.update(pmc_names=pmc_names, compounds=())
+        dataset._store(*columns)
         return dataset
+
+    def _store(self, counts, times, energies, app_id, run_id, cores, sizes) -> None:
+        self.__dict__.update(
+            counts=counts, exec_time_s=_frozen(times), dynamic_energy_j=_frozen(energies),
+            app_id=tuple(app_id), run_id=tuple(run_id), cores=tuple(cores),
+            problem_size=tuple(sizes),
+        )
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: ``runs`` not yet built from the columns.
+        if name != "runs":
+            raise AttributeError(f"'Dataset' object has no attribute {name!r}")
+        config_of = {pair: RunConfig(*pair) for pair in set(zip(self.cores, self.problem_size))}
+        self.__dict__["runs"] = runs = tuple(
+            ApplicationRun(app_id, config_of[cores, size],
+                           PmcVector._checked(self.pmc_names, row), time_s, energy, run_id)
+            for app_id, cores, size, row, time_s, energy, run_id in zip(
+                self.app_id, self.cores, self.problem_size, _row_tuples(self.counts),
+                self.exec_time_s.tolist(), self.dynamic_energy_j.tolist(), self.run_id,
+            )
+        )
+        return runs
 
     def check_compounds(self, compounds: Iterable[CompoundRun]) -> None:
         """Raise ValueError unless every compound has this dataset's PMC names
@@ -275,23 +311,18 @@ class Dataset:
                     )
 
     @cached_property
-    def counts(self) -> np.ndarray:
-        """Read-only runs x PMCs ``float64`` matrix of the runs' counts, in row order."""
-        matrix = np.array([run.pmc.counts for run in self.runs], dtype=float)
-        matrix = matrix.reshape(len(self.runs), len(self.pmc_names))
-        matrix.flags.writeable = False
-        return matrix
-
-    @cached_property
     def group_index(self) -> GroupIndex:
         """Run groups by (app_id, config) in first-seen order, as row positions."""
-        group_of: dict[RunRef, int] = {}
-        codes = (group_of.setdefault(run.ref, len(group_of)) for run in self.runs)
-        row_group = np.fromiter(codes, dtype=np.intp, count=len(self.runs))
-        sizes = np.bincount(row_group, minlength=len(group_of))
+        code_of: dict[tuple[str, int, str], int] = {}
+        codes = (code_of.setdefault(key, len(code_of))
+                 for key in zip(self.app_id, self.cores, self.problem_size))
+        row_group = np.fromiter(codes, dtype=np.intp, count=len(self.app_id))
+        sizes = np.bincount(row_group, minlength=len(code_of))
+        refs = tuple(RunRef(app_id, RunConfig(cores, size)) for app_id, cores, size in code_of)
         return GroupIndex(
-            refs=tuple(group_of), group_of=group_of, sizes=sizes, row_group=row_group,
-            order=np.argsort(row_group, kind="stable"), starts=np.cumsum(sizes) - sizes,
+            refs=refs, group_of={ref: g for g, ref in enumerate(refs)}, sizes=sizes,
+            row_group=row_group, order=np.argsort(row_group, kind="stable"),
+            starts=np.cumsum(sizes) - sizes,
         )
 
     def groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
@@ -335,8 +366,8 @@ class Dataset:
         """One aggregated point per (app_id, config): means over repetitions."""
         index = self.group_index
         counts = _row_tuples(self.group_means(self.counts))
-        times = self.group_means([run.exec_time_s for run in self.runs]).tolist()
-        energies = self.group_means([run.dynamic_energy_j for run in self.runs]).tolist()
+        times = self.group_means(self.exec_time_s).tolist()
+        energies = self.group_means(self.dynamic_energy_j).tolist()
         return tuple(
             AggregatedRun(ref.app_id, ref.config, PmcVector._checked(self.pmc_names, row),
                           time_s, energy, n)
@@ -510,8 +541,7 @@ def _float_columns(rows: list[list[str]], positions: list[int]) -> np.ndarray:
 def _counts_and_faults(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only counts matrix in the first ``p`` columns of ``values``,
     and a mask of the rows with a count that is not finite and non-negative."""
-    counts = values[:, :p].copy()
-    counts.flags.writeable = False
+    counts = _frozen(values[:, :p])
     return counts, ~(np.isfinite(counts) & (counts >= 0)).all(axis=1)
 
 
@@ -545,7 +575,7 @@ def _positive_int(text: str) -> int | None:
 
 
 def load_runs(path) -> Dataset:
-    """Load a runs CSV into a :class:`Dataset`.
+    """Load a runs CSV into a :class:`Dataset`, its ``runs`` rows built at load.
 
     Header: ``app_id,cores,problem_size,exec_time_s,dynamic_energy_j`` plus one
     column per PMC, in model variable order. ``run_id`` is optional and marks
@@ -553,6 +583,13 @@ def load_runs(path) -> Dataset:
     may replace ``dynamic_energy_j``, in which case dynamic energy is computed
     at load time.
     """
+    dataset = _load_run_columns(path)
+    dataset.runs  # built now, so later analysis is not charged for the rows
+    return dataset
+
+
+def _load_run_columns(path) -> Dataset:
+    """:func:`load_runs` with every check, leaving ``runs`` to be built on first access."""
     header, body, row_numbers = _read_csv(path)
     columns = _columns(path, header)
 
@@ -616,17 +653,8 @@ def load_runs(path) -> Dataset:
             f"{path}: row {row_numbers[first]}: duplicate run ({app_id!r}, {cores_n}:{size}, "
             f"run_id={run_id!r}), first seen at row {row_numbers[keys.index(keys[first])]}"
         )
-    del body, rows, cores_texts, keys  # the cell strings go before the row objects come
-
-    config_of = {pair: RunConfig(*pair) for pair in set(zip(cores, sizes))}
-    runs = tuple(
-        ApplicationRun(app_id, config_of[cores_n, size],
-                       PmcVector._checked(pmc_names, row), time_s, energy, run_id)
-        for app_id, cores_n, size, row, time_s, energy, run_id in zip(
-            app_ids, cores, sizes, _row_tuples(counts), times.tolist(), energies.tolist(), run_ids
-        )
-    )
-    return Dataset._checked(pmc_names, runs, counts)
+    del body, rows, cores_texts, keys  # the cell strings go before the columns are copied
+    return Dataset._from_columns(pmc_names, counts, times, energies, app_ids, run_ids, cores, sizes)
 
 
 def _check_run_row(path, header, columns, pmc_names, row, row_no) -> None:

@@ -151,10 +151,11 @@ def _column_indices(dataset: Dataset, names: Sequence[str]) -> list[int]:
 def correlation_matrix(dataset: Dataset, pmcs: Sequence[str] | None = None) -> CorrelationMatrix:
     """Pearson correlations of dynamic energy and PMCs over all runs. Each
     column is centred once; each pair then takes one dot product."""
-    if len(dataset.runs) < 2:
-        raise ValueError(f"need >= 2 runs for correlations, got {len(dataset.runs)}")
+    energies = dataset.dynamic_energy_j
+    if len(energies) < 2:
+        raise ValueError(f"need >= 2 runs for correlations, got {len(energies)}")
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names
-    columns = [np.array([run.dynamic_energy_j for run in dataset.runs], dtype=float)]
+    columns = [energies]
     columns += [dataset.counts[:, i] for i in _column_indices(dataset, names)]
 
     k = len(columns)
@@ -255,17 +256,16 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
     columns = _column_indices(dataset, names)
     offset = 1 if kind is ModelKind.UNCONSTRAINED else 0
     parameters = len(names) + offset
-    if len(dataset.runs) <= parameters:
+    y = dataset.dynamic_energy_j
+    if len(y) <= parameters:
         raise ValueError(
-            f"need more runs than parameters: {len(dataset.runs)} runs for "
-            f"{parameters} parameters"
+            f"need more runs than parameters: {len(y)} runs for {parameters} parameters"
         )
 
     # Filled column by column, so no second runs x PMCs copy is held.
-    design = np.ones((len(dataset.runs), parameters))
+    design = np.ones((len(y), parameters))
     for k, column in enumerate(columns):
         design[:, offset + k] = dataset.counts[:, column]
-    y = np.array([run.dynamic_energy_j for run in dataset.runs])
 
     if kind is ModelKind.UNCONSTRAINED:
         solution = _qr_solve(design, y)
@@ -327,27 +327,38 @@ def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> Er
     errors are on dynamic energy. All cases are predicted at once by
     :func:`_predict_rows`.
     """
-    if not cases:
-        raise ValueError("need at least one (pmc, measured) case")
     rows, measured, names = [], [], None
     for case, (pmc, energy) in enumerate(cases, start=1):
         if pmc.names is not names:
             names = pmc.names
             positions = _positions(model.pmc_names, names)
             pick = itemgetter(*positions) if positions else (lambda counts: ())
-        if energy <= 0:
-            raise ValueError(f"measured must be > 0, got {energy!r}")
-        if not math.isfinite(energy):
-            raise ValueError(f"measured energy for case {case} is not finite: {energy!r}")
+        _check_measured(case, energy)
         rows.append(pick(pmc.counts))
         measured.append(energy)
     counts = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names))
+    return _evaluate_rows(model, model.pmc_names, counts, np.array(measured, dtype=float))
+
+
+def _check_measured(case: int, energy: float) -> None:
+    if energy <= 0:
+        raise ValueError(f"measured must be > 0, got {energy!r}")
+    if not math.isfinite(energy):
+        raise ValueError(f"measured energy for case {case} is not finite: {energy!r}")
+
+
+def _evaluate_rows(model: EnergyModel, names, counts, energies) -> ErrorSummary:
+    """:func:`evaluate` on ``counts`` (a column per name in ``names``) and measured ``energies``."""
+    if not len(energies):
+        raise ValueError("need at least one (pmc, measured) case")
+    counts = counts[:, list(_positions(model.pmc_names, names))]
+    for case in np.flatnonzero(~((energies > 0) & (energies < math.inf)))[:1].tolist():
+        _check_measured(case + 1, float(energies[case]))
     totals = _predict_rows(model.intercept, model.coefficients, counts)
     unpredictable = np.flatnonzero(~np.isfinite(totals))
     if unpredictable.size:
         case = int(unpredictable[0])
         raise ValueError(f"prediction for case {case + 1} is not finite: {float(totals[case])!r}")
-    energies = np.array(measured, dtype=float)
     with np.errstate(over="ignore"):
         errors = (np.abs(totals - energies) / energies * 100.0).tolist()
     low, high = min(errors), max(errors)

@@ -127,10 +127,10 @@ def partition(
 ) -> PartitionResult:
     """Minimum-energy split of n rows across two processors.
 
-    When both functions have samples at y = n, scans every m on the shared
-    grid with both parts at least one granule, keeping splits where both
-    energies are available (sampled, or interpolable along x when
-    ``interpolate`` is set). Ties go to the smallest m.
+    When both functions have samples at y = n, scans the m on the shared
+    grid with both parts at least one granule where both energies are
+    available (sampled, or interpolable along x when ``interpolate`` is
+    set), in ascending order. Ties go to the smallest m.
     """
     g = func1.granularity_g
     if func2.granularity_g != g:
@@ -144,9 +144,14 @@ def partition(
 
     curve1, curve2 = func1._slices.get(n, {}), func2._slices.get(n, {})
     xs1, xs2 = list(curve1), list(curve2)
+    # No other m has both energies: interpolation (along x only) fills m inside
+    # both slices' x ranges, and a sample needs m in slice 1 and n - m in slice 2.
+    if interpolate and curve1 and curve2:
+        candidates = range(max(g, xs1[0], n - xs2[-1]), min(n - g, xs1[-1], n - xs2[0]) + 1, g)
+    else:
+        candidates = (m for m in xs1 if g <= m <= n - g and n - m in curve2)
     best: tuple[float, int, float, float] | None = None
-    # Interpolation is along x only, so a missing slice leaves no m to scan.
-    for m in range(g, n - g + 1, g) if curve1 and curve2 else ():
+    for m in candidates:
         e1 = _energy_at(curve1, xs1, m, interpolate)
         e2 = _energy_at(curve2, xs2, n - m, interpolate)
         if e1 is None or e2 is None:

@@ -170,20 +170,25 @@ def headline_workload(seed, groups=40, repetitions=3, compounds=60):
     - E1 and E2 carry the energy (1 J per 1e9 and per 5e7 events);
     - U is additive but unrelated to the energy;
     - N tracks each base run's measured energy within 2%, but a compound's N
-      is the larger of its bases' N, not their sum: it is not additive.
+      is the larger of its bases' N, not their sum: it is not additive;
+    - R sums in compounds but varies by up to 30% between repetitions, so
+      stage 1 (reproducibility) rejects it.
 
     Repetitions and compounds carry 0.5% Gaussian noise on every count and on
     the energy. A compound runs two distinct base applications one after the
-    other, so its energy and its additive counts are the bases' sums.
+    other, so its energy and its additive counts are the bases' sums. R is
+    drawn from a second stream, so the other columns do not depend on it.
     """
     rng = np.random.default_rng(seed)
-    names = ("E1", "E2", "U", "N")
+    spread = np.random.default_rng([seed, 1])
+    names = ("E1", "E2", "U", "N", "R")
     noise = 0.005
     e1 = 10.0 ** rng.uniform(8.0, 10.0, groups)
     e2 = 10.0 ** rng.uniform(7.0, 9.0, groups)
     u = 10.0 ** rng.uniform(6.0, 8.0, groups)
     energy = e1 / 1e9 + e2 / 5e7
     tracking = 1e6 * (1.0 + rng.uniform(-0.02, 0.02, groups))
+    irreproducible = 10.0 ** spread.uniform(6.0, 8.0, groups)
     runs, means = [], []
     for g in range(groups):
         rows = []
@@ -191,8 +196,9 @@ def headline_workload(seed, groups=40, repetitions=3, compounds=60):
             jitter = 1.0 + noise * rng.standard_normal(4)
             measured = energy[g] * jitter[3]
             rows.append((e1[g] * jitter[0], e2[g] * jitter[1], u[g] * jitter[2],
-                         tracking[g] * measured, measured))
-            runs.append(make_run(f"a{g:02d}", names, rows[-1][:4], measured, run_id=f"r{r}"))
+                         tracking[g] * measured,
+                         irreproducible[g] * (1.0 + spread.uniform(-0.3, 0.3))))
+            runs.append(make_run(f"a{g:02d}", names, rows[-1], measured, run_id=f"r{r}"))
         means.append(np.mean(rows, axis=0))
     serial = []
     for c in range(compounds):
@@ -200,7 +206,7 @@ def headline_workload(seed, groups=40, repetitions=3, compounds=60):
         jitter = 1.0 + noise * rng.standard_normal(4)
         ma, mb = means[a], means[b]
         counts = ((ma[0] + mb[0]) * jitter[0], (ma[1] + mb[1]) * jitter[1],
-                  (ma[2] + mb[2]) * jitter[2], max(ma[3], mb[3]))
+                  (ma[2] + mb[2]) * jitter[2], max(ma[3], mb[3]), ma[4] + mb[4])
         serial.append(make_compound(f"c{c:02d}", f"a{a:02d}", f"a{b:02d}", names, counts,
                                     (energy[a] + energy[b]) * jitter[3]))
     return make_dataset(names, runs, serial), serial

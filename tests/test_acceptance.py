@@ -14,6 +14,7 @@ import pytest
 
 from emodel import (
     Classification,
+    EnergyFunction,
     ModelKind,
     PmcVector,
     core_config_analysis,
@@ -425,3 +426,51 @@ def test_criterion_10_additive_nonneg_model_beats_unconstrained_on_compounds(acc
         f"worst error ratio {max(ratios):.3f} over 5 seeds",
     )
     assert passed, ratios
+
+
+def reference_energy_pair(seed, g, n):
+    """Seeded reference energy tables {x: energy} of two processors along
+    y = n: a linear plus a quadratic term in x, with 2% noise per sample."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(2):
+        linear, quadratic = rng.uniform(0.5, 2.0, 2)
+        noise = rng.uniform(0.98, 1.02, n // g - 1)
+        tables.append({x: (linear * x / g + quadratic * (x / g) ** 2 / 64) * k
+                       for x, k in zip(range(g, n, g), noise.tolist())})
+    return tables
+
+
+def test_criterion_11_tool_view_split_loses_energy_against_reference(acceptance):
+    """The direction of the paper's second headline: a split chosen on a
+    measurement tool's view, whose error on processor one grows with x and so
+    is not additive, costs more reference energy than the reference optimum;
+    a view equal to the reference loses nothing."""
+    g, n = 64, 64 * 64
+
+    def function(name, table):
+        return EnergyFunction(name, tuple((x, n, e) for x, e in table.items()), g)
+
+    losses, exact, oracle_ok = [], [], True
+    for seed in range(5):
+        ref1, ref2 = reference_energy_pair(seed, g, n)
+        optimum = partition_by_enumeration(function("p1", ref1), function("p2", ref2), n)[4]
+        tool1 = {x: e * (1.0 - 0.5 * x / n) for x, e in ref1.items()}
+        for view1, found in ((ref1, exact), (tool1, losses)):
+            func1, func2 = function("p1", view1), function("p2", ref2)
+            result = partition(func1, func2, n)
+            oracle_ok = oracle_ok and (
+                (result.m, result.k, result.e1_j, result.e2_j, result.total_j)
+                == partition_by_enumeration(func1, func2, n))
+            # The chosen split, priced on the reference.
+            found.append(energy_loss(ref1[result.m] + ref2[result.k], optimum))
+
+    passed = oracle_ok and exact == [0.0] * 5 and min(losses) > 0.0
+    acceptance(
+        11,
+        "a split chosen on a tool view with non-additive error loses energy against the "
+        "reference optimum; the reference's own view loses none",
+        passed,
+        f"losses {min(losses):.1f}-{max(losses):.1f}% over 5 seeds",
+    )
+    assert passed, losses

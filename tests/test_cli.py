@@ -6,16 +6,24 @@ import sys
 import pytest
 
 from emodel import (
+    ApplicationRun,
     EnergyModel,
     ModelKind,
     check_conservation,
+    correlation_matrix,
+    evaluate,
+    fit,
     load_model,
     load_runs,
     predict,
+    run_additivity_test,
     save_model,
     strong_composability_check,
 )
-from emodel.cli import run_cli
+from emodel.additivity import report_to_json_dict
+from emodel.cli import _json_text, run_cli
+from emodel.core import model_to_dict
+from helpers import load_compounds_by_rows, load_runs_by_rows
 
 RUNS_ADD = """app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2
 alpha,r1,2,1024,10.0,50.0,1000,500
@@ -351,6 +359,44 @@ def test_evaluate_runs_and_compounds(files, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "min_pct,avg_pct,max_pct,n_cases"
+
+
+def test_runs_file_commands_build_no_row_objects(files, capsys, monkeypatch):
+    """fit, correlate, additivity, evaluate and predict --runs read the runs
+    file's columns: with ApplicationRun construction made to raise, each
+    still prints what the library gives on the row-by-row loader's runs."""
+    runs, compounds = files["runs_fit.csv"], files["compounds_add.csv"]
+    model_file = files["dirty.json"]
+    rows = load_runs_by_rows(runs)
+    bases = load_runs_by_rows(files["runs_add.csv"])
+    model = load_model(model_file)
+    expected = {
+        ("fit", "--runs", runs, "--kind", "zero_intercept_nonneg"):
+            _json_text(model_to_dict(fit(rows, None, ModelKind.ZERO_INTERCEPT_NONNEG))),
+        ("fit", "--runs", runs, "--kind", "unconstrained"):
+            _json_text(model_to_dict(fit(rows, None, ModelKind.UNCONSTRAINED))),
+        ("correlate", "--runs", runs): _json_text(correlation_matrix(rows).to_json_dict()),
+        ("additivity", "--runs", files["runs_add.csv"], "--compounds", compounds):
+            _json_text(report_to_json_dict(run_additivity_test(
+                bases, load_compounds_by_rows(compounds, bases)))),
+        ("evaluate", "--model", model_file, "--runs", runs):
+            _json_text(evaluate(model, [(r.pmc, r.dynamic_energy_j) for r in rows.runs])
+                       .to_json_dict()),
+        ("evaluate", "--model", model_file, "--runs", files["runs_add.csv"],
+         "--compounds", compounds):
+            _json_text(evaluate(model, [(c.pmc, c.dynamic_energy_j) for c in
+                                        load_compounds_by_rows(compounds, bases)]).to_json_dict()),
+        ("predict", "--model", model_file, "--runs", runs): per_row_report(model, rows, "json"),
+        ("predict", "--model", model_file, "--runs", runs, "--format", "csv"):
+            per_row_report(model, rows, "csv"),
+    }
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ApplicationRun was built")
+
+    monkeypatch.setattr(ApplicationRun, "__init__", refuse)
+    for argv, text in expected.items():
+        assert run(capsys, *argv) == (0, text, ""), argv
 
 
 # --- conserve ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from emodel import (
     run_additivity_test,
     save_model,
 )
-from emodel.core import model_to_dict
+from emodel.core import _load_run_columns, model_to_dict
 from helpers import (
     group_means_by_fsum,
     groups_by_dict,
@@ -612,6 +612,51 @@ def test_load_runs_matches_row_by_row_reference(tmp_path_factory, text):
         assert run_digest(got) == run_digest(expected)
     else:
         assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs_files())
+@example(TWO_FAULTS_RUNS)
+def test_column_loader_matches_row_by_row_reference(tmp_path_factory, text):
+    """The columns, the rows built from them on first access and the group
+    index equal the row-by-row loader's runs and the index derived from them."""
+    path = tmp_path_factory.getbasetemp() / "oracle_columns.csv"
+    path.write_text(text, encoding="utf-8")
+    got, expected = outcome(_load_run_columns, path), outcome(load_runs_by_rows, path)
+    if not isinstance(expected, Dataset):
+        assert got == expected
+        return
+    index = got.group_index  # from the columns: no row exists yet
+    assert "runs" not in vars(got)
+    rows = expected.runs
+    assert (got.app_id, got.run_id, got.cores, got.problem_size) == (
+        tuple(run.app_id for run in rows), tuple(run.run_id for run in rows),
+        tuple(run.config.cores for run in rows), tuple(run.config.problem_size for run in rows))
+    assert hexed(got.exec_time_s.tolist()) == [run.exec_time_s.hex() for run in rows]
+    assert hexed(got.dynamic_energy_j.tolist()) == [run.dynamic_energy_j.hex() for run in rows]
+    assert not (got.exec_time_s.flags.writeable or got.dynamic_energy_j.flags.writeable)
+    assert run_digest(got) == run_digest(expected)
+    assert got == expected
+    groups = groups_by_dict(rows)
+    assert [(ref.app_id, ref.config) for ref in index.refs] == list(groups)
+    assert index.sizes.tolist() == list(map(len, groups.values()))
+    assert index.row_group.tolist() == [list(groups).index((run.app_id, run.config))
+                                        for run in rows]
+    assert index.order.tolist() == [row for members in groups.values() for row in members]
+    assert index.starts.tolist() == [sum(map(len, list(groups.values())[:g]))
+                                     for g in range(len(groups))]
+
+
+def test_rows_are_built_once_and_the_dataset_stays_frozen(tmp_path):
+    dataset = _load_run_columns(write(tmp_path / "runs.csv", RUNS_CSV))
+    assert "runs" not in vars(dataset)
+    assert dataset.runs is dataset.runs
+    assert dataset.runs[1].config is dataset.runs[0].config
+    assert "runs" in vars(load_runs(write(tmp_path / "runs.csv", RUNS_CSV)))
+    with pytest.raises(AttributeError):
+        dataset.missing
+    with pytest.raises(AttributeError):
+        dataset.app_id = ("x",)
 
 
 COMPOUND_BASES = (

@@ -166,6 +166,59 @@ def test_partition_fails_at_once_without_a_slice_at_n():
         assert time.perf_counter() - start < 1.0
 
 
+def test_partition_scans_only_feasible_m():
+    # Both slices are present but hold one sample each: only m = 1 and
+    # m = n - 2 can have both energies, whichever kind of split is asked for.
+    n = 10**7
+    lone1 = EnergyFunction("p1", ((1, n, 1.0),), 1)
+    lone2 = EnergyFunction("p2", ((2, n, 2.0),), 1)
+    paired = EnergyFunction("p1", ((1, n, 1.0), (n - 2, n, 5.0)), 1)
+    for interpolate in (False, True):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^no feasible split of n={n}: "):
+            partition(lone1, lone2, n, interpolate)
+        result = partition(paired, lone2, n, interpolate)
+        assert time.perf_counter() - start < 1.0
+        assert (result.m, result.k, result.e1_j, result.e2_j) == (n - 2, 2, 5.0, 2.0)
+
+
+def interpolated_by_scan(samples, x):
+    """The energy at x from a slice's samples {x: energy}: the sample, or the
+    linear estimate between the nearest samples on either side, or None."""
+    if x in samples:
+        return samples[x]
+    below = [s for s in samples if s < x]
+    above = [s for s in samples if s > x]
+    if not below or not above:
+        return None
+    x0, x1 = max(below), min(above)
+    return samples[x0] + (samples[x1] - samples[x0]) * (x - x0) / (x1 - x0)
+
+
+SPARSE_SLICE = st.dictionaries(st.integers(1, 60), st.integers(0, 9).map(float), max_size=8)
+
+
+@given(n=st.integers(2, 40), samples1=SPARSE_SLICE, samples2=SPARSE_SLICE)
+def test_sparse_slices_match_scans_of_every_m(n, samples1, samples2):
+    # Samples may lie beyond n; every m in [1, n - 1] is scanned by the oracles.
+    func1 = EnergyFunction("p1", tuple((x, n, e) for x, e in samples1.items()), 1)
+    func2 = EnergyFunction("p2", tuple((x, n, e) for x, e in samples2.items()), 1)
+    oracles = {False: partition_by_enumeration(func1, func2, n)}
+    candidates = [(e1 + e2, m, e1, e2) for m in range(1, n)
+                  for e1, e2 in [(interpolated_by_scan(samples1, m),
+                                  interpolated_by_scan(samples2, n - m))]
+                  if e1 is not None and e2 is not None]
+    best = min(candidates, default=None)
+    oracles[True] = best and (best[1], n - best[1], best[2], best[3], best[0])
+    for interpolate, expected in oracles.items():
+        if expected is None:
+            with pytest.raises(ValueError, match="no feasible split"):
+                partition(func1, func2, n, interpolate)
+        else:
+            result = partition(func1, func2, n, interpolate)
+            assert (result.m, result.k, result.e1_j, result.e2_j, result.total_j) == expected
+
+
 def test_partition_argument_validation():
     func1 = grid_function("p1", 2048, lambda x: 1.0)
     func2 = grid_function("p2", 2048, lambda x: 1.0, g=256)
