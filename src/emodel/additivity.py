@@ -168,10 +168,9 @@ def run_additivity_test(
         compounds = dataset.compounds
 
     dataset.check_compounds(compounds)
-    group_of = dataset.group_index.group_of
     means = dataset.group_means(dataset.counts)
-    base_a = np.array([group_of[comp.base_a] for comp in compounds], dtype=np.intp)
-    base_b = np.array([group_of[comp.base_b] for comp in compounds], dtype=np.intp)
+    base_a = np.array([dataset._group(comp.base_a) for comp in compounds], dtype=np.intp)
+    base_b = np.array([dataset._group(comp.base_b) for comp in compounds], dtype=np.intp)
     compound_counts = np.array([comp.pmc.counts for comp in compounds], dtype=float)
     compound_counts = compound_counts.reshape(len(compounds), len(dataset.pmc_names))
 

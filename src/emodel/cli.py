@@ -4,10 +4,10 @@ Every subcommand is a thin adapter over one library operation: parse flags,
 load inputs, call, serialize. Exit codes: 0 success, 1 usage or input error,
 2 the analysis itself found violations. Identical arguments over identical
 input files produce byte-identical output. For ``additivity``, ``predict``,
-``evaluate``, ``conserve`` (the composability probe included), ``partition``,
-``loss`` and ``stats`` that holds on every machine; ``fit`` and ``correlate``
-go through BLAS, whose summation order depends on the CPU, so theirs holds
-per machine and BLAS build.
+``evaluate``, ``conserve`` (the composability probe included), ``correlate``,
+``partition``, ``loss`` and ``stats`` that holds on every machine; ``fit``
+goes through BLAS, whose summation order depends on the CPU, so its output
+holds per machine and BLAS build.
 
 Each handler imports the library modules it runs, so a process pays only for
 its own subcommand: ``partition``, ``loss`` and ``stats`` never import numpy.

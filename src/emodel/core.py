@@ -88,10 +88,6 @@ class PmcVector:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.names, self.counts))
 
-    def project(self, names: Sequence[str]) -> "PmcVector":
-        """Sub-vector with the given names, in the given order."""
-        return PmcVector(tuple(names), tuple(self.get(n) for n in names))
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -201,17 +197,15 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GroupIndex(NamedTuple):
     """Row positions of a dataset's run groups.
 
-    ``refs`` lists the groups in first-seen order, ``group_of`` maps each ref
-    to its group number and ``sizes`` gives the groups' repetition counts.
-    ``row_group`` maps each run row to its group number. ``order`` lists the
-    rows group by group, keeping row order within a group, and group ``g``
-    occupies ``order[starts[g]:starts[g] + sizes[g]]``.
+    ``code_of`` maps each group's ``(app_id, cores, problem_size)`` key to its
+    group number, in first-seen order, and ``sizes`` gives the groups'
+    repetition counts. ``order`` lists the rows group by group, keeping row
+    order within a group, and group ``g`` occupies
+    ``order[starts[g]:starts[g] + sizes[g]]``.
     """
 
-    refs: tuple[RunRef, ...]
-    group_of: dict[RunRef, int]
+    code_of: dict[tuple[str, int, str], int]
     sizes: np.ndarray
-    row_group: np.ndarray
     order: np.ndarray
     starts: np.ndarray
 
@@ -304,7 +298,7 @@ class Dataset:
                     f"compound {comp.compound_id!r} PMC names do not match dataset"
                 )
             for ref in (comp.base_a, comp.base_b):
-                if ref not in self.group_index.group_of:
+                if self._group(ref) is None:
                     raise ValueError(
                         f"compound {comp.compound_id!r} references unknown base "
                         f"{ref.label()!r}"
@@ -318,19 +312,19 @@ class Dataset:
                  for key in zip(self.app_id, self.cores, self.problem_size))
         row_group = np.fromiter(codes, dtype=np.intp, count=len(self.app_id))
         sizes = np.bincount(row_group, minlength=len(code_of))
-        refs = tuple(RunRef(app_id, RunConfig(cores, size)) for app_id, cores, size in code_of)
-        return GroupIndex(
-            refs=refs, group_of={ref: g for g, ref in enumerate(refs)}, sizes=sizes,
-            row_group=row_group, order=np.argsort(row_group, kind="stable"),
-            starts=np.cumsum(sizes) - sizes,
-        )
+        return GroupIndex(code_of=code_of, sizes=sizes, order=np.argsort(row_group, kind="stable"),
+                          starts=np.cumsum(sizes) - sizes)
+
+    def _group(self, ref: RunRef) -> int | None:
+        """The group number of ``ref``; None when this dataset has no such group."""
+        return self.group_index.code_of.get((ref.app_id, ref.config.cores, ref.config.problem_size))
 
     def groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
         """Runs grouped by (app_id, config), in first-seen order."""
         index = self.group_index
         rows = [self.runs[row] for row in index.order.tolist()]
-        return {ref: tuple(rows[start:start + size]) for ref, start, size
-                in zip(index.refs, index.starts.tolist(), index.sizes.tolist())}
+        return {rows[start].ref: tuple(rows[start:start + size])
+                for start, size in zip(index.starts.tolist(), index.sizes.tolist())}
 
     def group_means(self, values: np.ndarray) -> np.ndarray:
         """Per-group repetition means of each column of a per-run array.
@@ -369,19 +363,19 @@ class Dataset:
         times = self.group_means(self.exec_time_s).tolist()
         energies = self.group_means(self.dynamic_energy_j).tolist()
         return tuple(
-            AggregatedRun(ref.app_id, ref.config, PmcVector._checked(self.pmc_names, row),
+            AggregatedRun(app_id, RunConfig(cores, size), PmcVector._checked(self.pmc_names, row),
                           time_s, energy, n)
-            for ref, row, time_s, energy, n in zip(
-                index.refs, counts, times, energies, index.sizes.tolist()
+            for (app_id, cores, size), row, time_s, energy, n in zip(
+                index.code_of, counts, times, energies, index.sizes.tolist()
             )
         )
 
     @cached_property
-    def _refs_by_app(self) -> dict[str, list[RunRef]]:
-        """Each app's run groups, in first-seen order."""
-        by_app: dict[str, list[RunRef]] = {}
-        for ref in self.group_index.refs:
-            by_app.setdefault(ref.app_id, []).append(ref)
+    def _keys_by_app(self) -> dict[str, list[tuple[str, int, str]]]:
+        """Each app's run-group keys, in first-seen order."""
+        by_app: dict[str, list[tuple[str, int, str]]] = {}
+        for key in self.group_index.code_of:
+            by_app.setdefault(key[0], []).append(key)
         return by_app
 
     def resolve(self, ref: str) -> RunRef:
@@ -404,19 +398,18 @@ class Dataset:
                 raise DataFormatError(
                     f"malformed base reference {ref!r}: cores must be >= 1, got {cores}"
                 )
-            candidate = RunRef(app_id, RunConfig(cores, problem_size))
-            if candidate not in self.group_index.group_of:
+            if (app_id, cores, problem_size) not in self.group_index.code_of:
                 raise DataFormatError(f"unknown base reference {ref!r}")
-            return self.group_index.refs[self.group_index.group_of[candidate]]
-        matches = self._refs_by_app.get(ref)
+            return RunRef(app_id, RunConfig(cores, problem_size))
+        matches = self._keys_by_app.get(ref)
         if not matches:
             raise DataFormatError(f"unknown base reference {ref!r}")
         if len(matches) > 1:
             raise DataFormatError(
                 f"ambiguous base reference {ref!r}: matches "
-                f"{', '.join(m.label() for m in matches)}"
+                f"{', '.join(RunRef(a, RunConfig(c, s)).label() for a, c, s in matches)}"
             )
-        return matches[0]
+        return RunRef(ref, RunConfig(*matches[0][1:]))
 
 
 @dataclass(frozen=True)
@@ -829,8 +822,13 @@ def load_model(path) -> EnergyModel:
     coefficients = document["coefficients"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise DataFormatError(f"{path}: pmc_names must be a list of strings")
-    if not isinstance(coefficients, list):
+    # A JSON number loads as an int or a float; float() would also take a
+    # string or a bool.
+    number = lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not isinstance(coefficients, list) or not all(map(number, coefficients)):
         raise DataFormatError(f"{path}: coefficients must be a list of numbers")
+    if not number(document["intercept"]):
+        raise DataFormatError(f"{path}: intercept must be a number, got {document['intercept']!r}")
     try:
         return EnergyModel(
             pmc_names=tuple(names),
@@ -838,5 +836,5 @@ def load_model(path) -> EnergyModel:
             coefficients=tuple(float(c) for c in coefficients),
             kind=kind,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:  # an integer too large for a float overflows
         raise DataFormatError(f"{path}: {exc}") from None

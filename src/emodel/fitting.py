@@ -121,11 +121,13 @@ def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:
     scales every step exactly, so r keeps its bits wherever the unscaled
     arithmetic neither overflows nor underflows. Scaled, the deviations'
     squares can do neither: deviations of 1e200 or of 1e-200 give r, not NaN.
+    Dot products are ``np.add.reduce`` of the products, never ``@``: numpy's
+    pairwise sum has one order on every CPU, and BLAS does not.
     """
     _, exponent = math.frexp(float(np.abs(column).max()))
     column = np.ldexp(column, -exponent)
     deviations = column - column.mean()
-    return deviations, float(np.sqrt(deviations @ deviations))
+    return deviations, float(np.sqrt(np.add.reduce(deviations * deviations)))
 
 
 def _pearson(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
@@ -133,7 +135,7 @@ def _pearson(u: tuple[np.ndarray, float], v: tuple[np.ndarray, float]) -> float:
     (du, nu), (dv, nv) = u, v
     if nu == 0.0 or nv == 0.0:
         return UNDEFINED
-    r = float((du @ dv) / (nu * nv))
+    r = float(np.add.reduce(du * dv) / (nu * nv))
     return max(-1.0, min(1.0, r))
 
 

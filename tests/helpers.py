@@ -123,15 +123,16 @@ def group_means_by_fsum(runs, values):
 
 def correlation_by_pairs(dataset, names):
     """Pearson matrix rows over dynamic energy and the named PMCs, one pair
-    at a time: every pair centres both of its columns again."""
+    at a time: every pair centres both of its columns again. Dot products are
+    pairwise sums of the products (``np.add.reduce``), as in the library."""
     def pearson(u, v):
         du = u - u.mean()
         dv = v - v.mean()
-        nu = float(np.sqrt(du @ du))
-        nv = float(np.sqrt(dv @ dv))
+        nu = float(np.sqrt(np.add.reduce(du * du)))
+        nv = float(np.sqrt(np.add.reduce(dv * dv)))
         if nu == 0.0 or nv == 0.0:
             return math.nan
-        return max(-1.0, min(1.0, float((du @ dv) / (nu * nv))))
+        return max(-1.0, min(1.0, float(np.add.reduce(du * dv) / (nu * nv))))
 
     columns = [np.array([run.dynamic_energy_j for run in dataset.runs], dtype=float)]
     columns += [np.array([run.pmc.get(name) for run in dataset.runs]) for name in names]
@@ -553,7 +554,7 @@ def compose_by_names(run_a, run_b, default, overrides):
         raise ValueError(
             f"PMC name sets differ: {sorted(vec_a.names)} vs {sorted(vec_b.names)}"
         )
-    vec_b = vec_b.project(vec_a.names)
+    vec_b = PmcVector(vec_a.names, tuple(vec_b.get(name) for name in vec_a.names))
     for index in overrides:
         if index > len(vec_a):
             raise ValueError(

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from emodel import (
     ApplicationRun,
     EnergyModel,
     ModelKind,
+    RunConfig,
     check_conservation,
     correlation_matrix,
     evaluate,
@@ -22,7 +25,7 @@ from emodel import (
 )
 from emodel.additivity import report_to_json_dict
 from emodel.cli import _json_text, run_cli
-from emodel.core import model_to_dict
+from emodel.core import _load_run_columns, model_to_dict
 from helpers import load_compounds_by_rows, load_runs_by_rows
 
 RUNS_ADD = """app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2
@@ -333,6 +336,16 @@ def test_predict_malformed_counts(files, capsys):
     assert "error" in err
 
 
+def test_predict_rejects_a_model_file_with_strings_or_booleans(files, capsys):
+    path = files["dir"] / "strings.json"
+    path.write_text(json.dumps({"kind": "zero_intercept", "pmc_names": ["X1", "X2"],
+                                "intercept": False, "coefficients": ["2.5", True]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "predict", "--model", str(path), "--counts", "X1=2,X2=3")
+    assert (code, out) == (1, "")
+    assert err == f"emodel: error: {path}: coefficients must be a list of numbers\n"
+
+
 def test_predict_sources_are_exclusive(files, capsys):
     code, _, err = run(
         capsys, "predict", "--model", files["clean.json"],
@@ -397,6 +410,37 @@ def test_runs_file_commands_build_no_row_objects(files, capsys, monkeypatch):
     monkeypatch.setattr(ApplicationRun, "__init__", refuse)
     for argv, text in expected.items():
         assert run(capsys, *argv) == (0, text, ""), argv
+
+
+def test_group_index_builds_no_per_group_object(files, capsys, monkeypatch):
+    """The run-group index holds column keys: building it constructs no
+    RunConfig, and additivity and evaluate --compounds construct at most one
+    per distinct base reference in the compounds file."""
+    runs, compounds = files["dir"] / "groups.csv", files["dir"] / "compounds.csv"
+    # 20 apps at 3 core counts, 2 repetitions each: 60 groups, 3 of them named.
+    runs.write_text(RUNS_ADD.splitlines()[0] + "\n" + "".join(
+        f"app{a},r{r},{cores},s,1.0,{10 + a},{100 + a + r},{50 + cores}\n"
+        for a in range(20) for cores in (1, 2, 4) for r in range(2)), encoding="utf-8")
+    compounds.write_text(COMPOUNDS_ADD.splitlines()[0] + "\n"
+                         "c1,app0@1:s,app1@2:s,21.0,201,53\n"
+                         "c2,app1@2:s,app0@1:s,21.0,201,53\n"
+                         "c3,app0@1:s,app2@4:s,22.0,202,55\n", encoding="utf-8")
+    built, post_init = [], RunConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RunConfig, "__post_init__", counted)
+    assert len(_load_run_columns(runs).group_index.sizes) == 60
+    assert built == []
+    for argv in (("additivity", "--runs", runs, "--compounds", compounds),
+                 ("evaluate", "--model", files["clean.json"], "--runs", runs,
+                  "--compounds", compounds)):
+        built.clear()
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, err) == (0, "") and out
+        assert len(built) <= 3, argv
 
 
 # --- conserve ----------------------------------------------------------------
@@ -530,6 +574,54 @@ def test_conserve_composability_report_is_the_same_at_every_simd_level(tmp_path)
         **os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
     assert default.returncode in (0, 2) and default.stdout
     assert (reduced.returncode, reduced.stdout) == (default.returncode, default.stdout)
+
+
+# Digests of BLAS dot products and of np.exp, which a BLAS core type or a
+# SIMD level that takes effect on this machine changes.
+_BLAS_AND_SIMD_PROBE = (
+    "import hashlib, numpy as np; x = np.random.default_rng(0).uniform(-1, 1, (8, 2000)); "
+    "print(hashlib.sha256(np.array([u @ v for u in x for v in x]).tobytes()).hexdigest(), "
+    "hashlib.sha256(np.exp(x).tobytes()).hexdigest())"
+)
+
+
+def test_correlate_report_is_the_same_at_every_blas_core_and_simd_level(tmp_path):
+    # correlate takes its dot products as numpy pairwise sums, never through
+    # BLAS: neither OpenBLAS's kernel choice nor numpy's SIMD level changes a
+    # byte of it. A setting that changes nothing here is named in a warning.
+    rng = np.random.default_rng(3)
+    counts = rng.uniform(0.0, 1e9, size=(2000, 4)) * rng.uniform(0.0, 1.0, size=(2000, 4)) ** 3
+    energies = counts @ np.array([1e-9, 3e-8, 0.0, 2e-9]) + rng.uniform(0.1, 5.0, size=2000)
+    path, header = tmp_path / "runs.csv", "app_id,cores,problem_size,exec_time_s,dynamic_energy_j"
+    path.write_text(header + ",P1,P2,P3,P4\n" + "".join(
+        f"a{i},1,,1.0,{energy!r},{','.join(map(repr, row))}\n"
+        for i, (energy, row) in enumerate(zip(energies.tolist(), counts.tolist()))),
+        encoding="utf-8")
+    settings = {f"OPENBLAS_CORETYPE={core}": {"OPENBLAS_CORETYPE": core}
+                for core in ("Haswell", "Prescott")}
+    features = " ".join(_dispatched_cpu_features())
+    if features:
+        settings[f"NPY_DISABLE_CPU_FEATURES={features}"] = {"NPY_DISABLE_CPU_FEATURES": features}
+
+    def outputs(setting):
+        env = {**os.environ, **setting}
+        report = subprocess.run([sys.executable, "-m", "emodel.cli", "correlate", "--runs",
+                                 str(path)], capture_output=True, text=True, env=env)
+        probe = subprocess.run([sys.executable, "-c", _BLAS_AND_SIMD_PROBE],
+                               capture_output=True, text=True, env=env, check=True)
+        return report, probe.stdout
+
+    default, default_probe = outputs({})
+    assert (default.returncode, default.stderr) == (0, "") and default.stdout
+    idle = []
+    for name, setting in settings.items():
+        report, probe = outputs(setting)
+        assert (report.returncode, report.stdout) == (0, default.stdout), name
+        if probe == default_probe:
+            idle.append(name)
+    if idle:
+        warnings.warn(f"{'; '.join(idle)}: changes no BLAS or SIMD result on this machine, "
+                      f"so the comparison under it shows nothing")
 
 
 def test_conserve_subprocess_huge_coefficients_exact_output(tmp_path):

@@ -52,7 +52,6 @@ def test_pmc_vector_basics():
     vec = PmcVector(("a", "b"), (1.0, 2.0))
     assert vec.get("b") == 2.0
     assert vec.as_dict() == {"a": 1.0, "b": 2.0}
-    assert vec.project(("b",)).counts == (2.0,)
     assert len(vec) == 2
     with pytest.raises(KeyError):
         vec.get("missing")
@@ -365,15 +364,16 @@ def check_groups_against_dict(dataset):
     expected = groups_by_dict(dataset.runs)
     keys = list(expected)
     index = dataset.group_index
-    assert [(ref.app_id, ref.config) for ref in index.refs] == keys
-    assert index.group_of == {ref: g for g, ref in enumerate(index.refs)}
+    assert index._fields == ("code_of", "sizes", "order", "starts")
+    assert index.code_of == {(app_id, config.cores, config.problem_size): g
+                             for g, (app_id, config) in enumerate(keys)}
+    assert list(index.code_of.values()) == list(range(len(keys)))
     assert index.sizes.tolist() == [len(rows) for rows in expected.values()]
-    assert index.row_group.tolist() == [keys.index((r.app_id, r.config)) for r in dataset.runs]
     assert index.order.tolist() == [row for rows in expected.values() for row in rows]
     assert index.starts.tolist() == [sum(map(len, list(expected.values())[:g]))
                                      for g in range(len(keys))]
     groups = dataset.groups()
-    assert list(groups) == list(index.refs)
+    assert [(ref.app_id, ref.config) for ref in groups] == keys
     assert [list(runs) for runs in groups.values()] == [
         [dataset.runs[row] for row in rows] for rows in expected.values()
     ]
@@ -491,6 +491,29 @@ def test_load_model_rejects_invariant_violations(tmp_path):
                                 "coefficients": []}), encoding="utf-8")
     with pytest.raises(DataFormatError, match="kind"):
         load_model(path)
+
+    # Numbers only: float() would take a string or a bool, and an integer too
+    # large for a float overflows.
+    document = {"kind": "zero_intercept", "pmc_names": ["X1", "X2"]}
+    for intercept, coefficients, message in [
+        (False, ["2.5", True], "coefficients must be a list of numbers"),
+        (0, [1.0, "2.5"], "coefficients must be a list of numbers"),
+        (0, [True, 1.0], "coefficients must be a list of numbers"),
+        (0, [1.0, None], "coefficients must be a list of numbers"),
+        (False, [1.0, 2.0], "intercept must be a number, got False"),
+        ("0", [1.0, 2.0], "intercept must be a number, got '0'"),
+        (None, [1.0, 2.0], "intercept must be a number, got None"),
+        (0, [1.0, 10 ** 400], "int too large to convert to float"),
+    ]:
+        path.write_text(json.dumps({**document, "intercept": intercept,
+                                    "coefficients": coefficients}), encoding="utf-8")
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+    path.write_text(json.dumps({**document, "intercept": 0, "coefficients": [1, 2.5]}),
+                    encoding="utf-8")
+    model = load_model(path)
+    assert (model.intercept, model.coefficients) == (0.0, (1.0, 2.5))
 
 
 def test_load_runs_deterministic(tmp_path):
@@ -638,10 +661,9 @@ def test_column_loader_matches_row_by_row_reference(tmp_path_factory, text):
     assert run_digest(got) == run_digest(expected)
     assert got == expected
     groups = groups_by_dict(rows)
-    assert [(ref.app_id, ref.config) for ref in index.refs] == list(groups)
+    assert list(index.code_of.items()) == [((app_id, config.cores, config.problem_size), g)
+                                           for g, (app_id, config) in enumerate(groups)]
     assert index.sizes.tolist() == list(map(len, groups.values()))
-    assert index.row_group.tolist() == [list(groups).index((run.app_id, run.config))
-                                        for run in rows]
     assert index.order.tolist() == [row for members in groups.values() for row in members]
     assert index.starts.tolist() == [sum(map(len, list(groups.values())[:g]))
                                      for g in range(len(groups))]
