@@ -167,10 +167,9 @@ def run_additivity_test(
     if compounds is None:
         compounds = dataset.compounds
 
-    dataset.check_compounds(compounds)
+    base_a, base_b = (np.array(groups, dtype=np.intp)
+                      for groups in dataset.check_compounds(compounds))
     means = dataset.group_means(dataset.counts)
-    base_a = np.array([dataset._group(comp.base_a) for comp in compounds], dtype=np.intp)
-    base_b = np.array([dataset._group(comp.base_b) for comp in compounds], dtype=np.intp)
     compound_counts = np.array([comp.pmc.counts for comp in compounds], dtype=float)
     compound_counts = compound_counts.reshape(len(compounds), len(dataset.pmc_names))
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -278,9 +278,8 @@ class Dataset:
         # Reached only for a missing attribute: ``runs`` not yet built from the columns.
         if name != "runs":
             raise AttributeError(f"'Dataset' object has no attribute {name!r}")
-        config_of = {pair: RunConfig(*pair) for pair in set(zip(self.cores, self.problem_size))}
         self.__dict__["runs"] = runs = tuple(
-            ApplicationRun(app_id, config_of[cores, size],
+            ApplicationRun(app_id, self._configs[cores, size],
                            PmcVector._checked(self.pmc_names, row), time_s, energy, run_id)
             for app_id, cores, size, row, time_s, energy, run_id in zip(
                 self.app_id, self.cores, self.problem_size, _row_tuples(self.counts),
@@ -289,20 +288,26 @@ class Dataset:
         )
         return runs
 
-    def check_compounds(self, compounds: Iterable[CompoundRun]) -> None:
-        """Raise ValueError unless every compound has this dataset's PMC names
-        and both of its bases are run groups of this dataset."""
+    @cached_property
+    def _configs(self) -> dict[tuple[int, str], RunConfig]:
+        """One :class:`RunConfig` per ``(cores, problem_size)``, for ``runs`` and ``points()``."""
+        return {pair: RunConfig(*pair) for pair in set(zip(self.cores, self.problem_size))}
+
+    def check_compounds(self, compounds: Iterable[CompoundRun]) -> tuple[list[int], list[int]]:
+        """The group numbers of the compounds' first bases and of their second
+        bases. Raises ValueError unless every compound has this dataset's PMC
+        names and both of its bases are run groups of this dataset."""
+        groups: tuple[list[int], list[int]] = ([], [])
         for comp in compounds:
             if comp.pmc.names != self.pmc_names:
-                raise ValueError(
-                    f"compound {comp.compound_id!r} PMC names do not match dataset"
-                )
-            for ref in (comp.base_a, comp.base_b):
-                if self._group(ref) is None:
-                    raise ValueError(
-                        f"compound {comp.compound_id!r} references unknown base "
-                        f"{ref.label()!r}"
-                    )
+                raise ValueError(f"compound {comp.compound_id!r} PMC names do not match dataset")
+            for ref, found in zip((comp.base_a, comp.base_b), groups):
+                key = (ref.app_id, ref.config.cores, ref.config.problem_size)
+                if key not in self.group_index.code_of:
+                    raise ValueError(f"compound {comp.compound_id!r} references unknown base "
+                                     f"{ref.label()!r}")
+                found.append(self.group_index.code_of[key])
+        return groups
 
     @cached_property
     def group_index(self) -> GroupIndex:
@@ -314,10 +319,6 @@ class Dataset:
         sizes = np.bincount(row_group, minlength=len(code_of))
         return GroupIndex(code_of=code_of, sizes=sizes, order=np.argsort(row_group, kind="stable"),
                           starts=np.cumsum(sizes) - sizes)
-
-    def _group(self, ref: RunRef) -> int | None:
-        """The group number of ``ref``; None when this dataset has no such group."""
-        return self.group_index.code_of.get((ref.app_id, ref.config.cores, ref.config.problem_size))
 
     def groups(self) -> dict[RunRef, tuple[ApplicationRun, ...]]:
         """Runs grouped by (app_id, config), in first-seen order."""
@@ -363,7 +364,8 @@ class Dataset:
         times = self.group_means(self.exec_time_s).tolist()
         energies = self.group_means(self.dynamic_energy_j).tolist()
         return tuple(
-            AggregatedRun(app_id, RunConfig(cores, size), PmcVector._checked(self.pmc_names, row),
+            AggregatedRun(app_id, self._configs[cores, size],
+                          PmcVector._checked(self.pmc_names, row),
                           time_s, energy, n)
             for (app_id, cores, size), row, time_s, energy, n in zip(
                 index.code_of, counts, times, energies, index.sizes.tolist()
@@ -478,23 +480,12 @@ def _columns(path, header: list[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(header)}
 
 
-def _cell_float(path, row_no: int, column: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataFormatError(
-            f"{path}: row {row_no}, column {column!r}: non-numeric cell {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataFormatError(
-            f"{path}: row {row_no}, column {column!r}: non-finite value {text!r}"
-        )
-    return value
-
-
-# Column-by-column parsing. Each loader checks whole columns first; when any
-# row is faulty, the row-by-row checks run from the first faulty row on, so
-# the error names the same fault as checking row by row from the top.
+# Column-by-column parsing. Each loader states its checks once, in the order
+# the fields of a row are checked: a check pairs the first row that fails it,
+# found from a mask over whole columns, with the fault text of such a row. A
+# file's fault is then its earliest faulty row's first failing check, the same
+# fault as checking row by row from the top. Each mask goes as soon as its first
+# row is known: many masks held at once raise the peak memory of a load.
 
 
 def _full_rows(body: list[list[str]], width: int) -> list[list[str]]:
@@ -531,40 +522,66 @@ def _float_columns(rows: list[list[str]], positions: list[int]) -> np.ndarray:
         return np.fromiter(map(_float_or_nan, cells()), float, shape[0] * shape[1]).reshape(shape)
 
 
-def _counts_and_faults(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only counts matrix in the first ``p`` columns of ``values``,
-    and a mask of the rows with a count that is not finite and non-negative."""
-    counts = _frozen(values[:, :p])
-    return counts, ~(np.isfinite(counts) & (counts >= 0)).all(axis=1)
-
-
 def _first(mask: np.ndarray) -> int:
     """Position of the first true entry; the length when there is none."""
     return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
-def _first_missing(values: list, missing) -> int:
-    """Position of the first ``missing`` entry; the length when there is none."""
-    return values.index(missing) if missing in values else len(values)
+def _raise_first_fault(path, row_numbers: list[int], checks) -> None:
+    """Raise the fault of the earliest faulty data row, if there is one. A check
+    is the first row that fails it (the number of rows it covers when none does)
+    with the fault text of such a row; of the checks that the earliest faulty
+    row fails, the one listed first names the fault. ``row_numbers`` gives each
+    data row's number in the file."""
+    first, fault = min(checks, key=itemgetter(0))
+    if first < len(row_numbers):
+        raise DataFormatError(f"{path}: row {row_numbers[first]}{fault(first)}")
 
 
-def _first_repeat(keys: list) -> int:
-    """Position of the first key equal to an earlier one; the length when none is."""
-    if len(set(keys)) == len(keys):
-        return len(keys)
-    seen = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i
-        seen.add(key)
+def _number_checks(rows, j: int, name: str, values: np.ndarray,
+                   out_of_range: np.ndarray | None = None, wording: str = "") -> list:
+    """The checks of column ``name``, cell ``j`` of ``rows`` and parsed as
+    ``values``: a finite number, then (when ``out_of_range`` is given) in range."""
+    def not_finite(i: int) -> str:
+        text = rows[i][j].strip()
+        try:
+            float(text)
+        except ValueError:
+            return f", column {name!r}: non-numeric cell {text!r}"
+        return f", column {name!r}: non-finite value {text!r}"
+
+    checks = [(_first(~np.isfinite(values)), not_finite)]
+    if out_of_range is not None:
+        checks.append((_first(out_of_range),
+                       lambda i: f", column {name!r}: {wording} {values[i].item()!r}"))
+    return checks
 
 
-def _positive_int(text: str) -> int | None:
+def _where(test, values: list) -> np.ndarray:
+    """Mask of the ``values`` for which ``test`` is true."""
+    return np.fromiter(map(test, values), bool, len(values))
+
+
+def _is_fault(value) -> bool:
+    """Whether a parsed cell holds its fault text in place of its value."""
+    return isinstance(value, str)
+
+
+def _cores(text: str) -> int | str:
+    """The core count in a ``cores`` cell, or the cell's fault text."""
     try:
-        value = int(text)
+        cores = int(text)
     except ValueError:
-        return None
-    return value if value >= 1 else None
+        return f", column 'cores': non-integer cell {text!r}"
+    return cores if cores >= 1 else f", column 'cores': must be >= 1, got {cores}"
+
+
+def _repeats(keys: list) -> np.ndarray:
+    """Mask of the keys equal to an earlier one."""
+    if len(set(keys)) == len(keys):
+        return np.zeros(len(keys), bool)
+    first_row = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first_row.__getitem__, keys), np.intp, len(keys)) != np.arange(len(keys))
 
 
 def load_runs(path) -> Dataset:
@@ -597,110 +614,56 @@ def _load_run_columns(path) -> Dataset:
         raise DataFormatError(
             f"{path}: give either dynamic_energy_j or total_energy_j+static_power_w, not both"
         )
-    if not has_dynamic:
-        if not (has_total and has_static):
-            raise DataFormatError(
-                f"{path}: missing energy columns: need dynamic_energy_j or "
-                f"total_energy_j together with static_power_w"
-            )
+    if not (has_dynamic or has_total and has_static):
+        raise DataFormatError(
+            f"{path}: missing energy columns: need dynamic_energy_j or "
+            f"total_energy_j together with static_power_w"
+        )
 
     pmc_names = tuple(c for c in header if c not in _RESERVED_COLUMNS)
     if not pmc_names:
         raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
 
     rows = _full_rows(body, len(header))
-    energy_columns = ["dynamic_energy_j"] if has_dynamic else ["total_energy_j", "static_power_w"]
-    values = _float_columns(rows, [columns[name] for name in
-                                   pmc_names + ("exec_time_s", *energy_columns)])
-    counts, bad = _counts_and_faults(values, len(pmc_names))
-    times = values[:, len(pmc_names)]
-    bad |= ~np.isfinite(times) | (times <= 0)
+    energy_columns = ("dynamic_energy_j",) if has_dynamic else ("total_energy_j", "static_power_w")
+    number_columns = pmc_names + ("exec_time_s",) + energy_columns
+    values = _float_columns(rows, [columns[name] for name in number_columns])
+    number = dict(zip(number_columns, values.T))
+    check = lambda name, *bound: _number_checks(rows, columns[name], name, number[name], *bound)
+    times = number["exec_time_s"]
     if has_dynamic:
-        energies = values[:, -1]
-        bad |= ~np.isfinite(energies)
+        energies = number["dynamic_energy_j"]
     else:
-        total, static = values[:, -2], values[:, -1]
-        bad |= ~np.isfinite(total) | ~np.isfinite(static) | (static < 0)
         # The arithmetic of stats.dynamic_energy, so values match it bit for
         # bit; a product that overflows gives -inf, a negative energy.
         with np.errstate(over="ignore", invalid="ignore"):
-            energies = total - static * times
-    bad |= energies < 0
+            energies = number["total_energy_j"] - number["static_power_w"] * times
 
     app_ids = _text_column(rows, columns["app_id"])
     sizes = _text_column(rows, columns["problem_size"])
     run_ids = ([text or None for text in _text_column(rows, columns["run_id"])]
                if "run_id" in columns else [None] * len(rows))
     cores_texts = _text_column(rows, columns["cores"])
-    cores_of = {text: _positive_int(text) for text in set(cores_texts)}
+    cores_of = {text: _cores(text) for text in set(cores_texts)}
     cores = [cores_of[text] for text in cores_texts]
     keys = list(zip(app_ids, cores, sizes, run_ids))
-    first = min(_first(bad), _first_missing(app_ids, ""), _first_missing(cores, None),
-                _first_repeat(keys))
-    if first < len(body):
-        # The column checks found row ``first`` faulty; with no fault of its
-        # own it repeats an earlier run.
-        _check_run_row(path, header, columns, pmc_names, body[first], row_numbers[first])
-        app_id, cores_n, size, run_id = keys[first]
-        raise DataFormatError(
-            f"{path}: row {row_numbers[first]}: duplicate run ({app_id!r}, {cores_n}:{size}, "
-            f"run_id={run_id!r}), first seen at row {row_numbers[keys.index(keys[first])]}"
-        )
+    _raise_first_fault(path, row_numbers, [
+        (len(rows), lambda i: f": expected {len(header)} cells, got {len(body[i])}"),
+        (_first(_where(not_, app_ids)), lambda i: ": empty app_id"),
+        (_first(_where(_is_fault, cores)), cores.__getitem__),
+        *check("exec_time_s", times <= 0, "must be > 0, got"),
+        *(check("dynamic_energy_j") if has_dynamic else check("total_energy_j")
+          + check("static_power_w", number["static_power_w"] < 0, "must be >= 0, got")),
+        (_first(energies < 0), lambda i: f": dynamic energy {energies[i].item()!r} J is negative "
+                                         f"(measurement fault: total below static baseline)"),
+        *chain.from_iterable(check(name, number[name] < 0, "negative count") for name in pmc_names),
+        (_first(_repeats(keys)),
+         lambda i: ": duplicate run ({!r}, {}:{}, run_id={!r}), first seen at row {}".format(
+             *keys[i], row_numbers[keys.index(keys[i])])),
+    ])
     del body, rows, cores_texts, keys  # the cell strings go before the columns are copied
+    counts = _frozen(values[:, :len(pmc_names)])
     return Dataset._from_columns(pmc_names, counts, times, energies, app_ids, run_ids, cores, sizes)
-
-
-def _check_run_row(path, header, columns, pmc_names, row, row_no) -> None:
-    """Raise the first fault of runs-file row ``row_no`` itself, if it has one."""
-    if len(row) != len(header):
-        raise DataFormatError(
-            f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
-        )
-    cell = lambda name: row[columns[name]].strip()
-
-    app_id = cell("app_id")
-    if not app_id:
-        raise DataFormatError(f"{path}: row {row_no}: empty app_id")
-    cores_text = cell("cores")
-    try:
-        cores = int(cores_text)
-    except ValueError:
-        raise DataFormatError(
-            f"{path}: row {row_no}, column 'cores': non-integer cell {cores_text!r}"
-        ) from None
-    if cores < 1:
-        raise DataFormatError(
-            f"{path}: row {row_no}, column 'cores': must be >= 1, got {cores}"
-        )
-
-    exec_time_s = _cell_float(path, row_no, "exec_time_s", cell("exec_time_s"))
-    if exec_time_s <= 0:
-        raise DataFormatError(
-            f"{path}: row {row_no}, column 'exec_time_s': must be > 0, got {exec_time_s!r}"
-        )
-
-    if "dynamic_energy_j" in columns:
-        energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
-    else:
-        total = _cell_float(path, row_no, "total_energy_j", cell("total_energy_j"))
-        static = _cell_float(path, row_no, "static_power_w", cell("static_power_w"))
-        if static < 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'static_power_w': must be >= 0, got {static!r}"
-            )
-        energy = total - static * exec_time_s
-    if energy < 0:
-        raise DataFormatError(
-            f"{path}: row {row_no}: dynamic energy {energy!r} J is negative "
-            f"(measurement fault: total below static baseline)"
-        )
-
-    for name in pmc_names:
-        value = _cell_float(path, row_no, name, cell(name))
-        if value < 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
-            )
 
 
 def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
@@ -726,60 +689,38 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
         )
 
     rows = _full_rows(body, len(header))
-    values = _float_columns(rows, [columns[name] for name in pmc_columns + ("dynamic_energy_j",)])
-    counts, bad = _counts_and_faults(values, len(pmc_columns))
-    energies = values[:, -1]
-    bad |= ~np.isfinite(energies) | (energies < 0)
+    number_columns = pmc_columns + ("dynamic_energy_j",)
+    values = _float_columns(rows, [columns[name] for name in number_columns])
+    number = dict(zip(number_columns, values.T))
+    check = lambda name, *bound: _number_checks(rows, columns[name], name, number[name], *bound)
+    energies = number["dynamic_energy_j"]
     compound_ids = _text_column(rows, columns["compound_id"])
     base_texts = (_text_column(rows, columns["base_a"]), _text_column(rows, columns["base_b"]))
     ref_of = {}
     for text in set(base_texts[0]).union(base_texts[1]):
         try:
             ref_of[text] = dataset.resolve(text)
-        except DataFormatError:
-            ref_of[text] = None
+        except DataFormatError as exc:
+            ref_of[text] = f": {exc}"
     bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
-    first = min(_first(bad), _first_missing(compound_ids, ""),
-                _first_missing(bases_a, None), _first_missing(bases_b, None))
-    if first < len(body):
-        _check_compound_row(path, header, columns, dataset, body[first], row_numbers[first])
+    _raise_first_fault(path, row_numbers, [
+        (len(rows), lambda i: f": expected {len(header)} cells, got {len(body[i])}"),
+        (_first(_where(not_, compound_ids)), lambda i: ": empty compound_id"),
+        (_first(_where(_is_fault, bases_a)), bases_a.__getitem__),
+        (_first(_where(_is_fault, bases_b)), bases_b.__getitem__),
+        *check("dynamic_energy_j", energies < 0, "must be >= 0, got"),
+        *chain.from_iterable(check(name, number[name] < 0, "negative count")
+                             for name in pmc_columns),
+    ])
     del body, rows, base_texts  # the cell strings go before the row objects come
 
     return [
         CompoundRun(compound_id, base_a, base_b, PmcVector._checked(dataset.pmc_names, row),
                     energy)
         for compound_id, base_a, base_b, row, energy in zip(
-            compound_ids, bases_a, bases_b, _row_tuples(counts), energies.tolist()
+            compound_ids, bases_a, bases_b, _row_tuples(values[:, :-1]), energies.tolist()
         )
     ]
-
-
-def _check_compound_row(path, header, columns, dataset, row, row_no) -> None:
-    """Raise the first fault of compounds-file row ``row_no``, which the column
-    checks found faulty."""
-    if len(row) != len(header):
-        raise DataFormatError(
-            f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}"
-        )
-    cell = lambda name: row[columns[name]].strip()
-    if not cell("compound_id"):
-        raise DataFormatError(f"{path}: row {row_no}: empty compound_id")
-    try:
-        dataset.resolve(cell("base_a"))
-        dataset.resolve(cell("base_b"))
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
-    energy = _cell_float(path, row_no, "dynamic_energy_j", cell("dynamic_energy_j"))
-    if energy < 0:
-        raise DataFormatError(
-            f"{path}: row {row_no}, column 'dynamic_energy_j': must be >= 0, got {energy!r}"
-        )
-    for name in dataset.pmc_names:
-        value = _cell_float(path, row_no, name, cell(name))
-        if value < 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column {name!r}: negative count {value!r}"
-            )
 
 
 def model_to_dict(model: EnergyModel) -> dict:

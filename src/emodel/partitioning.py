@@ -201,24 +201,25 @@ def load_energy_function(
     for row_no, row in zip(row_numbers, body):
         if len(row) != 3:
             raise DataFormatError(f"{path}: row {row_no}: expected 3 cells, got {len(row)}")
+        x_text, y_text, energy_text = map(str.strip, row)
         try:
-            x, y = int(row[0]), int(row[1])
+            x, y = int(x_text), int(y_text)
         except ValueError:
             raise DataFormatError(
                 f"{path}: row {row_no}: x and y must be integers, got "
-                f"{row[0]!r}, {row[1]!r}"
+                f"{x_text!r}, {y_text!r}"
             ) from None
         try:
-            energy = float(row[2])
+            energy = float(energy_text)
         except ValueError:
             raise DataFormatError(
-                f"{path}: row {row_no}, column 'energy_j': non-numeric cell {row[2]!r}"
+                f"{path}: row {row_no}, column 'energy_j': non-numeric cell {energy_text!r}"
             ) from None
         if x < 1 or y < 1:
             raise DataFormatError(f"{path}: row {row_no}: x and y must be >= 1")
         if not math.isfinite(energy) or energy < 0:
             raise DataFormatError(
-                f"{path}: row {row_no}, column 'energy_j': must be >= 0, got {row[2]!r}"
+                f"{path}: row {row_no}, column 'energy_j': must be >= 0, got {energy_text!r}"
             )
         samples.append((x, y, energy))
     if not samples:

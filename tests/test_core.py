@@ -681,16 +681,30 @@ def test_rows_are_built_once_and_the_dataset_stays_frozen(tmp_path):
         dataset.app_id = ("x",)
 
 
+def test_points_share_the_rows_configs(tmp_path):
+    dataset = load_runs(write(tmp_path / "runs.csv", RUNS_CSV + "fft,r1,4,1024,8.0,80.0,800,400\n"))
+    index = dataset.group_index
+    points = dataset.points()
+    for g, row in enumerate(index.order[index.starts].tolist()):
+        assert points[g].config is dataset.runs[row].config
+
+
 COMPOUND_BASES = (
     "app_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2\n"
     "a,2,s,1,1,1,1\n"
     "b,2,s,1,1,1,1\n"
     "b,4,s,1,1,1,1\n"
 )
+TWO_FAULTS_COMPOUNDS = (
+    "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\n"
+    "c1,b,zz,1,1,-3\n"
+    ",zz,a,-1,1,1\n"
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(compounds_files())
+@example(TWO_FAULTS_COMPOUNDS)
 def test_load_compounds_matches_row_by_row_reference(tmp_path_factory, text):
     base = tmp_path_factory.getbasetemp()
     dataset = load_runs(write(base / "oracle_bases.csv", COMPOUND_BASES))

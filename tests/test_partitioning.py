@@ -380,6 +380,9 @@ def test_load_rejects_bad_files(tmp_path):
         ("cells.csv", "x,y,energy_j\n512,512\n", "expected 3 cells"),
         ("empty.csv", "x,y,energy_j\n", "no samples"),
         ("bad_e.csv", "x,y,energy_j\n512,512,watts\n", "non-numeric"),
+        # Cells are stripped first: row 2 loads, and row 3 names its stripped cell.
+        ("pad.csv", "x,y,energy_j\n512,4096,1.0\x1c\n\x1c1024 ,4096,-1\x1c\n",
+         r"row 3, column 'energy_j': must be >= 0, got '-1'$"),
     ]
     for name, text, message in cases:
         path = write(tmp_path / name, text)
