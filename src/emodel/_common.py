@@ -3,12 +3,15 @@
 :mod:`emodel.partitioning` and :mod:`emodel.cli` take these from here rather
 than from :mod:`emodel.core`, so that partitioning, the energy-loss metric and
 the sample-mean statistics run without importing numpy. :mod:`emodel.core`
-re-exports the public names as the same objects.
+re-exports the public names as the same objects. The byte rules of every
+report live here too: how a CSV cell and a CSV table are written, and that
+JSON holds null in place of a non-finite number.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from enum import Enum
 
 
@@ -42,3 +45,29 @@ def _read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
     header = [cell.strip() for cell in rows[0]]
     numbers = [i + 1 for i, row in enumerate(rows) if i and any(map(str.strip, row))]
     return header, [rows[i - 1] for i in numbers], numbers
+
+
+def _csv_row(values) -> str:
+    """One CSV line without its newline: None is an empty cell, a bool is
+    true or false, a float its repr (so inf and nan), anything else its str."""
+    cells = []
+    for value in values:
+        if value is None:
+            cells.append("")
+        elif isinstance(value, bool):
+            cells.append("true" if value else "false")
+        elif isinstance(value, float):
+            cells.append(repr(value))
+        else:
+            cells.append(str(value))
+    return ",".join(cells)
+
+
+def _csv_table(header, rows) -> str:
+    """A CSV report: the header line, then one line per row, each ending in a newline."""
+    return "\n".join([",".join(header), *map(_csv_row, rows)]) + "\n"
+
+
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no infinity or NaN: a non-finite number is reported as null."""
+    return value if math.isfinite(value) else None

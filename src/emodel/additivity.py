@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._common import _csv_table
 from .core import CompoundRun, Dataset
 
 __all__ = [
@@ -248,17 +249,11 @@ def core_config_analysis(
     return out
 
 
-def _error_text(value: float) -> str:
-    return "inf" if math.isinf(value) else repr(value)
-
-
 def report_to_csv(report: AdditivityReport) -> str:
     """Serialize a report as ``pmc,stage1,max_error_pct,classification`` rows."""
-    lines = ["pmc,stage1,max_error_pct,classification"]
-    for e in report.per_pmc:
-        stage1 = "true" if e.stage1_pass else "false"
-        lines.append(f"{e.pmc},{stage1},{_error_text(e.max_error_pct)},{e.classification.value}")
-    return "\n".join(lines) + "\n"
+    return _csv_table(("pmc", "stage1", "max_error_pct", "classification"), [
+        (e.pmc, e.stage1_pass, e.max_error_pct, e.classification.value) for e in report.per_pmc
+    ])
 
 
 def report_to_json_dict(report: AdditivityReport) -> dict:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
+from dataclasses import asdict
 
-from ._common import DataFormatError, ModelKind
+from ._common import DataFormatError, ModelKind, _csv_table, _finite_or_none
 
 __all__ = ["main", "run_cli", "UsageError"]
 
@@ -96,7 +96,7 @@ def _json_text(payload) -> str:
 def _finite_or_null(value):
     """``value`` with every non-finite float, at any depth, replaced by None."""
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
+        return _finite_or_none(value)
     if isinstance(value, dict):
         return {key: _finite_or_null(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -104,26 +104,12 @@ def _finite_or_null(value):
     return value
 
 
-def _csv_row(values) -> str:
-    cells = []
-    for value in values:
-        if value is None:
-            cells.append("")
-        elif isinstance(value, bool):
-            cells.append("true" if value else "false")
-        elif isinstance(value, float):
-            cells.append(repr(value))
-        else:
-            cells.append(str(value))
-    return ",".join(cells)
-
-
 def _one_row(payload: dict, fmt: str) -> str:
     """A one-row report: the payload as JSON, or its keys as a CSV header over
     one row of its values."""
     if fmt == "json":
         return _json_text(payload)
-    return ",".join(payload) + "\n" + _csv_row(payload.values()) + "\n"
+    return _csv_table(payload, [payload.values()])
 
 
 def _add_format(parser, default: str = "json") -> None:
@@ -153,9 +139,7 @@ def _cmd_additivity(args) -> int:
     if args.format == "csv":
         text = report_to_csv(report)
         if sweep is not None:
-            lines = ["tolerance_pct,additive_count"]
-            lines += [_csv_row(entry) for entry in sweep]
-            text += "\n" + "\n".join(lines) + "\n"
+            text += "\n" + _csv_table(("tolerance_pct", "additive_count"), sweep)
     else:
         payload = report_to_json_dict(report)
         if sweep is not None:
@@ -180,16 +164,13 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .core import _load_run_columns, model_to_dict, save_model
+    from .core import _load_run_columns, model_to_dict
     from .fitting import fit
 
     dataset = _load_run_columns(args.runs)
     pmcs = _split_names(args.pmcs) if args.pmcs else None
     model = fit(dataset, pmcs, ModelKind(args.kind))
-    if args.out:
-        save_model(model, args.out)
-    else:
-        sys.stdout.write(_json_text(model_to_dict(model)))
+    _emit(_json_text(model_to_dict(model)), args.out)
     return 0
 
 
@@ -211,7 +192,7 @@ def _cmd_predict(args) -> int:
     fields = ("app_id", "run_id", "cores", "problem_size", "prediction_j")
     rows = list(zip(dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size, values))
     if args.format == "csv":
-        text = "\n".join([",".join(fields)] + [_csv_row(row) for row in rows]) + "\n"
+        text = _csv_table(fields, rows)
     else:
         text = _json_text({"predictions": [dict(zip(fields, row)) for row in rows]})
     _emit(text, args.out)
@@ -260,15 +241,9 @@ def _cmd_conserve(args) -> int:
         return code
 
     if args.format == "csv":
-        lines = ["kind,pmc_name,value,predicted_j"]
-        for violation in report.violations:
-            lines.append(
-                _csv_row(
-                    [violation.kind.value, violation.pmc_name, violation.value,
-                     violation.predicted_j]
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        text = _csv_table(("kind", "pmc_name", "value", "predicted_j"), [
+            (v.kind.value, v.pmc_name, v.value, v.predicted_j) for v in report.violations
+        ])
     else:
         text = _json_text(report.to_json_dict())
     _emit(text, args.out)
@@ -305,14 +280,7 @@ def _cmd_stats(args) -> int:
             raise DataFormatError(f"{args.values_file}: not UTF-8 text ({exc.reason})") from None
         samples = _parse_floats(",".join(text.split()), "--values-file")
     estimate = sample_mean_ci(samples, confidence=args.confidence, precision=args.precision)
-    payload = {
-        "mean": estimate.mean,
-        "half_width": estimate.half_width,
-        "n": estimate.n,
-        "converged": estimate.converged,
-        "relative_undefined": estimate.relative_undefined,
-    }
-    _emit(_one_row(payload, args.format), args.out)
+    _emit(_one_row(asdict(estimate), args.format), args.out)
     return 0
 
 

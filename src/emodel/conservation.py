@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._common import _finite_or_none
 from .core import ApplicationRun, EnergyModel, PmcVector
 from .fitting import _positions, _predict_rows, predict
 
@@ -346,11 +347,6 @@ class CompositionCounterexample:
             "lhs_j": _finite_or_none(self.lhs_j),
             "rhs_j": _finite_or_none(self.rhs_j),
         }
-
-
-def _finite_or_none(energy: float) -> float | None:
-    """JSON has no infinity: an energy that overflowed is reported as null."""
-    return energy if math.isfinite(energy) else None
 
 
 def _require_zero_intercept(model: EnergyModel, what: str) -> None:

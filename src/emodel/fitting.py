@@ -10,13 +10,14 @@ because PMC columns tend to be strongly collinear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
+from ._common import _csv_table, _finite_or_none
 from .core import Dataset, EnergyModel, ModelKind, PmcVector
 
 __all__ = [
@@ -71,18 +72,13 @@ class CorrelationMatrix:
         return self.values[i][j]
 
     def to_csv(self) -> str:
-        lines = ["," + ",".join(self.labels)]
-        for label, row in zip(self.labels, self.values):
-            cells = ",".join("nan" if math.isnan(v) else repr(v) for v in row)
-            lines.append(f"{label},{cells}")
-        return "\n".join(lines) + "\n"
+        return _csv_table(("", *self.labels),
+                          [(label, *row) for label, row in zip(self.labels, self.values)])
 
     def to_json_dict(self) -> dict:
         return {
             "labels": list(self.labels),
-            "values": [
-                [None if math.isnan(v) else v for v in row] for row in self.values
-            ],
+            "values": [list(map(_finite_or_none, row)) for row in self.values],
         }
 
 
@@ -105,12 +101,7 @@ class ErrorSummary:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_pct": self.min_pct,
-            "avg_pct": self.avg_pct,
-            "max_pct": self.max_pct,
-            "n_cases": self.n_cases,
-        }
+        return asdict(self)
 
 
 def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:

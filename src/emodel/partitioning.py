@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ._common import DataFormatError, _read_csv
@@ -83,13 +83,7 @@ class PartitionResult:
             raise ValueError("total_j must equal e1_j + e2_j")
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "e1_j": self.e1_j,
-            "e2_j": self.e2_j,
-            "total_j": self.total_j,
-        }
+        return asdict(self)
 
 
 def slice_at_n(func: EnergyFunction, n: int) -> tuple[tuple[int, float], ...]:

@@ -64,7 +64,7 @@ class MeanEstimate:
     relative_undefined: bool = False
 
     def __post_init__(self) -> None:
-        if self.half_width < 0:
+        if not self.half_width >= 0:
             raise ValueError(f"half_width must be >= 0, got {self.half_width!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
@@ -76,15 +76,18 @@ def sample_mean_ci(samples, confidence: float = 0.95, precision: float = 0.025) 
     ``half_width = t(1 - (1-confidence)/2, n-1) * s / sqrt(n)`` with s the
     sample standard deviation. The estimate converges when the half-width is
     at most ``precision`` times the magnitude of the mean (defaults: 95%
-    confidence, 2.5% precision).
+    confidence, 2.5% precision). A sample that is not finite is rejected.
     """
     xs = [float(x) for x in samples]
     n = len(xs)
     if n < 2:
         raise ValueError(f"need at least 2 samples for a variance estimate, got {n}")
+    for position, x in enumerate(xs, 1):
+        if not math.isfinite(x):
+            raise ValueError(f"sample {position} is not finite: {x!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    if precision <= 0.0:
+    if not precision > 0:
         raise ValueError(f"precision must be > 0, got {precision!r}")
 
     mean = math.fsum(xs) / n

@@ -212,7 +212,11 @@ def test_fit_stdout_and_file(files, capsys):
         capsys, "fit", "--runs", files["runs_fit.csv"],
         "--kind", "zero_intercept_nonneg", "--out", str(target),
     )
-    assert code == 0
+    assert (code, out) == (0, "")
+    _, printed, _ = run(
+        capsys, "fit", "--runs", files["runs_fit.csv"], "--kind", "zero_intercept_nonneg",
+    )
+    assert target.read_text(encoding="utf-8") == printed
     model = load_model(target)
     assert model.kind is ModelKind.ZERO_INTERCEPT_NONNEG
     assert model.coefficients[1] == pytest.approx(0.5, abs=1e-9)
@@ -798,6 +802,11 @@ def test_stats_single_sample_rejected(files, capsys):
     code, _, err = run(capsys, "stats", "--values", "10")
     assert code == 1
     assert "error" in err
+
+
+def test_stats_non_finite_sample_rejected(files, capsys):
+    code, out, err = run(capsys, "stats", "--values", "nan,1,2")
+    assert (code, out, err) == (1, "", "emodel: error: sample 1 is not finite: nan\n")
 
 
 # --- one-row reports -------------------------------------------------------------

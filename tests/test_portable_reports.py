@@ -82,6 +82,20 @@ COMMANDS = {
                                 "--n", "4096", "--interpolate"],
     "loss": ["loss", "--alt", "97.3", "--ref", "101.9"],
     "stats": ["stats", "--values", "10.1,12.3,11.7,10.9,11.2,10.4,12.0"],
+    "additivity csv": ["additivity", "--runs", "@runs.csv", "--compounds", "@compounds.csv",
+                       "--sweep", "1,5,10", "--format", "csv"],
+    "predict --runs csv": ["predict", "--model", "@model.json", "--runs", "@runs.csv",
+                           "--format", "csv"],
+    "evaluate --runs csv": ["evaluate", "--model", "@model.json", "--runs", "@runs.csv",
+                            "--format", "csv"],
+    "evaluate --compounds csv": ["evaluate", "--model", "@model.json", "--runs", "@runs.csv",
+                                 "--compounds", "@compounds.csv", "--format", "csv"],
+    "conserve csv": ["conserve", "--model", "@model.json", "--format", "csv"],
+    "correlate csv": ["correlate", "--runs", "@runs.csv", "--format", "csv"],
+    "partition json": ["partition", "--func1", "@f1.csv", "--func2", "@f2.csv", "--n", "4096",
+                       "--format", "json"],
+    "loss csv": ["loss", "--alt", "97.3", "--ref", "101.9", "--format", "csv"],
+    "stats csv": ["stats", "--values", "10.1,12.3,11.7,10.9,11.2,10.4,12.0", "--format", "csv"],
 }
 
 DIGESTS = {
@@ -95,6 +109,15 @@ DIGESTS = {
     'partition --interpolate': '3768ff548c549391e6aa8167a8c87faff86235718b79cb06ad99aa91127ede13',
     'loss': '9d155ba32c5538866ab335478adcd67000bd4464e20f12f13a626d402779ba38',
     'stats': '39d85de3174c1e807f2f83e8c215708dc924150abe3f95799368ae2e8ee144a1',
+    'additivity csv': 'be3e494f6fd35873e8a971a8bea46b383f6084ec2f19e4cd8d460ebb6c1717ba',
+    'predict --runs csv': '238a5eb0ef58c6ce5269f34c90cd1624a38a0096ab3a356c706dd6b392830ba9',
+    'evaluate --runs csv': '8f40f896c595447bcacb71cc7c7bdff179c5efc782000f18a41faee57fed357b',
+    'evaluate --compounds csv': '45131f78575f37dd6b3667deebd438f091d4ac090d0eee2e48c4d36dc5b84b3f',
+    'conserve csv': '13f61c816d40cfdc1046b2a7121916f5ffa4c6d5edcef897da6671058c3c505f',
+    'correlate csv': 'cce954cec0c14db56f308a1d1ed306409316c7f3b8bb301c6f6189e0b66bcd15',
+    'partition json': 'ad8999611d7db538e433c2a5a27050f53464d1fba27f5cabbef0b7b7ef55abca',
+    'loss csv': '8edcd17c14c5c76779d988d1d5f087c1f6fa686ee6715f0275f5641c3a759f62',
+    'stats csv': '0e788d175441020d3c9984fe94817ec078661bef9bf4e903ab4cdebca0df9e56',
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from emodel import (
+    MeanEstimate,
     MeasurementFaultWarning,
     dynamic_energy,
     dynamic_error_from_total,
@@ -80,6 +81,14 @@ def test_parameter_validation():
         sample_mean_ci([1.0, 2.0], confidence=1.0)
     with pytest.raises(ValueError):
         sample_mean_ci([1.0, 2.0], precision=0.0)
+    with pytest.raises(ValueError, match="precision must be > 0, got nan"):
+        sample_mean_ci([1.0, 2.0], precision=math.nan)
+    with pytest.raises(ValueError, match="sample 1 is not finite: nan"):
+        sample_mean_ci([math.nan, 1.0, 2.0])
+    with pytest.raises(ValueError, match="sample 3 is not finite: -inf"):
+        sample_mean_ci([1.0, 2.0, -math.inf])
+    with pytest.raises(ValueError, match="half_width must be >= 0, got nan"):
+        MeanEstimate(math.nan, math.nan, 3, True)
 
 
 def test_tight_stream_converges_at_default_precision():
