@@ -15,6 +15,10 @@ import math
 from enum import Enum
 
 
+#: The characters that make a CSV cell need quotes.
+_QUOTED = frozenset(',"\r\n')
+
+
 class DataFormatError(ValueError):
     """An input file violates the documented format; the message carries the
     offending file, row, and column where applicable."""
@@ -49,7 +53,10 @@ def _read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
 
 def _csv_row(values) -> str:
     """One CSV line without its newline: None is an empty cell, a bool is
-    true or false, a float its repr (so inf and nan), anything else its str."""
+    true or false, a float its repr (so inf and nan), anything else its str.
+    A cell that holds a comma, a quote or a line break is quoted, its quotes
+    doubled: the csv module's minimal rule, so ``csv.reader`` gives every
+    cell back whole."""
     cells = []
     for value in values:
         if value is None:
@@ -59,13 +66,15 @@ def _csv_row(values) -> str:
         elif isinstance(value, float):
             cells.append(repr(value))
         else:
-            cells.append(str(value))
+            text = str(value)
+            cells.append(text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"')
     return ",".join(cells)
 
 
 def _csv_table(header, rows) -> str:
-    """A CSV report: the header line, then one line per row, each ending in a newline."""
-    return "\n".join([",".join(header), *map(_csv_row, rows)]) + "\n"
+    """A CSV report: the header line, then one line per row, each ending in a
+    newline; the header's cells follow :func:`_csv_row`'s rule too."""
+    return "\n".join(map(_csv_row, [header, *rows])) + "\n"
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -9,8 +9,10 @@ identical :class:`Dataset`.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -598,6 +600,21 @@ def load_runs(path) -> Dataset:
     return dataset
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+    A loader keeps every row it allocates, so the young collections those
+    allocations trigger would trace them all and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def _load_run_columns(path) -> Dataset:
     """:func:`load_runs` with every check, leaving ``runs`` to be built on first access."""
     header, body, row_numbers = _read_csv(path)

@@ -3,8 +3,11 @@
 Models map a PMC vector to dynamic energy in joules. The three families
 differ only in their constraints: ordinary least squares with an intercept,
 least squares through the origin, and non-negative least squares through the
-origin. OLS goes through a QR factorization rather than normal equations
-because PMC columns tend to be strongly collinear.
+origin. Every fit goes through one QR factorization of the augmented matrix
+[X | y] rather than normal equations, because PMC columns tend to be strongly
+collinear. Only the triangle is computed: its top block is X's R and its last
+column holds Q'y, so each kind then works on the small parameters x
+parameters problem, and no Q of the runs' size is ever formed.
 """
 
 from __future__ import annotations
@@ -161,9 +164,23 @@ def correlation_matrix(dataset: Dataset, pmcs: Sequence[str] | None = None) -> C
     return CorrelationMatrix(labels=(TARGET_LABEL,) + names, values=tuple(map(tuple, values)))
 
 
-def _qr_solve(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares via reduced QR, rejecting numerically rank-deficient input."""
-    q, r = np.linalg.qr(design)
+def _triangle(augmented: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares problem X b ~ y, reduced by one QR of the augmented
+    matrix [X | y] (y last): X's triangle R and the vector Q'y.
+
+    Only R is computed (``mode="r"``): Q is never formed. The top rows of the
+    factor are [R | Q'y], and ||Xb - y||^2 = ||Rb - Q'y||^2 + rho^2 with rho
+    independent of b, so every fit solves the min(m, n) x n problem instead.
+    """
+    r = np.linalg.qr(augmented, mode="r")
+    n = augmented.shape[1] - 1
+    k = min(len(augmented), n)
+    return r[:k, :n], r[:k, n]
+
+
+def _qr_solve(r: np.ndarray, qty: np.ndarray) -> np.ndarray:
+    """Least squares from :func:`_triangle`'s (R, Q'y), rejecting a
+    numerically rank-deficient design."""
     diag = np.abs(np.diag(r))
     largest = diag.max() if diag.size else 0.0
     if largest == 0.0 or diag.min() / largest < RANK_RATIO_THRESHOLD:
@@ -171,27 +188,46 @@ def _qr_solve(design: np.ndarray, y: np.ndarray) -> np.ndarray:
             "design matrix is numerically rank-deficient; drop collinear or "
             "constant PMC columns"
         )
-    return np.linalg.solve(r, q.T @ y)
+    return np.linalg.solve(r, qty)
 
 
 def nnls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Non-negative least squares by the Lawson-Hanson active-set method.
 
-    The passive set grows by the most positive component of w = X'(y - Xb)
-    and shrinks whenever a passive-set least-squares solution goes
-    non-positive. Terminates when no inactive component of w exceeds a
-    relative tolerance; raises RuntimeError if the iteration budget
-    (3 x predictors) is exhausted, which signals pathological conditioning.
+    One QR of [X | y] reduces the problem to (R, Q'y) (see :func:`_triangle`),
+    and the active set runs on that P x P triangle rather than the m x P
+    design (Lawson and Hanson, *Solving Least Squares Problems*, ch. 23). The
+    passive set grows by the most positive component of w = X'(y - Xb) =
+    R'(Q'y - Rb) and shrinks whenever a passive-set least-squares solution
+    goes non-positive. Terminates when no inactive component of w exceeds a
+    tolerance relative to the largest component of X'y, with every column
+    scaled to one magnitude (see :func:`_nnls`); raises RuntimeError if the
+    iteration budget (3 x predictors) is exhausted, which signals
+    pathological conditioning.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = design.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+    return _nnls(*_triangle(np.column_stack([design, y])))
 
+
+def _nnls(r: np.ndarray, qty: np.ndarray) -> np.ndarray:
+    """:func:`nnls` on the reduced problem min ||r b - qty|| subject to b >= 0.
+
+    Each column is first scaled by 2**-e, where 2**e bounds its largest
+    magnitude, and the solution scaled back: both steps are exact, and the
+    bound b >= 0 does not change. So the stopping tolerance and lstsq's cutoff
+    see every column at one scale, whatever its counts' units: a column of
+    counts near 1 still enters beside one of counts near 2**37.
+    """
+    n = r.shape[1]
+    _, exponents = np.frexp(np.abs(r).max(axis=0, initial=0.0))
+    r = np.ldexp(r, -exponents)
     beta = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    scale = float(np.abs(design.T @ y).max()) if n else 0.0
+    scale = float(np.abs(r.T @ qty).max()) if n else 0.0
     if scale == 0.0:
         return beta
     tolerance = NNLS_TOLERANCE * scale
@@ -199,11 +235,11 @@ def nnls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     iterations = 0
 
     while True:
-        w = design.T @ (y - design @ beta)
+        w = r.T @ (qty - r @ beta)
         w_inactive = np.where(passive, -np.inf, w)
         j = int(np.argmax(w_inactive))
         if w_inactive[j] <= tolerance:
-            return beta
+            return np.ldexp(beta, -exponents)
         passive[j] = True
 
         while True:
@@ -214,7 +250,7 @@ def nnls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
                     f"{budget} active-set iterations"
                 )
             trial = np.zeros(n)
-            trial[passive], *_ = np.linalg.lstsq(design[:, passive], y, rcond=None)
+            trial[passive], *_ = np.linalg.lstsq(r[:, passive], qty, rcond=None)
             if np.all(trial[passive] > 0):
                 beta = trial
                 break
@@ -237,10 +273,14 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
         kind: ModelKind = ModelKind.UNCONSTRAINED) -> EnergyModel:
     """Fit a linear dynamic-energy model of the given kind on the dataset's runs.
 
-    Requires more runs than fitted parameters. The QR kinds (``unconstrained``,
-    ``zero_intercept``) reject a numerically rank-deficient design with
-    ValueError; ``zero_intercept_nonneg`` returns a non-negative minimizer,
-    not unique on such a design. The model meets its kind's invariants.
+    Requires more runs than fitted parameters. Every kind takes one QR of the
+    runs x (parameters + 1) matrix [X | y] and then works on the parameters x
+    parameters triangle (see :func:`_triangle`). The QR kinds
+    (``unconstrained``, ``zero_intercept``) solve the triangle and reject a
+    numerically rank-deficient design with ValueError;
+    ``zero_intercept_nonneg`` runs :func:`nnls`'s active set on it and returns
+    a non-negative minimizer, not unique on such a design. The model meets its
+    kind's invariants.
     """
     kind = ModelKind(kind)
     names = tuple(pmcs) if pmcs is not None else dataset.pmc_names
@@ -255,18 +295,21 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
             f"need more runs than parameters: {len(y)} runs for {parameters} parameters"
         )
 
-    # Filled column by column, so no second runs x PMCs copy is held.
-    design = np.ones((len(y), parameters))
+    # [X | y], column-major and filled column by column: no second runs x PMCs
+    # copy is held, and each column is one contiguous block for LAPACK.
+    augmented = np.ones((len(y), parameters + 1), order="F")
     for k, column in enumerate(columns):
-        design[:, offset + k] = dataset.counts[:, column]
+        augmented[:, offset + k] = dataset.counts[:, column]
+    augmented[:, parameters] = y
+    r, qty = _triangle(augmented)
 
     if kind is ModelKind.UNCONSTRAINED:
-        solution = _qr_solve(design, y)
+        solution = _qr_solve(r, qty)
         intercept, coefficients = float(solution[0]), solution[1:]
     elif kind is ModelKind.ZERO_INTERCEPT:
-        intercept, coefficients = 0.0, _qr_solve(design, y)
+        intercept, coefficients = 0.0, _qr_solve(r, qty)
     else:
-        intercept, coefficients = 0.0, nnls(design, y)
+        intercept, coefficients = 0.0, _nnls(r, qty)
 
     return EnergyModel(
         pmc_names=names,

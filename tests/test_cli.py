@@ -1,11 +1,17 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emodel import (
     ApplicationRun,
@@ -807,6 +813,60 @@ def test_stats_single_sample_rejected(files, capsys):
 def test_stats_non_finite_sample_rejected(files, capsys):
     code, out, err = run(capsys, "stats", "--values", "nan,1,2")
     assert (code, out, err) == (1, "", "emodel: error: sample 1 is not finite: nan\n")
+
+
+# --- CSV quoting ----------------------------------------------------------------
+
+# Text with every character that needs quoting. The test frames it in letters,
+# so that the loaders' stripping of surrounding whitespace leaves it unchanged.
+QUOTABLE = st.text(alphabet='ab ,"\r\n', max_size=5)
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(apps=st.lists(QUOTABLE, min_size=2, max_size=2, unique=True),
+       run_ids=st.lists(QUOTABLE, min_size=2, max_size=2, unique=True),
+       pmcs=st.lists(QUOTABLE, min_size=2, max_size=2, unique=True))
+def test_csv_reports_read_back_whole(apps, run_ids, pmcs):
+    apps = [f"a{a}b" for a in apps]
+    run_ids = [f"r{r}s" for r in run_ids]
+    pmcs = [f"P{p}Q" for p in pmcs]
+    runs = [(app, run_id, 2, 1024, 1.0, 10.0 + 7 * i + 3 * k, 100 + 5 * i + k, 50 + 2 * k + i * i)
+            for i, app in enumerate(apps) for k, run_id in enumerate(run_ids)]
+    model = EnergyModel(pmc_names=tuple(pmcs), intercept=0.0, coefficients=(2.0, -0.5),
+                        kind=ModelKind.ZERO_INTERCEPT)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("runs.csv", "comps.csv", "m.json")}
+        with open(paths["runs.csv"], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("app_id", "run_id", "cores", "problem_size",
+                                       "exec_time_s", "dynamic_energy_j", *pmcs), *runs])
+        with open(paths["comps.csv"], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("compound_id", "base_a", "base_b", "dynamic_energy_j",
+                                       *pmcs), ("c", apps[0], apps[1], 50.0, 230, 120)])
+        save_model(model, paths["m.json"])
+        reports = {}
+        for name, code, argv in [
+            ("predict", 0, ["predict", "--model", paths["m.json"], "--runs", paths["runs.csv"]]),
+            ("correlate", 0, ["correlate", "--runs", paths["runs.csv"]]),
+            ("additivity", 0, ["additivity", "--runs", paths["runs.csv"],
+                               "--compounds", paths["comps.csv"]]),
+            ("conserve", 2, ["conserve", "--model", paths["m.json"]]),
+        ]:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert run_cli([*argv, "--format", "csv"]) == code
+            reports[name] = csv_rows(out.getvalue())
+
+    for rows in reports.values():
+        assert len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows)
+    assert [tuple(row[:2]) for row in reports["predict"][1:]] == [run[:2] for run in runs]
+    assert reports["correlate"][0] == ["", "dynamic_energy", *pmcs]
+    assert [row[0] for row in reports["correlate"][1:]] == ["dynamic_energy", *pmcs]
+    assert [row[0] for row in reports["additivity"][1:]] == pmcs
+    assert pmcs[1] in [row[1] for row in reports["conserve"][1:]]
 
 
 # --- one-row reports -------------------------------------------------------------

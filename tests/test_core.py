@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -679,6 +680,33 @@ def test_rows_are_built_once_and_the_dataset_stays_frozen(tmp_path):
         dataset.missing
     with pytest.raises(AttributeError):
         dataset.app_id = ("x",)
+
+
+def test_run_columns_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
+    # 3,000 rows allocate far more containers than gc's young threshold.
+    header = RUNS_CSV.splitlines()[0]
+    rows = "".join(f"a{i},r1,2,1024,1.0,2.0,3,4\n" for i in range(3000))
+    path = write(tmp_path / "runs.csv", f"{header}\n{rows}")
+    bad = write(tmp_path / "bad.csv", f"{header}\n{rows}a,r1,2,1024,1.0,2.0,3,oops\n")
+    collections = []
+    callback = lambda phase, info: phase == "start" and collections.append(info)
+    gc.callbacks.append(callback)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            gc.collect()
+            collections.clear()  # the explicit collection's
+            assert len(_load_run_columns(path).app_id) == 3000
+            # At most the one young collection that the first allocation
+            # after the load sets off, where an unpaused load runs dozens.
+            assert len(collections) <= int(enabled)
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataFormatError, match="oops"):
+                _load_run_columns(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(callback)
+        gc.enable()
 
 
 def test_points_share_the_rows_configs(tmp_path):

@@ -477,6 +477,56 @@ def test_nnls_all_active_solution():
     assert beta.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_each_fit_takes_one_triangle_only_qr(monkeypatch, kind):
+    modes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": modes.append(mode) or qr(a, mode))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(1.0, 100.0, size=(30, 3))
+    fit(dataset_from_matrix(x, rng.uniform(1.0, 500.0, 30)), kind=kind)
+    assert modes == ["r"]
+    modes.clear()
+    nnls(x, x[:, 0])
+    assert modes == ["r"]
+
+
+def count_scaled_design(seed, m=3000, n=12):
+    """A tall design whose column scales run from 1 to 2**37, as PMC counts
+    do, and a target that four negative coefficients fit best."""
+    rng = np.random.default_rng(seed)
+    scales = np.ldexp(1.0, np.linspace(0, 37, n).round().astype(int))
+    design = rng.uniform(0.5, 1.5, (m, n)) * scales
+    truth = rng.uniform(0.5, 2.0, n) / scales
+    truth[rng.choice(n, 4, replace=False)] *= -1
+    return design, design @ truth + rng.normal(0.0, 0.05, m)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nnls_on_count_scaled_tall_design_against_scipy(seed):
+    design, y = count_scaled_design(seed)
+    beta = nnls(design, y)
+    ref, _ = scipy.optimize.nnls(design, y, maxiter=50 * design.shape[1])
+    objective, expected = (float(np.sum((y - design @ b) ** 2)) for b in (beta, ref))
+    assert abs(objective - expected) <= 1e-12 * expected
+    assert (beta == 0).tolist() == (ref == 0).tolist()
+    assert (ref == 0).sum() >= 3
+    assert (beta >= 0).all()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nnls_square_and_wide_designs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    m = int(rng.integers(1, n + 1))
+    design = rng.normal(0.0, 10.0, size=(m, n))
+    y = rng.normal(0.0, 10.0, size=m)
+    beta = nnls(design, y)
+    assert kkt_holds(design, y, beta)
+    _, ref_norm = scipy.optimize.nnls(design, y)
+    assert float(np.linalg.norm(y - design @ beta)) <= ref_norm * (1 + 1e-10) + 1e-12
+
+
 # --- prediction and evaluation --------------------------------------------
 
 
