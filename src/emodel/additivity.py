@@ -41,6 +41,9 @@ INFINITE = math.inf
 #: repetition samples, matching the measurement methodology's 2.5% precision.
 DEFAULT_REPRODUCIBILITY_COV = 0.025
 
+#: PMCs per block of the additivity test: no runs x PMCs temporary is held.
+BLOCK_COLUMNS = 8
+
 class Classification(str, Enum):
     ADDITIVE = "additive"
     NON_ADDITIVE = "non_additive"
@@ -121,28 +124,39 @@ def _group_cov(values: Sequence[float]) -> float:
     return statistics.stdev(values) / mean
 
 
-def _stage1_pass(dataset: Dataset, column: int, means: np.ndarray, bound: float) -> bool:
-    """Whether every repetition group's CoV of one PMC is within ``bound``.
+def _stage1(dataset: Dataset, columns: slice, means: np.ndarray, bound: float) -> np.ndarray:
+    """Whether each PMC of a block of columns (group means ``means``) has every
+    repetition group's CoV within ``bound``.
 
-    A two-pass CoV over all groups at once decides each group unless it lies
-    within 1e-9 of the bound (absolute below 1, where a rounded mean puts a
-    zero spread near 1e-16) or the group mean is subnormal, so rounded by
-    more than an ulp of itself; those get the exact :func:`_group_cov`.
+    A two-pass CoV over all groups and the block's columns at once decides a
+    cell unless it lies within 1e-9 of the bound (absolute below 1, where a
+    rounded mean puts a zero spread near 1e-16) or the group mean is
+    subnormal, so rounded by more than an ulp of itself; those cells get the
+    exact :func:`_group_cov`. ``reduceat`` sums a block row by row, where one
+    column alone may be summed pairwise: a CoV may move in its last bits, far
+    inside that band, and the verdicts are the per-PMC, per-group ones.
     """
     index = dataset.group_index
     repeated = np.flatnonzero(index.sizes >= 2)
     if not repeated.size:
-        return True
-    spread = np.repeat(means, index.sizes)
-    scaled = (dataset.counts[index.order, column] - spread) / np.where(spread == 0, 1.0, spread)
-    squares = np.add.reduceat(scaled * scaled, index.starts)[repeated]
-    cov = np.sqrt(squares / (index.sizes[repeated] - 1))
+        return np.ones(means.shape[1], dtype=bool)
+    # In place: each block's temporaries are runs x BLOCK_COLUMNS.
+    scaled = dataset.counts[index.order, columns]
+    spread = np.repeat(means, index.sizes, axis=0)
+    scaled -= spread
+    spread[spread == 0] = 1.0
+    scaled /= spread
+    scaled *= scaled
+    cov = np.add.reduceat(scaled, index.starts, axis=0)[repeated]
+    cov /= (index.sizes[repeated] - 1)[:, None]
+    np.sqrt(cov, out=cov)
     near = np.abs(cov - bound) <= 1e-9 * np.maximum(np.maximum(cov, bound), 1.0)
     near |= (means[repeated] > 0) & (means[repeated] < np.finfo(float).tiny)
-    for i in np.flatnonzero(near).tolist():
+    for i, k in zip(*np.nonzero(near)):
         start, size = index.starts[repeated[i]], index.sizes[repeated[i]]
-        cov[i] = _group_cov(dataset.counts[index.order[start:start + size], column].tolist())
-    return bool((cov <= bound).all())
+        rows = index.order[start:start + size]
+        cov[i, k] = _group_cov(dataset.counts[rows, columns.start + k].tolist())
+    return (cov <= bound).all(axis=0)
 
 
 def run_additivity_test(
@@ -160,6 +174,8 @@ def run_additivity_test(
     groups' repetition means; ``max_error_pct`` is the maximum over all
     compounds (0.0 when there are none). A PMC is additive iff it passes
     stage 1 and its maximum error does not exceed ``tolerance_pct``.
+    Both stages run on blocks of ``BLOCK_COLUMNS`` PMCs, with bit-identical
+    stage-2 errors and the per-PMC stage-1 verdicts (see :func:`_stage1`).
     """
     if not (tolerance_pct > 0):
         raise ValueError(f"tolerance_pct must be > 0, got {tolerance_pct!r}")
@@ -175,18 +191,21 @@ def run_additivity_test(
     compound_counts = compound_counts.reshape(len(compounds), len(dataset.pmc_names))
 
     per_pmc = []
-    for j, name in enumerate(dataset.pmc_names):
-        stage1 = _stage1_pass(dataset, j, means[:, j], reproducibility_cov)
-        base_sums, compound = means[base_a, j] + means[base_b, j], compound_counts[:, j]
+    for first in range(0, len(dataset.pmc_names), BLOCK_COLUMNS):
+        block = slice(first, first + BLOCK_COLUMNS)
+        stage1 = _stage1(dataset, block, means[:, block], reproducibility_cov).tolist()
+        base_sums, compound = means[base_a, block] + means[base_b, block], compound_counts[:, block]
         with np.errstate(all="ignore"):
-            errors = np.abs(compound - base_sums) / base_sums * 100.0
+            errors = np.subtract(compound, base_sums)
+            np.abs(errors, out=errors)
+            errors /= base_sums
+            errors *= 100.0
         zero = base_sums == 0
         errors[zero] = np.where(compound[zero] == 0, 0.0, INFINITE)
         # fmax skips the NaN of an infinite base sum, as a running Python max does.
-        max_error = float(np.fmax.reduce(errors, initial=0.0))
-        per_pmc.append(
-            PmcAdditivity(name, stage1, max_error, _classify(stage1, max_error, tolerance_pct))
-        )
+        max_errors = np.fmax.reduce(errors, axis=0, initial=0.0).tolist()
+        per_pmc += [PmcAdditivity(name, passed, error, _classify(passed, error, tolerance_pct))
+                    for name, passed, error in zip(dataset.pmc_names[block], stage1, max_errors)]
 
     ranking = tuple(e.pmc for e in sorted(per_pmc, key=lambda e: (e.max_error_pct, e.pmc)))
     return AdditivityReport(tolerance_pct=tolerance_pct, per_pmc=tuple(per_pmc), ranking=ranking)

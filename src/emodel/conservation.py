@@ -459,10 +459,11 @@ def _draw_counts(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
 
 def _trial_witness(names: tuple[str, ...], a, b, composed, lhs, rhs) -> CompositionCounterexample:
     """The counterexample of one flagged trial row; a row whose composed
-    counts are invalid raises the ``PmcVector`` error for its first one."""
+    counts are invalid raises the ``PmcVector`` error for its first one;
+    ``a`` and ``b``, finite and positive from ``_draw_counts``, skip the check."""
     return CompositionCounterexample(
-        PmcVector(names, tuple(a.tolist())),
-        PmcVector(names, tuple(b.tolist())),
+        PmcVector._checked(names, tuple(a.tolist())),
+        PmcVector._checked(names, tuple(b.tolist())),
         PmcVector(names, tuple(composed.tolist())),
         float(lhs),
         float(rhs),

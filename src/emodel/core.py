@@ -300,15 +300,16 @@ class Dataset:
         bases. Raises ValueError unless every compound has this dataset's PMC
         names and both of its bases are run groups of this dataset."""
         groups: tuple[list[int], list[int]] = ([], [])
+        code_of, names = self.group_index.code_of, self.pmc_names
         for comp in compounds:
-            if comp.pmc.names != self.pmc_names:
+            if comp.pmc.names is not names and comp.pmc.names != names:
                 raise ValueError(f"compound {comp.compound_id!r} PMC names do not match dataset")
             for ref, found in zip((comp.base_a, comp.base_b), groups):
-                key = (ref.app_id, ref.config.cores, ref.config.problem_size)
-                if key not in self.group_index.code_of:
+                code = code_of.get((ref.app_id, ref.config.cores, ref.config.problem_size))
+                if code is None:
                     raise ValueError(f"compound {comp.compound_id!r} references unknown base "
                                      f"{ref.label()!r}")
-                found.append(self.group_index.code_of[key])
+                found.append(code)
         return groups
 
     @cached_property

@@ -203,13 +203,17 @@ def nnls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     tolerance relative to the largest component of X'y, with every column
     scaled to one magnitude (see :func:`_nnls`); raises RuntimeError if the
     iteration budget (3 x predictors) is exhausted, which signals
-    pathological conditioning.
+    pathological conditioning. A NaN or infinity in ``design`` or ``y`` is a
+    ValueError naming the argument.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = design.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+    for name, values in (("design", design), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a value that is not finite")
     return _nnls(*_triangle(np.column_stack([design, y])))
 
 
@@ -346,9 +350,23 @@ def _predict_rows(intercept: float, coefficients: Sequence[float], counts: np.nd
     return totals
 
 
-@lru_cache(maxsize=64)
+_last_lookup: tuple = ((), (), ())
+
+
 def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
-    """The position in ``names`` of each name in ``wanted``."""
+    """The position in ``names`` of each name in ``wanted``. The last pair is
+    matched by identity before the LRU cache, whose key hashes both tuples at a
+    cost above :func:`predict`'s own loop. The pair lives in one tuple, read
+    once and replaced whole, so concurrent callers each see a consistent entry."""
+    global _last_lookup
+    last_wanted, last_names, positions = _last_lookup
+    if wanted is not last_wanted or names is not last_names:
+        _last_lookup = wanted, names, (positions := _lookup(wanted, names))
+    return positions
+
+
+@lru_cache(maxsize=64)
+def _lookup(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
     index = {name: i for i, name in enumerate(names)}
     for name in wanted:
         if name not in index:
@@ -356,31 +374,42 @@ def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ..
     return tuple(map(index.__getitem__, wanted))
 
 
+def _getter(positions: tuple[int, ...]) -> itemgetter:
+    """An itemgetter of ``positions`` that returns a tuple, for one or no position too."""
+    return itemgetter(*positions) if len(positions) > 1 else itemgetter(
+        slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:
     """Percentage prediction errors (min, avg, max) over measured cases.
 
     Every measured energy must be positive and every prediction finite;
-    errors are on dynamic energy. All cases are predicted at once by
-    :func:`_predict_rows`.
+    errors are on dynamic energy. One pass gathers every case's model counts
+    (a getter per names tuple, matched by identity) and energy into one array
+    for :func:`_predict_rows`. The first faulty case wins: its missing PMC
+    (KeyError), then its energy (ValueError, or if not numeric the TypeError
+    of ``energy <= 0``, which the row keeps).
     """
-    rows, measured, names = [], [], None
-    for case, (pmc, energy) in enumerate(cases, start=1):
-        if pmc.names is not names:
-            names = pmc.names
-            positions = _positions(model.pmc_names, names)
-            pick = itemgetter(*positions) if positions else (lambda counts: ())
-        _check_measured(case, energy)
-        rows.append(pick(pmc.counts))
-        measured.append(energy)
-    counts = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names))
-    return _evaluate_rows(model, model.pmc_names, counts, np.array(measured, dtype=float))
+    names = pick = None
+    rows: list[tuple] = []
+    try:
+        rows.extend((pick if pmc.names is names else (pick := _getter(
+            _positions(model.pmc_names, names := pmc.names))))(pmc.counts)
+                    + (energy <= 0, energy) for pmc, energy in cases)
+    finally:
+        # Also on a case's KeyError or TypeError: an earlier case's energy fault wins.
+        table = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names) + 2)
+        _check_energies(table[:, -1], rows)
+    return _evaluate_rows(model, model.pmc_names, table[:, :-2], table[:, -1])
 
 
-def _check_measured(case: int, energy: float) -> None:
-    if energy <= 0:
-        raise ValueError(f"measured must be > 0, got {energy!r}")
-    if not math.isfinite(energy):
-        raise ValueError(f"measured energy for case {case} is not finite: {energy!r}")
+def _check_energies(energies: np.ndarray, rows: Sequence[tuple] | None = None) -> None:
+    """Raise for the first energy not finite and positive, as passed if in ``rows``."""
+    for case in np.flatnonzero(~((energies > 0) & (energies < math.inf)))[:1].tolist():
+        energy = float(energies[case]) if rows is None else rows[case][-1]
+        if energy <= 0:
+            raise ValueError(f"measured must be > 0, got {energy!r}")
+        raise ValueError(f"measured energy for case {case + 1} is not finite: {energy!r}")
 
 
 def _evaluate_rows(model: EnergyModel, names, counts, energies) -> ErrorSummary:
@@ -388,8 +417,7 @@ def _evaluate_rows(model: EnergyModel, names, counts, energies) -> ErrorSummary:
     if not len(energies):
         raise ValueError("need at least one (pmc, measured) case")
     counts = counts[:, list(_positions(model.pmc_names, names))]
-    for case in np.flatnonzero(~((energies > 0) & (energies < math.inf)))[:1].tolist():
-        _check_measured(case + 1, float(energies[case]))
+    _check_energies(energies)
     totals = _predict_rows(model.intercept, model.coefficients, counts)
     unpredictable = np.flatnonzero(~np.isfinite(totals))
     if unpredictable.size:

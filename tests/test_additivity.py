@@ -175,12 +175,13 @@ COUNTS = st.one_of(
 
 
 @st.composite
-def additivity_cases(draw):
+def additivity_cases(draw, pmcs=st.integers(1, 3), group_size=st.sampled_from([1, 2, 3, 5]),
+                     groups=5):
     """Interleaved repetition rows, compounds with zero and nonzero counts over
     zero base sums, and a stage-1 bound that is 0, the default, or planted
     within a few ulps of one group's exact CoV."""
-    names = tuple(f"P{i}" for i in range(draw(st.integers(1, 3))))
-    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=5))
+    names = tuple(f"P{i}" for i in range(draw(pmcs)))
+    sizes = draw(st.lists(group_size, min_size=1, max_size=groups))
     samples = []  # per group, per PMC: the repetition values
     for size in sizes:
         group = []
@@ -239,6 +240,45 @@ def additivity_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(additivity_cases())
 def test_vectorized_additivity_matches_brute_force(case):
+    check_against_brute_force(case)
+
+
+# 9 to 17 PMCs span two or three column blocks; groups of 8 to 17 rows are the
+# sizes whose one-column sum numpy may take pairwise, where a block sums row
+# by row, so a CoV planted at the bound may differ from the block's in its
+# last bits.
+@settings(max_examples=25, deadline=None)
+@given(additivity_cases(pmcs=st.integers(9, 17), group_size=st.integers(8, 17), groups=3))
+def test_block_additivity_matches_brute_force(case):
+    check_against_brute_force(case)
+
+
+# 16 repetitions whose two-pass CoV, summed down a block, rounds 1 ulp above
+# the exact statistics.stdev / fsum-mean ratio.
+ABOVE_EXACT = [
+    714082702398.1177, 731480113533.1287, 742044139853.5957, 750148942425.2003,
+    710601114605.2131, 742116455399.6786, 715459176314.646, 716465534204.2747,
+    723624765138.0099, 711088795703.6497, 731129797725.005, 719471788325.8379,
+    747029674019.6923, 741264630540.176, 738034518237.0647, 716299173403.9404,
+]
+
+
+@pytest.mark.parametrize("ulps_below", [0, 1])
+def test_block_stage1_at_a_bound_planted_on_the_exact_cov(ulps_below):
+    names = tuple(f"P{i}" for i in range(10))
+    runs = [make_run("g", names, [1.0 + rep] * 9 + [value], 1.0, run_id=f"r{rep}")
+            for rep, value in enumerate(ABOVE_EXACT)]
+    runs += [make_run("h", names, [2.0] * 10, 1.0, run_id=f"r{rep}") for rep in range(2)]
+    bound = statistics.stdev(ABOVE_EXACT) / (math.fsum(ABOVE_EXACT) / len(ABOVE_EXACT))
+    for _ in range(ulps_below):
+        bound = math.nextafter(bound, 0.0)
+    dataset = make_dataset(names, runs)
+    check_against_brute_force((dataset, [], bound))
+    report = run_additivity_test(dataset, [], reproducibility_cov=bound)
+    assert report.entry("P9").stage1_pass is (ulps_below == 0)
+
+
+def check_against_brute_force(case):
     dataset, compounds, bound = case
     report = run_additivity_test(dataset, compounds, 5.0, reproducibility_cov=bound)
     got = [(e.pmc, e.stage1_pass, e.max_error_pct.hex()) for e in report.per_pmc]

@@ -25,6 +25,7 @@ from helpers import (
     make_dataset,
     make_run,
     nnls_by_enumeration,
+    predict_by_names,
 )
 
 COUNTS = [(10.0, 5.0), (20.0, 3.0), (5.0, 9.0), (40.0, 2.0), (15.0, 15.0)]
@@ -341,6 +342,19 @@ def test_nnls_shape_mismatch():
         nnls(np.ones((3, 2)), np.ones(4))
 
 
+@pytest.mark.parametrize("argument", ["design", "y"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nnls_rejects_a_value_that_is_not_finite(argument, value, capfd):
+    design = np.arange(1.0, 11.0).reshape(5, 2)
+    y = np.arange(1.0, 6.0)
+    (design if argument == "design" else y)[2:3].flat[0] = value
+    with pytest.raises(ValueError) as info:
+        nnls(design, y)
+    assert str(info.value) == f"{argument} holds a value that is not finite"
+    # Nothing reaches LAPACK, so nothing is printed.
+    assert capfd.readouterr() == ("", "")
+
+
 def kkt_holds(design, y, beta, tol=1e-8):
     w = design.T @ (y - design @ beta)
     scale = max(1.0, float(np.abs(design.T @ y).max()))
@@ -608,6 +622,41 @@ def test_predict_rows_keeps_zero_signs_and_overflow():
     assert [str(v) for v in expected] == ["-0.0", "0.0", "inf", "-inf", "nan", "0.0"]
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_predict_matches_lookup_by_name_bit_for_bit(data):
+    names = tuple(f"C{j}" for j in range(8))
+    m = data.draw(st.sampled_from([0, 1, 2, 5, 8]))
+    model_names = data.draw(st.permutations(names))[:m]
+    coefficient = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1.5]) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    model = EnergyModel(pmc_names=model_names,
+                        intercept=data.draw(st.sampled_from([0.0, -0.0]) | coefficient),
+                        coefficients=data.draw(st.lists(coefficient, min_size=m, max_size=m)),
+                        kind=ModelKind.UNCONSTRAINED)
+    count = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e300, 1.7e308]) | st.floats(
+        0.0, allow_infinity=False, allow_nan=False)
+    vector_names = data.draw(st.permutations(sorted(set(model_names) | data.draw(
+        st.sets(st.sampled_from(names))))))
+    vector = PmcVector(tuple(vector_names), tuple(data.draw(
+        st.lists(count, min_size=len(vector_names), max_size=len(vector_names)))))
+    assert bit_keys([predict(model, vector)]) == bit_keys([predict_by_names(model, vector)])
+
+
+def test_predict_keeps_zero_signs_and_overflow():
+    for names, coefficients, counts, expected in [
+        ((), (), (), "-0.0"),
+        (("C1",), (-0.0,), (0.0,), "-0.0"),
+        (("C1",), (1e300,), (1e300,), "inf"),
+        (("C1", "C2"), (1e300, -1e300), (1e300, 1e300), "nan"),
+    ]:
+        model = EnergyModel(pmc_names=names, intercept=-0.0, coefficients=coefficients,
+                            kind=ModelKind.UNCONSTRAINED)
+        vector = PmcVector(("X",) + names, (7.0,) + counts)
+        assert bit_keys([predict(model, vector)]) == bit_keys([predict_by_names(model, vector)])
+        assert str(predict(model, vector)) == expected
+
+
 def test_predict_missing_pmc():
     with pytest.raises(KeyError, match="C1"):
         predict(model_c1(), PmcVector(("C9",), (1.0,)))
@@ -716,6 +765,41 @@ def test_evaluate_error_precedence_matches_per_case_oracle():
             evaluate(huge, cases)
         assert str(raised.value) == str(expected.value)
         assert message in str(raised.value)
+
+
+def test_evaluate_on_equal_but_distinct_name_tuples_matches_per_case_oracle():
+    model = EnergyModel(pmc_names=("C2", "C1"), intercept=0.5, coefficients=(3.0, 1e-3),
+                        kind=ModelKind.UNCONSTRAINED)
+    rng = np.random.default_rng(5)
+    cases = [(PmcVector(tuple(["C1", "C2", "C3"]), tuple(rng.uniform(0.0, 1e6, 3))),
+              float(rng.uniform(1.0, 1e6))) for _ in range(20)]
+    assert len({id(pmc.names) for pmc, _ in cases}) == len(cases)
+    summary = evaluate(model, cases)
+    got = (summary.min_pct, summary.avg_pct, summary.max_pct)
+    assert [v.hex() for v in got] == [v.hex() for v in evaluate_by_cases(model, cases)[:3]]
+
+
+def test_evaluate_reports_a_cases_missing_pmc_before_its_energy():
+    model = model_c1()
+    fine = (PmcVector(("C1",), (1.0,)), 100.0)
+    for cases, error in [
+        ([fine, (PmcVector(("C9",), (1.0,)), 0.0), (fine[0], -1.0)], KeyError),
+        ([fine, (PmcVector(("C9",), (1.0,)), "5"), (fine[0], 0.0)], KeyError),
+        ([fine, (fine[0], 0), (PmcVector(("C9",), (1.0,)), 100.0)], ValueError),
+        ([fine, (fine[0], "5"), (PmcVector(("C9",), (1.0,)), 0.0)], TypeError),
+        ([fine, (fine[0], 0.0), (fine[0], "5")], ValueError),
+        ([fine, (fine[0], None), (fine[0], 0.0)], TypeError),
+        ([(fine[0], -2), fine], ValueError),
+    ]:
+        with pytest.raises(error) as expected:
+            evaluate_by_cases(model, cases)
+        with pytest.raises(error) as raised:
+            evaluate(model, cases)
+        assert str(raised.value) == str(expected.value)
+    # A non-finite energy is a fault of its own case, ahead of a later case's.
+    for later in ("5", None, 0.0):
+        with pytest.raises(ValueError, match="^measured energy for case 2 is not finite: nan$"):
+            evaluate(model, [fine, (fine[0], math.nan), (fine[0], later)])
 
 
 def test_evaluate_rejects_non_finite_measured_energy():
