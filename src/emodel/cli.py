@@ -67,6 +67,8 @@ def _parse_counts(text: str):
             raise UsageError(
                 f"error: --counts expects name=value pairs, got {part!r}"
             )
+        if name in pairs:
+            raise UsageError(f"error: --counts names PMC {name!r} twice")
         try:
             pairs[name] = float(value)
         except ValueError:

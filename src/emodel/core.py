@@ -684,6 +684,7 @@ def _load_run_columns(path) -> Dataset:
     return Dataset._from_columns(pmc_names, counts, times, energies, app_ids, run_ids, cores, sizes)
 
 
+@_gc_paused()
 def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     """Load a compounds CSV, resolving base references against ``dataset``.
 

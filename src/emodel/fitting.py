@@ -328,12 +328,42 @@ def predict(model: EnergyModel, pmc: PmcVector) -> float:
 
     The vector may carry extra PMCs; every model PMC must be present. May be
     negative for models whose constraints permit it.
+
+    The sum runs in a kernel of one statement per term (see :func:`_kernel`),
+    kept for the last (model names, vector names) pair, matched by identity.
+    The pair and its kernel live in one tuple, read once and replaced whole,
+    so concurrent callers each see a consistent entry.
     """
-    counts = pmc.counts
-    total = model.intercept
-    for position, coefficient in zip(_positions(model.pmc_names, pmc.names), model.coefficients):
-        total += coefficient * counts[position]
-    return total
+    global _last_kernel
+    wanted, names, kernel = _last_kernel
+    if model.pmc_names is not wanted or pmc.names is not names:
+        kernel = _kernel(_lookup(model.pmc_names, pmc.names))
+        _last_kernel = model.pmc_names, pmc.names, kernel
+    return kernel(model.intercept, model.coefficients, pmc.counts)
+
+
+_last_kernel: tuple = (None, None, None)  # not (): the empty tuple is a shared object
+
+
+@lru_cache(maxsize=64)
+def _kernel(positions: tuple[int, ...]):
+    """:func:`predict`'s sum for a vector whose model PMCs sit at ``positions``,
+    as straight-line code: ``total = intercept``, then one statement
+    ``total += coefficients[j] * counts[position]`` per term, in model order.
+    That is a loop's IEEE sequence without the loop. Only integers enter the
+    source; the model's values come in as arguments on every call, so no
+    float is printed and parsed back, and no kernel holds a model's values
+    (an equal model may differ in a zero's sign). One statement per term,
+    because one long expression overflows the compiler's recursion limit."""
+    source = "\n".join([
+        "def kernel(intercept, coefficients, counts):",
+        "    total = intercept",
+        *(f"    total += coefficients[{j}] * counts[{p}]" for j, p in enumerate(positions)),
+        "    return total",
+    ])
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["kernel"]
 
 
 def _predict_rows(intercept: float, coefficients: Sequence[float], counts: np.ndarray
@@ -355,9 +385,10 @@ _last_lookup: tuple = ((), (), ())
 
 def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
     """The position in ``names`` of each name in ``wanted``. The last pair is
-    matched by identity before the LRU cache, whose key hashes both tuples at a
-    cost above :func:`predict`'s own loop. The pair lives in one tuple, read
-    once and replaced whole, so concurrent callers each see a consistent entry."""
+    matched by identity before the LRU cache, whose key hashes both tuples: a
+    cost on the order of a whole prediction of a few dozen terms. The pair
+    lives in one tuple, read once and replaced whole, so concurrent callers
+    each see a consistent entry."""
     global _last_lookup
     last_wanted, last_names, positions = _last_lookup
     if wanted is not last_wanted or names is not last_names:

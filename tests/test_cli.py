@@ -346,6 +346,12 @@ def test_predict_malformed_counts(files, capsys):
     assert "error" in err
 
 
+def test_predict_counts_naming_a_pmc_twice_is_a_usage_error(files, capsys):
+    for counts, name in [("X1=1,X2=1,X1=2", "X1"), ("X1=10,X2=4,X2=4", "X2")]:
+        assert run(capsys, "predict", "--model", files["clean.json"], "--counts", counts) == (
+            1, "", f"error: --counts names PMC {name!r} twice\n")
+
+
 def test_predict_rejects_a_model_file_with_strings_or_booleans(files, capsys):
     path = files["dir"] / "strings.json"
     path.write_text(json.dumps({"kind": "zero_intercept", "pmc_names": ["X1", "X2"],

@@ -682,12 +682,9 @@ def test_rows_are_built_once_and_the_dataset_stays_frozen(tmp_path):
         dataset.app_id = ("x",)
 
 
-def test_run_columns_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
-    # 3,000 rows allocate far more containers than gc's young threshold.
-    header = RUNS_CSV.splitlines()[0]
-    rows = "".join(f"a{i},r1,2,1024,1.0,2.0,3,4\n" for i in range(3000))
-    path = write(tmp_path / "runs.csv", f"{header}\n{rows}")
-    bad = write(tmp_path / "bad.csv", f"{header}\n{rows}a,r1,2,1024,1.0,2.0,3,oops\n")
+def assert_load_pauses_gc(load, path, bad, rows):
+    """``load(path)`` gives ``rows`` rows without a collection inside it, and
+    ``load(bad)`` raises naming ``oops``; each restores the caller's gc setting."""
     collections = []
     callback = lambda phase, info: phase == "start" and collections.append(info)
     gc.callbacks.append(callback)
@@ -696,17 +693,35 @@ def test_run_columns_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
             (gc.enable if enabled else gc.disable)()
             gc.collect()
             collections.clear()  # the explicit collection's
-            assert len(_load_run_columns(path).app_id) == 3000
+            assert len(load(path)) == rows
             # At most the one young collection that the first allocation
             # after the load sets off, where an unpaused load runs dozens.
             assert len(collections) <= int(enabled)
             assert gc.isenabled() is enabled
             with pytest.raises(DataFormatError, match="oops"):
-                _load_run_columns(bad)
+                load(bad)
             assert gc.isenabled() is enabled
     finally:
         gc.callbacks.remove(callback)
         gc.enable()
+
+
+def test_run_columns_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
+    # 3,000 rows allocate far more containers than gc's young threshold.
+    header = RUNS_CSV.splitlines()[0]
+    rows = "".join(f"a{i},r1,2,1024,1.0,2.0,3,4\n" for i in range(3000))
+    path = write(tmp_path / "runs.csv", f"{header}\n{rows}")
+    bad = write(tmp_path / "bad.csv", f"{header}\n{rows}a,r1,2,1024,1.0,2.0,3,oops\n")
+    assert_load_pauses_gc(lambda p: _load_run_columns(p).app_id, path, bad, 3000)
+
+
+def test_compounds_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
+    dataset = load_runs(write(tmp_path / "runs.csv", RUNS_CSV))
+    header = "compound_id,base_a,base_b,dynamic_energy_j,X1,X2"
+    rows = "".join(f"c{i},dgemm,fft,180.0,1800,900\n" for i in range(3000))
+    path = write(tmp_path / "compounds.csv", f"{header}\n{rows}")
+    bad = write(tmp_path / "bad.csv", f"{header}\n{rows}c,dgemm,fft,180.0,1800,oops\n")
+    assert_load_pauses_gc(lambda p: load_compounds(p, dataset), path, bad, 3000)
 
 
 def test_points_share_the_rows_configs(tmp_path):

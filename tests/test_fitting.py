@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -655,6 +657,86 @@ def test_predict_keeps_zero_signs_and_overflow():
         vector = PmcVector(("X",) + names, (7.0,) + counts)
         assert bit_keys([predict(model, vector)]) == bit_keys([predict_by_names(model, vector)])
         assert str(predict(model, vector)) == expected
+
+
+def test_predict_keeps_each_models_zero_signs_when_equal_models_alternate():
+    # Equal under == and of equal hash, but the sign of a zero intercept or
+    # coefficient sets the sign of the prediction: no model may take
+    # another's values from a cache.
+    names = ("C1",)
+    models = [EnergyModel(pmc_names=pmc_names, intercept=intercept, coefficients=(coefficient,),
+                          kind=ModelKind.UNCONSTRAINED)
+              for pmc_names in (names, tuple(["C1"]))
+              for intercept, coefficient in [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)]]
+    assert all(m == models[0] and hash(m) == hash(models[0]) for m in models)
+    vector = PmcVector(("X", "C1"), (1.0, 5.0))
+    for _ in range(3):
+        for model in models + models[::-1]:
+            assert bit_keys([predict(model, vector)]) == bit_keys([predict_by_names(model, vector)])
+    assert [str(predict(m, vector)) for m in models[:4]] == ["-0.0", "0.0", "0.0", "0.0"]
+
+
+def test_predict_on_a_model_of_thousands_of_pmcs():
+    rng = np.random.default_rng(11)
+    m = 3000
+    names = tuple(f"P{j}" for j in range(m))
+    coefficients = rng.normal(size=m) * 10.0 ** rng.integers(-8, 9, m)
+    model = EnergyModel(pmc_names=names, intercept=1e16, coefficients=tuple(coefficients),
+                        kind=ModelKind.UNCONSTRAINED)
+    order = rng.permutation(m + 5)
+    vector_names = tuple((names + tuple(f"X{j}" for j in range(5)))[k] for k in order)
+    vector = PmcVector(vector_names, tuple(rng.uniform(0.0, 1e9, m + 5)))
+    expected = predict_by_names(model, vector)
+    assert bit_keys([predict(model, vector)]) == bit_keys([expected])
+    # The model order matters at these magnitudes: the reversed sum differs.
+    reversed_total = model.intercept
+    for name, coefficient in reversed(tuple(zip(model.pmc_names, model.coefficients))):
+        reversed_total += coefficient * vector.get(name)
+    assert reversed_total != expected
+
+
+def test_predict_interleaving_models_and_vector_name_orders():
+    rng = np.random.default_rng(5)
+    first = EnergyModel(pmc_names=("C1", "C2", "C3"), intercept=1.0,
+                        coefficients=(1e16, 1.0, -1e16), kind=ModelKind.UNCONSTRAINED)
+    second = EnergyModel(pmc_names=("C3", "C1"), intercept=-0.0, coefficients=(-0.0, 2.5),
+                         kind=ModelKind.UNCONSTRAINED)
+    # Equal to ``first``'s names but another tuple, and in another order.
+    third = EnergyModel(pmc_names=tuple(["C1", "C2", "C3"]), intercept=-3.0,
+                        coefficients=(0.5, -1e16, 1e16), kind=ModelKind.UNCONSTRAINED)
+    orders = [("C3", "C9", "C2", "C1"), ("C2", "C1", "C3"), ("C1", "C2", "C3", "C4")]
+    vectors = [PmcVector(names, tuple(rng.uniform(0.0, 1e6, len(names)))) for names in orders]
+    calls = [(model, vector) for model in (first, second, third) for vector in vectors]
+    calls = calls + calls[::-1] + [calls[k] for k in rng.integers(0, len(calls), 60)]
+    for model, vector in calls:
+        assert bit_keys([predict(model, vector)]) == bit_keys([predict_by_names(model, vector)])
+
+
+def test_predict_on_a_model_without_pmcs():
+    for intercept in (-0.0, 0.0, 2.5):
+        model = EnergyModel(pmc_names=(), intercept=intercept, coefficients=(),
+                            kind=ModelKind.UNCONSTRAINED)
+        for vector in (PmcVector((), ()), PmcVector(("C1",), (3.0,)), PmcVector((), ())):
+            assert bit_keys([predict(model, vector)]) == bit_keys([intercept])
+    # As a fresh process's first call, when no earlier (names, names) pair is kept.
+    first_call = subprocess.run([sys.executable, "-c", (
+        "from emodel import EnergyModel, PmcVector, predict\n"
+        "print(predict(EnergyModel((), -0.0, (), 'unconstrained'), PmcVector((), ())))")],
+        capture_output=True, text=True)
+    assert (first_call.returncode, first_call.stdout, first_call.stderr) == (0, "-0.0\n", "")
+
+
+def test_predict_names_a_missing_pmc_after_a_kernel_is_kept():
+    model = EnergyModel(pmc_names=("C1", "C2"), intercept=0.0, coefficients=(1.0, 2.0),
+                        kind=ModelKind.UNCONSTRAINED)
+    complete = PmcVector(("C2", "C1"), (1.0, 1.0))
+    assert predict(model, complete) == 3.0
+    for lacking, missing in [(PmcVector(("C1",), (1.0,)), "C2"),
+                             (PmcVector(("C2", "C9"), (1.0, 1.0)), "C1")]:
+        with pytest.raises(KeyError) as info:
+            predict(model, lacking)
+        assert info.value.args == (f"PMC {missing!r} not present in vector",)
+        assert predict(model, complete) == 3.0
 
 
 def test_predict_missing_pmc():
