@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from enum import Enum
+from itertools import chain, islice
+from typing import Iterator
 
 
 #: The characters that make a CSV cell need quotes.
@@ -32,23 +35,60 @@ class ModelKind(str, Enum):
     ZERO_INTERCEPT_NONNEG = "zero_intercept_nonneg"
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
-    """A CSV file's stripped header cells, its data rows that are not blank,
-    and the row number of each of those (the header is row 1, and blank rows
-    count)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _records(path, fh) -> Iterator[list[str]]:
+    """The records of an open CSV file, one at a time, as ``csv.reader``
+    gives them. A line without a quote, a carriage return or NUL, and no
+    longer than ``csv.field_size_limit()``, is one record whose cells lie
+    between its commas: ``str.split`` reads it as ``csv.reader`` does, and
+    leaves the reader at the start of the next record. From the first other
+    line on, ``csv.reader`` reads the rest of the file."""
+    limit = csv.field_size_limit()
+    lines = 0
+    try:
+        for line in fh:
+            if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+                break
+            lines += 1
+            yield line.rstrip("\n").split(",")
+        else:
+            return
+        reader = csv.reader(chain((line,), fh))
         try:
-            rows = list(reader)
+            yield from reader
         except csv.Error as exc:
-            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not rows or not any(cell.strip() for cell in rows[0]):
-        raise DataFormatError(f"{path}: no header")
-    header = [cell.strip() for cell in rows[0]]
-    numbers = [i + 1 for i, row in enumerate(rows) if i and any(map(str.strip, row))]
-    return header, [rows[i - 1] for i in numbers], numbers
+            raise DataFormatError(f"{path}: line {lines + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+    """A CSV file's stripped header cells, and its data rows that are not
+    blank, read one at a time, each with its row number (the header is row 1,
+    and blank rows count). A :class:`DataFormatError` raised in the block
+    first reads the rest of the file, so that a read fault further on (text
+    that is not UTF-8, or a csv error) takes its place: every fault comes in
+    the order it would if the whole file were read before any check."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = _records(path, fh)
+        try:
+            header = [cell.strip() for cell in next(records, [])]
+            if not any(header):
+                raise DataFormatError(f"{path}: no header")
+            yield header, ((number, cells) for number, cells in enumerate(records, 2)
+                           if any(map(str.strip, cells)))
+        except DataFormatError:
+            for _ in records:
+                pass
+            raise
+
+
+def _row_again(path, index: int) -> list[str]:
+    """The cells of data row ``index`` (counting from 0, blank rows not
+    counted), read from the file again: a loader keeps no cell text but that
+    of a few columns, and needs the rest only for the one row it reports."""
+    with _read_csv(path) as (_, rows):
+        return next(islice(rows, index, None))[1]
 
 
 def _csv_row(values) -> str:

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from ._common import DataFormatError, ModelKind, _csv_table, _finite_or_none
 
@@ -78,12 +81,14 @@ def _parse_counts(text: str):
     return PmcVector.from_dict(pairs)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write a report, given whole or as its pieces in order, to ``out`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_text(payload) -> str:
@@ -104,6 +109,29 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(item) for item in value]
     return value
+
+
+#: One record of the ``predict --runs`` JSON report, laid out as
+#: ``json.dumps(..., indent=2)`` lays out the record's dict.
+_PREDICTION = ('    {\n      "app_id": %s,\n      "run_id": %s,\n      "cores": %d,\n'
+               '      "problem_size": %s,\n      "prediction_j": %s\n    }')
+
+
+def _predictions_json(rows) -> Iterator[str]:
+    """The ``predict --runs`` JSON report on ``(app_id, run_id, cores,
+    problem_size, prediction_j)`` rows, one record at a time: the bytes of
+    :func:`_json_text` on ``{"predictions": [...]}`` with a dict per row,
+    without the dicts. Strings go through the json module's ASCII escaper,
+    numbers are their repr, and None or a non-finite prediction is null."""
+    quote = encode_basestring_ascii
+    yield '{\n  "predictions": ['
+    separator = "\n"
+    for app_id, run_id, cores, size, value in rows:
+        yield separator + _PREDICTION % (
+            quote(app_id), "null" if run_id is None else quote(run_id), cores, quote(size),
+            repr(value) if math.isfinite(value) else "null")
+        separator = ",\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
 
 def _one_row(payload: dict, fmt: str) -> str:
@@ -191,12 +219,11 @@ def _cmd_predict(args) -> int:
     if dataset.app_id:  # a file without rows has no PMC to look up
         counts = dataset.counts[:, list(_positions(model.pmc_names, dataset.pmc_names))]
         values = _predict_rows(model.intercept, model.coefficients, counts).tolist()
-    fields = ("app_id", "run_id", "cores", "problem_size", "prediction_j")
-    rows = list(zip(dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size, values))
+    rows = zip(dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size, values)
     if args.format == "csv":
-        text = _csv_table(fields, rows)
+        text = _csv_table(("app_id", "run_id", "cores", "problem_size", "prediction_j"), rows)
     else:
-        text = _json_text({"predictions": [dict(zip(fields, row)) for row in rows]})
+        text = _predictions_json(rows)
     _emit(text, args.out)
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._common import DataFormatError, ModelKind, _read_csv
+from ._common import DataFormatError, ModelKind, _read_csv, _row_again
 
 __all__ = [
     "DataFormatError",
@@ -483,23 +484,21 @@ def _columns(path, header: list[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(header)}
 
 
-# Column-by-column parsing. Each loader states its checks once, in the order
-# the fields of a row are checked: a check pairs the first row that fails it,
-# found from a mask over whole columns, with the fault text of such a row. A
-# file's fault is then its earliest faulty row's first failing check, the same
-# fault as checking row by row from the top. Each mask goes as soon as its first
-# row is known: many masks held at once raise the peak memory of a load.
+# Streamed parsing and column-by-column checks. A loader parses each data row
+# as it is read, keeping the numbers in one float buffer and the cells of its
+# few text columns, so a load holds no cell text it does not keep. Each loader
+# then states its checks once, in the order the fields of a row are checked: a
+# check pairs the first row that fails it, found from a mask over whole
+# columns, with the fault text of such a row. A file's fault is then its
+# earliest faulty row's first failing check, the same fault as checking row by
+# row from the top. Each mask goes as soon as its first row is known: many
+# masks held at once raise the peak memory of a load.
 
 
-def _full_rows(body: list[list[str]], width: int) -> list[list[str]]:
-    """The rows of ``body`` before the first one without ``width`` cells."""
-    if set(map(len, body)) <= {width}:
-        return body
-    return body[:next(i for i, row in enumerate(body) if len(row) != width)]
-
-
-def _text_column(rows: list[list[str]], j: int) -> list[str]:
-    return list(map(str.strip, map(itemgetter(j), rows)))
+def _getter(positions: Sequence[int]) -> itemgetter:
+    """An itemgetter of ``positions`` that returns a sequence, for one or no position too."""
+    return itemgetter(*positions) if len(positions) > 1 else itemgetter(
+        slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def _float_or_nan(text: str) -> float:
@@ -509,20 +508,35 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _float_columns(rows: list[list[str]], positions: list[int]) -> np.ndarray:
-    """Rows x positions matrix of the cells at ``positions``, as Python's
-    ``float`` parses them after stripping; NaN where a cell is not a number."""
-    pick = itemgetter(*positions)  # a tuple of cells, or one cell
-    cells = lambda: (chain.from_iterable(map(pick, rows)) if len(positions) > 1
-                     else map(pick, rows))
-    shape = (len(rows), len(positions))
-    try:
-        # float() strips the same whitespace as str.strip(), except U+001C to
-        # U+001F; cells padded with those take the slow path with the
+def _parse_rows(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
+                ) -> tuple[np.ndarray, list[list[str]], array, int | None]:
+    """The ``(row number, cells)`` pairs of ``rows`` before the first one
+    without ``width`` cells, parsed one at a time. Gives the rows x
+    ``numbers`` matrix of the cells at those positions as Python's ``float``
+    parses them after stripping (NaN where a cell is not a number); a list of
+    the stripped cells at each position in ``texts``; the number of every row
+    read, the one that stopped the parse included; and that row's cell count
+    (None if no row stopped it)."""
+    values, row_numbers, flat = array("d"), array("q"), []
+    pick_numbers, pick_texts = _getter(numbers), _getter(texts)
+    cells = None
+    for number, row in rows:
+        row_numbers.append(number)
+        if len(row) != width:
+            cells = len(row)
+            break
+        # A row's numbers are all parsed before any is appended: when one cell
+        # fails, none of the row's values is in the buffer twice. float()
+        # strips the same whitespace as str.strip(), except U+001C to U+001F:
+        # a row with cells padded with those is parsed again with the
         # non-numeric ones.
-        return np.fromiter(map(float, cells()), float, shape[0] * shape[1]).reshape(shape)
-    except ValueError:
-        return np.fromiter(map(_float_or_nan, cells()), float, shape[0] * shape[1]).reshape(shape)
+        try:
+            values.fromlist(list(map(float, pick_numbers(row))))
+        except ValueError:
+            values.fromlist(list(map(_float_or_nan, pick_numbers(row))))
+        flat.extend(map(str.strip, pick_texts(row)))
+    matrix = np.frombuffer(values, dtype=float).reshape(-1, len(numbers))
+    return matrix, [flat[k::len(texts)] for k in range(len(texts))], row_numbers, cells
 
 
 def _first(mask: np.ndarray) -> int:
@@ -530,7 +544,7 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
-def _raise_first_fault(path, row_numbers: list[int], checks) -> None:
+def _raise_first_fault(path, row_numbers: Sequence[int], checks) -> None:
     """Raise the fault of the earliest faulty data row, if there is one. A check
     is the first row that fails it (the number of rows it covers when none does)
     with the fault text of such a row; of the checks that the earliest faulty
@@ -541,12 +555,13 @@ def _raise_first_fault(path, row_numbers: list[int], checks) -> None:
         raise DataFormatError(f"{path}: row {row_numbers[first]}{fault(first)}")
 
 
-def _number_checks(rows, j: int, name: str, values: np.ndarray,
+def _number_checks(path, j: int, name: str, values: np.ndarray,
                    out_of_range: np.ndarray | None = None, wording: str = "") -> list:
-    """The checks of column ``name``, cell ``j`` of ``rows`` and parsed as
-    ``values``: a finite number, then (when ``out_of_range`` is given) in range."""
+    """The checks of column ``name``, cell ``j`` of a row of the file at
+    ``path``, parsed as ``values``: a finite number, then (when
+    ``out_of_range`` is given) in range."""
     def not_finite(i: int) -> str:
-        text = rows[i][j].strip()
+        text = _row_again(path, i)[j].strip()
         try:
             float(text)
         except ValueError:
@@ -579,12 +594,14 @@ def _cores(text: str) -> int | str:
     return cores if cores >= 1 else f", column 'cores': must be >= 1, got {cores}"
 
 
-def _repeats(keys: list) -> np.ndarray:
-    """Mask of the keys equal to an earlier one."""
-    if len(set(keys)) == len(keys):
-        return np.zeros(len(keys), bool)
-    first_row = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return np.fromiter(map(first_row.__getitem__, keys), np.intp, len(keys)) != np.arange(len(keys))
+def _first_repeat(keys: Iterable) -> int:
+    """Position of the first key equal to an earlier one; the number of keys when there is none."""
+    seen: set = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+    return len(seen)
 
 
 def load_runs(path) -> Dataset:
@@ -604,8 +621,10 @@ def load_runs(path) -> Dataset:
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, then restore the caller's setting.
-    A loader keeps every row it allocates, so the young collections those
-    allocations trigger would trace them all and free nothing."""
+    The runs load keeps a key tuple per row until its duplicate check ends,
+    so the young collections those allocations trigger would trace them all
+    and free nothing. The compounds load runs unpaused: its pause saved no
+    time, and the collections it deferred fell in the analysis after it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -618,73 +637,80 @@ def _gc_paused():
 @_gc_paused()
 def _load_run_columns(path) -> Dataset:
     """:func:`load_runs` with every check, leaving ``runs`` to be built on first access."""
-    header, body, row_numbers = _read_csv(path)
-    columns = _columns(path, header)
+    with _read_csv(path) as (header, rows):
+        columns = _columns(path, header)
 
-    missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s") if c not in columns]
-    if missing:
-        raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
+        missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s")
+                   if c not in columns]
+        if missing:
+            raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
 
-    has_dynamic = "dynamic_energy_j" in columns
-    has_total = "total_energy_j" in columns
-    has_static = "static_power_w" in columns
-    if has_dynamic and (has_total or has_static):
-        raise DataFormatError(
-            f"{path}: give either dynamic_energy_j or total_energy_j+static_power_w, not both"
-        )
-    if not (has_dynamic or has_total and has_static):
-        raise DataFormatError(
-            f"{path}: missing energy columns: need dynamic_energy_j or "
-            f"total_energy_j together with static_power_w"
-        )
+        has_dynamic = "dynamic_energy_j" in columns
+        has_total = "total_energy_j" in columns
+        has_static = "static_power_w" in columns
+        if has_dynamic and (has_total or has_static):
+            raise DataFormatError(
+                f"{path}: give either dynamic_energy_j or total_energy_j+static_power_w, not both"
+            )
+        if not (has_dynamic or has_total and has_static):
+            raise DataFormatError(
+                f"{path}: missing energy columns: need dynamic_energy_j or "
+                f"total_energy_j together with static_power_w"
+            )
 
-    pmc_names = tuple(c for c in header if c not in _RESERVED_COLUMNS)
-    if not pmc_names:
-        raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
+        pmc_names = tuple(c for c in header if c not in _RESERVED_COLUMNS)
+        if not pmc_names:
+            raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
 
-    rows = _full_rows(body, len(header))
-    energy_columns = ("dynamic_energy_j",) if has_dynamic else ("total_energy_j", "static_power_w")
-    number_columns = pmc_names + ("exec_time_s",) + energy_columns
-    values = _float_columns(rows, [columns[name] for name in number_columns])
-    number = dict(zip(number_columns, values.T))
-    check = lambda name, *bound: _number_checks(rows, columns[name], name, number[name], *bound)
-    times = number["exec_time_s"]
-    if has_dynamic:
-        energies = number["dynamic_energy_j"]
-    else:
-        # The arithmetic of stats.dynamic_energy, so values match it bit for
-        # bit; a product that overflows gives -inf, a negative energy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = number["total_energy_j"] - number["static_power_w"] * times
+        energy_columns = (("dynamic_energy_j",) if has_dynamic
+                          else ("total_energy_j", "static_power_w"))
+        number_columns = pmc_names + ("exec_time_s",) + energy_columns
+        text_columns = ("app_id", "problem_size", "cores") + (
+            ("run_id",) if "run_id" in columns else ())
+        values, texts, row_numbers, cells = _parse_rows(
+            rows, len(header), [columns[name] for name in number_columns],
+            [columns[name] for name in text_columns])
+        number = dict(zip(number_columns, values.T))
+        check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
+        times = number["exec_time_s"]
+        if has_dynamic:
+            energies = number["dynamic_energy_j"]
+        else:
+            # The arithmetic of stats.dynamic_energy, so values match it bit for
+            # bit; a product that overflows gives -inf, a negative energy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                energies = number["total_energy_j"] - number["static_power_w"] * times
 
-    app_ids = _text_column(rows, columns["app_id"])
-    sizes = _text_column(rows, columns["problem_size"])
-    run_ids = ([text or None for text in _text_column(rows, columns["run_id"])]
-               if "run_id" in columns else [None] * len(rows))
-    cores_texts = _text_column(rows, columns["cores"])
-    cores_of = {text: _cores(text) for text in set(cores_texts)}
-    cores = [cores_of[text] for text in cores_texts]
-    keys = list(zip(app_ids, cores, sizes, run_ids))
-    _raise_first_fault(path, row_numbers, [
-        (len(rows), lambda i: f": expected {len(header)} cells, got {len(body[i])}"),
-        (_first(_where(not_, app_ids)), lambda i: ": empty app_id"),
-        (_first(_where(_is_fault, cores)), cores.__getitem__),
-        *check("exec_time_s", times <= 0, "must be > 0, got"),
-        *(check("dynamic_energy_j") if has_dynamic else check("total_energy_j")
-          + check("static_power_w", number["static_power_w"] < 0, "must be >= 0, got")),
-        (_first(energies < 0), lambda i: f": dynamic energy {energies[i].item()!r} J is negative "
-                                         f"(measurement fault: total below static baseline)"),
-        *chain.from_iterable(check(name, number[name] < 0, "negative count") for name in pmc_names),
-        (_first(_repeats(keys)),
-         lambda i: ": duplicate run ({!r}, {}:{}, run_id={!r}), first seen at row {}".format(
-             *keys[i], row_numbers[keys.index(keys[i])])),
-    ])
-    del body, rows, cores_texts, keys  # the cell strings go before the columns are copied
+        app_ids, sizes, cores_texts = texts[:3]
+        run_ids = [text or None for text in texts[3]] if len(texts) > 3 else [None] * len(values)
+        cores_of = {text: _cores(text) for text in set(cores_texts)}
+        cores = [cores_of[text] for text in cores_texts]
+        del texts, cores_texts
+        keys = lambda: zip(app_ids, cores, sizes, run_ids)
+
+        def duplicate(i: int) -> str:
+            listed = list(keys())
+            return ": duplicate run ({!r}, {}:{}, run_id={!r}), first seen at row {}".format(
+                *listed[i], row_numbers[listed.index(listed[i])])
+
+        _raise_first_fault(path, row_numbers, [
+            (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
+            (_first(_where(not_, app_ids)), lambda i: ": empty app_id"),
+            (_first(_where(_is_fault, cores)), cores.__getitem__),
+            *check("exec_time_s", times <= 0, "must be > 0, got"),
+            *(check("dynamic_energy_j") if has_dynamic else check("total_energy_j")
+              + check("static_power_w", number["static_power_w"] < 0, "must be >= 0, got")),
+            (_first(energies < 0), lambda i: f": dynamic energy {energies[i].item()!r} J is "
+                                             f"negative (measurement fault: total below static "
+                                             f"baseline)"),
+            *chain.from_iterable(check(name, number[name] < 0, "negative count")
+                                 for name in pmc_names),
+            (_first_repeat(keys()), duplicate),
+        ])
     counts = _frozen(values[:, :len(pmc_names)])
     return Dataset._from_columns(pmc_names, counts, times, energies, app_ids, run_ids, cores, sizes)
 
 
-@_gc_paused()
 def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     """Load a compounds CSV, resolving base references against ``dataset``.
 
@@ -694,44 +720,43 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     A file with a valid header and zero data rows is an empty test set, not
     an error.
     """
-    header, body, row_numbers = _read_csv(path)
-    columns = _columns(path, header)
-    required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
-    missing = [c for c in required if c not in columns]
-    if missing:
-        raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
-    pmc_columns = tuple(c for c in header if c not in required)
-    if pmc_columns != dataset.pmc_names:
-        raise DataFormatError(
-            f"{path}: PMC columns {list(pmc_columns)} do not match dataset PMC "
-            f"names {list(dataset.pmc_names)}"
-        )
+    with _read_csv(path) as (header, rows):
+        columns = _columns(path, header)
+        required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
+        missing = [c for c in required if c not in columns]
+        if missing:
+            raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
+        pmc_columns = tuple(c for c in header if c not in required)
+        if pmc_columns != dataset.pmc_names:
+            raise DataFormatError(
+                f"{path}: PMC columns {list(pmc_columns)} do not match dataset PMC "
+                f"names {list(dataset.pmc_names)}"
+            )
 
-    rows = _full_rows(body, len(header))
-    number_columns = pmc_columns + ("dynamic_energy_j",)
-    values = _float_columns(rows, [columns[name] for name in number_columns])
-    number = dict(zip(number_columns, values.T))
-    check = lambda name, *bound: _number_checks(rows, columns[name], name, number[name], *bound)
-    energies = number["dynamic_energy_j"]
-    compound_ids = _text_column(rows, columns["compound_id"])
-    base_texts = (_text_column(rows, columns["base_a"]), _text_column(rows, columns["base_b"]))
-    ref_of = {}
-    for text in set(base_texts[0]).union(base_texts[1]):
-        try:
-            ref_of[text] = dataset.resolve(text)
-        except DataFormatError as exc:
-            ref_of[text] = f": {exc}"
-    bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
-    _raise_first_fault(path, row_numbers, [
-        (len(rows), lambda i: f": expected {len(header)} cells, got {len(body[i])}"),
-        (_first(_where(not_, compound_ids)), lambda i: ": empty compound_id"),
-        (_first(_where(_is_fault, bases_a)), bases_a.__getitem__),
-        (_first(_where(_is_fault, bases_b)), bases_b.__getitem__),
-        *check("dynamic_energy_j", energies < 0, "must be >= 0, got"),
-        *chain.from_iterable(check(name, number[name] < 0, "negative count")
-                             for name in pmc_columns),
-    ])
-    del body, rows, base_texts  # the cell strings go before the row objects come
+        number_columns = pmc_columns + ("dynamic_energy_j",)
+        values, (compound_ids, *base_texts), row_numbers, cells = _parse_rows(
+            rows, len(header), [columns[name] for name in number_columns],
+            [columns[name] for name in required[:3]])
+        number = dict(zip(number_columns, values.T))
+        check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
+        energies = number["dynamic_energy_j"]
+        ref_of = {}
+        for text in set(base_texts[0]).union(base_texts[1]):
+            try:
+                ref_of[text] = dataset.resolve(text)
+            except DataFormatError as exc:
+                ref_of[text] = f": {exc}"
+        bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
+        del base_texts
+        _raise_first_fault(path, row_numbers, [
+            (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
+            (_first(_where(not_, compound_ids)), lambda i: ": empty compound_id"),
+            (_first(_where(_is_fault, bases_a)), bases_a.__getitem__),
+            (_first(_where(_is_fault, bases_b)), bases_b.__getitem__),
+            *check("dynamic_energy_j", energies < 0, "must be >= 0, got"),
+            *chain.from_iterable(check(name, number[name] < 0, "negative count")
+                                 for name in pmc_columns),
+        ])
 
     return [
         CompoundRun(compound_id, base_a, base_b, PmcVector._checked(dataset.pmc_names, row),

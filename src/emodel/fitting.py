@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from ._common import _csv_table, _finite_or_none
-from .core import Dataset, EnergyModel, ModelKind, PmcVector
+from .core import Dataset, EnergyModel, ModelKind, PmcVector, _getter
 
 __all__ = [
     "UNDEFINED",
@@ -329,24 +328,57 @@ def predict(model: EnergyModel, pmc: PmcVector) -> float:
     The vector may carry extra PMCs; every model PMC must be present. May be
     negative for models whose constraints permit it.
 
-    The sum runs in a kernel of one statement per term (see :func:`_kernel`),
-    kept for the last (model names, vector names) pair, matched by identity.
-    The pair and its kernel live in one tuple, read once and replaced whole,
-    so concurrent callers each see a consistent entry.
+    The sum runs in a kernel of one statement per term (see :func:`_compile`)
+    once the model's PMCs have been met at the same positions before, and in
+    a loop with the same IEEE sequence until then. A kernel is kept for the
+    last (model names, vector names) pair, matched by identity. The pair and
+    its kernel live in one tuple, read once and replaced whole, so concurrent
+    callers each see a consistent entry.
     """
     global _last_kernel
     wanted, names, kernel = _last_kernel
     if model.pmc_names is not wanted or pmc.names is not names:
-        kernel = _kernel(_lookup(model.pmc_names, pmc.names))
+        positions = _lookup(model.pmc_names, pmc.names)
+        kernel = _kernel(positions)
+        if kernel is None:
+            total = model.intercept
+            for coefficient, position in zip(model.coefficients, positions):
+                total += coefficient * pmc.counts[position]
+            return total
         _last_kernel = model.pmc_names, pmc.names, kernel
     return kernel(model.intercept, model.coefficients, pmc.counts)
 
 
 _last_kernel: tuple = (None, None, None)  # not (): the empty tuple is a shared object
 
+#: At most this many kernels are compiled, and as many positions tuples are
+#: remembered as met once.
+_KERNELS = 64
+_kernels: dict = {}
+_met: set = set()
 
-@lru_cache(maxsize=64)
+
 def _kernel(positions: tuple[int, ...]):
+    """The compiled kernel for ``positions``, or None while they have been met
+    only once. A tuple is compiled the second time it is met, and its kernel
+    is kept for the life of the process: no tuple is compiled twice, so
+    rotating among more orders than fit costs a loop per call, not a compile.
+    Once ``_KERNELS`` kernels exist, other tuples always take the loop; the
+    tuples met once are forgotten together when ``_KERNELS`` of them pile up.
+    Concurrent callers may compile one tuple twice or pass the bound by a
+    few kernels; each kernel is a pure function, so no result changes."""
+    kernel = _kernels.get(positions)
+    if kernel is None and len(_kernels) < _KERNELS:
+        if positions in _met:
+            kernel = _kernels[positions] = _compile(positions)
+        else:
+            if len(_met) >= _KERNELS:
+                _met.clear()
+            _met.add(positions)
+    return kernel
+
+
+def _compile(positions: tuple[int, ...]):
     """:func:`predict`'s sum for a vector whose model PMCs sit at ``positions``,
     as straight-line code: ``total = intercept``, then one statement
     ``total += coefficients[j] * counts[position]`` per term, in model order.
@@ -403,12 +435,6 @@ def _lookup(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
         if name not in index:
             raise KeyError(f"PMC {name!r} not present in vector")
     return tuple(map(index.__getitem__, wanted))
-
-
-def _getter(positions: tuple[int, ...]) -> itemgetter:
-    """An itemgetter of ``positions`` that returns a tuple, for one or no position too."""
-    return itemgetter(*positions) if len(positions) > 1 else itemgetter(
-        slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:

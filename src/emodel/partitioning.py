@@ -185,37 +185,36 @@ def load_energy_function(
     Granularity defaults to the GCD of every x and y in the file; pass it
     explicitly to enforce a coarser grid.
     """
-    header, body, row_numbers = _read_csv(path)
-    if header != ["x", "y", "energy_j"]:
-        raise DataFormatError(
-            f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}"
-        )
-
     samples: list[tuple[int, int, float]] = []
-    for row_no, row in zip(row_numbers, body):
-        if len(row) != 3:
-            raise DataFormatError(f"{path}: row {row_no}: expected 3 cells, got {len(row)}")
-        x_text, y_text, energy_text = map(str.strip, row)
-        try:
-            x, y = int(x_text), int(y_text)
-        except ValueError:
+    with _read_csv(path) as (header, rows):
+        if header != ["x", "y", "energy_j"]:
             raise DataFormatError(
-                f"{path}: row {row_no}: x and y must be integers, got "
-                f"{x_text!r}, {y_text!r}"
-            ) from None
-        try:
-            energy = float(energy_text)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'energy_j': non-numeric cell {energy_text!r}"
-            ) from None
-        if x < 1 or y < 1:
-            raise DataFormatError(f"{path}: row {row_no}: x and y must be >= 1")
-        if not math.isfinite(energy) or energy < 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}, column 'energy_j': must be >= 0, got {energy_text!r}"
+                f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}"
             )
-        samples.append((x, y, energy))
+        for row_no, row in rows:
+            if len(row) != 3:
+                raise DataFormatError(f"{path}: row {row_no}: expected 3 cells, got {len(row)}")
+            x_text, y_text, energy_text = map(str.strip, row)
+            try:
+                x, y = int(x_text), int(y_text)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {row_no}: x and y must be integers, got "
+                    f"{x_text!r}, {y_text!r}"
+                ) from None
+            try:
+                energy = float(energy_text)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {row_no}, column 'energy_j': non-numeric cell {energy_text!r}"
+                ) from None
+            if x < 1 or y < 1:
+                raise DataFormatError(f"{path}: row {row_no}: x and y must be >= 1")
+            if not math.isfinite(energy) or energy < 0:
+                raise DataFormatError(
+                    f"{path}: row {row_no}, column 'energy_j': must be >= 0, got {energy_text!r}"
+                )
+            samples.append((x, y, energy))
     if not samples:
         raise DataFormatError(f"{path}: no samples")
 

@@ -715,13 +715,23 @@ def test_run_columns_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
     assert_load_pauses_gc(lambda p: _load_run_columns(p).app_id, path, bad, 3000)
 
 
-def test_compounds_load_pauses_gc_and_restores_the_callers_setting(tmp_path):
+def test_compounds_load_keeps_the_callers_gc_setting(tmp_path):
+    # Unpaused: the collections a paused load deferred fell in the analysis after it.
     dataset = load_runs(write(tmp_path / "runs.csv", RUNS_CSV))
     header = "compound_id,base_a,base_b,dynamic_energy_j,X1,X2"
     rows = "".join(f"c{i},dgemm,fft,180.0,1800,900\n" for i in range(3000))
     path = write(tmp_path / "compounds.csv", f"{header}\n{rows}")
     bad = write(tmp_path / "bad.csv", f"{header}\n{rows}c,dgemm,fft,180.0,1800,oops\n")
-    assert_load_pauses_gc(lambda p: load_compounds(p, dataset), path, bad, 3000)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(load_compounds(path, dataset)) == 3000
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataFormatError, match="oops"):
+                load_compounds(bad, dataset)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_points_share_the_rows_configs(tmp_path):

@@ -739,6 +739,38 @@ def test_predict_names_a_missing_pmc_after_a_kernel_is_kept():
         assert predict(model, complete) == 3.0
 
 
+def test_predict_compiles_an_order_once_and_only_when_met_again(monkeypatch):
+    """100 vector name orders in rotation over 2,000 calls compile no order
+    twice and at most ``_KERNELS`` in all: an order not compiled sums in a
+    loop, never by compiling on every call. An order met again is compiled
+    once and kept. Every result has the bits of the name-by-name sum."""
+    compiled = []
+    compile_kernel = fitting._compile
+    monkeypatch.setattr(fitting, "_compile",
+                        lambda positions: compiled.append(positions) or compile_kernel(positions))
+    monkeypatch.setattr(fitting, "_kernels", {})
+    monkeypatch.setattr(fitting, "_met", set())
+    monkeypatch.setattr(fitting, "_last_kernel", (None, None, None))
+    rng = np.random.default_rng(19)
+    names = tuple(f"C{i}" for i in range(14))
+    model = EnergyModel(pmc_names=names, intercept=0.5, kind=ModelKind.UNCONSTRAINED,
+                        coefficients=tuple(rng.uniform(-1e3, 1e3, len(names))))
+    orders = {tuple(rng.permutation(names).tolist()) for _ in range(100)}
+    vectors = [PmcVector(order, tuple(rng.uniform(0.0, 1e9, len(order)))) for order in orders]
+    assert len(vectors) == 100
+    for call in range(2000):
+        vector = vectors[call % len(vectors)]
+        assert predict(model, vector).hex() == predict_by_names(model, vector).hex()
+    assert len(set(compiled)) == len(compiled) <= fitting._KERNELS
+
+    before = len(compiled)
+    for vector in [vectors[0]] * 5 + [vectors[1], vectors[0]] * 5:
+        assert predict(model, vector).hex() == predict_by_names(model, vector).hex()
+    assert len(compiled) - before <= 2 and len(set(compiled)) == len(compiled)
+    assert fitting._last_kernel[1] is vectors[0].names
+    assert fitting._last_kernel[2] in fitting._kernels.values()
+
+
 def test_predict_missing_pmc():
     with pytest.raises(KeyError, match="C1"):
         predict(model_c1(), PmcVector(("C9",), (1.0,)))
