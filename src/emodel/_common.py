@@ -36,20 +36,21 @@ class ModelKind(str, Enum):
 
 
 def _records(path, fh) -> Iterator[list[str]]:
-    """The records of an open CSV file, one at a time, as ``csv.reader``
-    gives them. A line without a quote, a carriage return or NUL, and no
-    longer than ``csv.field_size_limit()``, is one record whose cells lie
-    between its commas: ``str.split`` reads it as ``csv.reader`` does, and
-    leaves the reader at the start of the next record. From the first other
-    line on, ``csv.reader`` reads the rest of the file."""
+    """The records of a CSV file open with ``newline=""``, one at a time, as
+    ``csv.reader`` gives them. A line without a quote or NUL, and no longer
+    than ``csv.field_size_limit()``, is one record whose cells lie between its
+    commas: such a line holds a carriage return only in its line ending, so
+    ``str.split`` of the line without that ending reads it as ``csv.reader``
+    does, and leaves the reader at the start of the next record. From the
+    first other line on, ``csv.reader`` reads the rest of the file."""
     limit = csv.field_size_limit()
     lines = 0
     try:
         for line in fh:
-            if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            if '"' in line or "\0" in line or len(line) > limit:
                 break
             lines += 1
-            yield line.rstrip("\n").split(",")
+            yield line.rstrip("\r\n").split(",")
         else:
             return
         reader = csv.reader(chain((line,), fh))
@@ -61,8 +62,24 @@ def _records(path, fh) -> Iterator[list[str]]:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+class _Rows:
+    """The ``(row number, cells)`` pairs that :func:`_read_csv` gives, and the
+    open ``file`` they are read from."""
+
+    __slots__ = ("file", "_rows")
+
+    def __init__(self, file, rows: Iterator[tuple[int, list[str]]]):
+        self.file, self._rows = file, rows
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        return self._rows
+
+    def __next__(self) -> tuple[int, list[str]]:
+        return next(self._rows)
+
+
 @contextmanager
-def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+def _read_csv(path) -> Iterator[tuple[list[str], _Rows]]:
     """A CSV file's stripped header cells, and its data rows that are not
     blank, read one at a time, each with its row number (the header is row 1,
     and blank rows count). A :class:`DataFormatError` raised in the block
@@ -75,8 +92,8 @@ def _read_csv(path) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]
             header = [cell.strip() for cell in next(records, [])]
             if not any(header):
                 raise DataFormatError(f"{path}: no header")
-            yield header, ((number, cells) for number, cells in enumerate(records, 2)
-                           if any(map(str.strip, cells)))
+            yield header, _Rows(fh, ((number, cells) for number, cells in enumerate(records, 2)
+                                     if any(map(str.strip, cells))))
         except DataFormatError:
             for _ in records:
                 pass

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._cache import cached_parse
 from ._common import DataFormatError, ModelKind, _read_csv, _row_again
 
 __all__ = [
@@ -510,13 +511,21 @@ def _float_or_nan(text: str) -> float:
 
 def _parse_rows(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
                 ) -> tuple[np.ndarray, list[list[str]], array, int | None]:
-    """The ``(row number, cells)`` pairs of ``rows`` before the first one
-    without ``width`` cells, parsed one at a time. Gives the rows x
-    ``numbers`` matrix of the cells at those positions as Python's ``float``
-    parses them after stripping (NaN where a cell is not a number); a list of
-    the stripped cells at each position in ``texts``; the number of every row
-    read, the one that stopped the parse included; and that row's cell count
-    (None if no row stopped it)."""
+    """The ``(row number, cells)`` pairs of ``rows`` (as :func:`_read_csv`
+    gives them) before the first one without ``width`` cells, parsed one at a
+    time, or that parse of the same file's bytes read from the parse cache.
+    Gives the rows x ``numbers`` matrix of the cells at those positions as
+    Python's ``float`` parses them after stripping (NaN where a cell is not a
+    number); a list of the stripped cells at each position in ``texts``; the
+    number of every row read, the one that stopped the parse included; and
+    that row's cell count (None if no row stopped it)."""
+    return cached_parse(rows.file, (width, tuple(numbers), tuple(texts)),
+                        lambda: _parse_stream(rows, width, numbers, texts))
+
+
+def _parse_stream(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
+                  ) -> tuple[np.ndarray, list[list[str]], array, int | None]:
+    """:func:`_parse_rows` by reading the rows."""
     values, row_numbers, flat = array("d"), array("q"), []
     pick_numbers, pick_texts = _getter(numbers), _getter(texts)
     cells = None

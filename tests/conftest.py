@@ -5,6 +5,16 @@ import pytest
 _ACCEPTANCE_RESULTS = []
 
 
+@pytest.fixture(scope="session", autouse=True)
+def parse_cache_home(tmp_path_factory):
+    """The parse cache of every load in the suite, child processes included,
+    lives in a directory of this session, never under the user's home."""
+    with pytest.MonkeyPatch.context() as patch:
+        home = tmp_path_factory.mktemp("xdg-cache")
+        patch.setenv("XDG_CACHE_HOME", str(home))
+        yield home
+
+
 @pytest.fixture
 def acceptance():
     def record(criterion: int, description: str, passed: bool, detail: str = ""):

@@ -80,7 +80,7 @@ def loaded_emodel_modules(argv):
     return result.returncode, {name for name in names if name.split(".")[0] == "emodel"}
 
 
-BASE = {"emodel", "emodel._common", "emodel.core"}
+BASE = {"emodel", "emodel._cache", "emodel._common", "emodel.core"}
 
 
 @pytest.mark.parametrize("argv, modules", [

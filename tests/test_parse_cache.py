@@ -1,0 +1,253 @@
+"""The parse cache under the runs and compounds loaders.
+
+A load that finds its file's parse in the cache must give what parsing the
+file gives, bit for bit, and the same fault text. Everything that keeps the
+cache from working must leave the load to parse the file: a missing, short or
+garbage entry, a cache directory that cannot be made, a file that is not a
+regular file, and a file whose bytes changed.
+"""
+
+import os
+import random
+import stat
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from emodel import DataFormatError, load_compounds, load_runs
+from emodel._cache import _HEADER, MAX_ENTRIES
+from emodel.core import _load_run_columns
+from helpers import load_compounds_by_rows, load_runs_by_rows
+
+PMCS = ("X1", "X2", "X3", "X4")
+
+
+def runs_text(rows=600, seed=3, total=False, line="\n"):
+    """A runs file with repetitions, a blank row, full-precision numbers and
+    the line ending ``line``."""
+    rng = random.Random(seed)
+    energy = "total_energy_j,static_power_w" if total else "dynamic_energy_j"
+    lines = [f"app_id,run_id,cores,problem_size,exec_time_s,{energy}," + ",".join(PMCS)]
+    for i in range(rows):
+        energies = (f"{rng.uniform(500, 900)!r},{rng.uniform(0, 2)!r}" if total
+                    else repr(rng.uniform(10, 400)))
+        lines.append(f"app{i // 3},r{i % 3},{1 + i % 2},n{i % 5},{rng.uniform(1, 9)!r},"
+                     f"{energies}," + ",".join(repr(rng.uniform(0, 1e9)) for _ in PMCS))
+    lines.insert(rows // 2, "")
+    return line.join(lines) + line
+
+
+def compounds_text(seed=4):
+    """Compounds of the runs that ``runs_text`` writes as rows i and i + 4."""
+    rng = random.Random(seed)
+    base = lambda i: f"app{i // 3}@{1 + i % 2}:n{i % 5}"
+    lines = ["compound_id,base_a,base_b,dynamic_energy_j," + ",".join(PMCS)]
+    for i in range(30):
+        lines.append(f"c{i},{base(i)},{base(i + 4)},{rng.uniform(10, 400)!r},"
+                     + ",".join(repr(rng.uniform(0, 1e9)) for _ in PMCS))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A new, empty cache home; gives the directory the entries go to."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "emodel"
+
+
+def entries(directory):
+    return sorted(os.listdir(directory)) if directory.exists() else []
+
+
+def write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def columns(dataset):
+    """Everything a loaded dataset holds, floats by their bits."""
+    return (dataset.pmc_names, dataset.counts.view(np.int64).tolist(),
+            dataset.exec_time_s.view(np.int64).tolist(),
+            dataset.dynamic_energy_j.view(np.int64).tolist(),
+            dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size)
+
+
+def compound_fields(compounds):
+    return [(c.compound_id, c.base_a, c.base_b, c.pmc.names, [x.hex() for x in c.pmc.counts],
+             c.dynamic_energy_j.hex()) for c in compounds]
+
+
+def outcome(load):
+    try:
+        return load()
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(runs_text(), id="lf"),
+    pytest.param(runs_text(total=True), id="total-energy"),
+    pytest.param(runs_text(line="\r\n"), id="crlf"),
+    pytest.param(runs_text().replace("app30,", '"app,30",'), id="quoted"),  # read by csv.reader
+])
+def test_a_warm_load_gives_the_cold_load_bit_for_bit(cache, tmp_path, text):
+    runs = write(tmp_path / "runs.csv", text)
+    compounds = write(tmp_path / "compounds.csv", compounds_text())
+    cold = load_runs(runs)
+    cold_compounds = load_compounds(compounds, cold)
+    # The file is many read buffers long: digesting it first must not move the parse.
+    assert columns(cold) == columns(load_runs_by_rows(runs))
+    assert compound_fields(cold_compounds) == compound_fields(load_compounds_by_rows(compounds, cold))
+    assert len(entries(cache)) == 2
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    for warm in (load_runs(runs), _load_run_columns(runs)):
+        assert columns(warm) == columns(cold)
+        assert compound_fields(load_compounds(compounds, warm)) == compound_fields(cold_compounds)
+    assert len(entries(cache)) == 2
+
+
+HEADER = "app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2\n"
+GOOD = "dgemm,r1,2,1024,10.0,100.0,1000,500\nfft,r1,2,1024,8.0,80.0,800,400\n"
+TOTAL = "app_id,cores,problem_size,exec_time_s,total_energy_j,static_power_w,X1\n"
+
+#: Faulty runs files from the loader tests, each with the fault text it gives.
+FAULTY_RUNS = [
+    (HEADER + GOOD.replace("800,400", "oops,400"), "row 3, column 'X1': non-numeric cell 'oops'"),
+    (HEADER + GOOD.replace("800,400", "inf,400"), "row 3, column 'X1': non-finite value 'inf'"),
+    (HEADER + GOOD.replace("800,400", "-1,400"), "row 3, column 'X1': negative count -1.0"),
+    (HEADER + GOOD + "dgemm,r1,2,1024,10.0,100.0,1000,500\n", "row 4: duplicate run"),
+    (HEADER + "\na,r1,2,s,1,1,1,1\n\nb,r1,2,s,1,1,oops,1\n", "row 5, column 'X1'"),
+    (HEADER + GOOD.replace("fft,r1,2", "fft,r1,0"), "row 3, column 'cores': must be >= 1"),
+    (HEADER + GOOD.replace("fft,r1,", ",r1,"), "row 3: empty app_id"),
+    (HEADER + GOOD.replace(",400\n", "\n"), "row 3: expected 8 cells, got 7"),
+    (TOTAL + "app,2,n,100.0,500,90,7\n", "row 2: dynamic energy -8500.0 J is negative"),
+    (TOTAL + "app,2,n,10.0,5.0,1e308,7\n", "row 2: dynamic energy -inf J is negative"),
+    (HEADER.replace(",X2", ",X1") + GOOD, "duplicate header columns: X1"),
+]
+
+
+@pytest.mark.parametrize("text, fault", FAULTY_RUNS)
+def test_a_warm_load_gives_the_cold_load_fault(cache, tmp_path, text, fault):
+    path = write(tmp_path / "runs.csv", text)
+    cold = outcome(lambda: load_runs(path))
+    assert isinstance(cold, str) and fault in cold
+    assert outcome(lambda: load_runs(path)) == cold
+    assert outcome(lambda: _load_run_columns(path)) == cold
+
+
+def test_a_fault_found_by_a_check_is_found_again_on_the_kept_parse(cache, tmp_path):
+    path = write(tmp_path / "runs.csv", FAULTY_RUNS[0][0])
+    cold = outcome(lambda: load_runs(path))
+    assert len(entries(cache)) == 1
+    assert outcome(lambda: load_runs(path)) == cold
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,mystery,fft,180.0,1801,899\n",
+     "row 2: unknown base reference 'mystery'"),
+    ("compound_id,base_a,base_b,dynamic_energy_j,X1,X2\n\n\nc,dgemm,fft,2,2,2\n\nd,dgemm,zz,2,2,2\n",
+     "row 6: unknown base reference 'zz'"),
+    ("compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,dgemm,fft,-1.0,1801,899\n",
+     "row 2, column 'dynamic_energy_j': must be >= 0, got -1.0"),
+    ("compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,dgemm,fft,1.0,x,899\n",
+     "row 2, column 'X1': non-numeric cell 'x'"),
+])
+def test_a_warm_compounds_load_gives_the_cold_load_fault(cache, tmp_path, text, fault):
+    dataset = load_runs(write(tmp_path / "runs.csv", HEADER + GOOD))
+    path = write(tmp_path / "compounds.csv", text)
+    cold = outcome(lambda: load_compounds(path, dataset))
+    assert isinstance(cold, str) and cold.endswith(fault)
+    assert len(entries(cache)) == 2
+    assert outcome(lambda: load_compounds(path, dataset)) == cold
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "huge row count", "empty"])
+def test_a_damaged_entry_is_ignored_and_rewritten(cache, tmp_path, damage):
+    path = write(tmp_path / "runs.csv", runs_text())
+    expected = columns(load_runs(path))
+    (name,) = entries(cache)
+    entry = cache / name
+    whole = entry.read_bytes()
+    entry.write_bytes({
+        "truncated": whole[:len(whole) // 2],
+        "garbage": random.Random(5).randbytes(len(whole)),
+        "huge row count": whole[:_HEADER - 8] + (2 ** 62).to_bytes(8, "little") + whole[_HEADER:],
+        "empty": b"",
+    }[damage])
+    assert columns(load_runs(path)) == expected
+    assert entry.read_bytes() == whole
+
+
+def test_a_cache_directory_that_cannot_be_made_leaves_the_load_to_parse(tmp_path, monkeypatch):
+    blocker = write(tmp_path / "not-a-directory", "")
+    path = write(tmp_path / "runs.csv", runs_text())
+    expected = columns(load_runs(path))
+    for home in (blocker, blocker / "below"):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        assert columns(load_runs(path)) == expected
+        assert columns(load_runs(path)) == expected
+    assert blocker.read_bytes() == b""
+
+
+def test_a_same_size_edit_misses(cache, tmp_path):
+    path = write(tmp_path / "runs.csv", HEADER + GOOD)
+    times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
+    before = load_runs(path)
+    write(path, HEADER + GOOD.replace("1000,500", "1009,500"))
+    os.utime(path, ns=times)  # the same size and mtime: only the bytes tell
+    after = load_runs(path)
+    assert before.counts[0, 0] == 1000.0 and after.counts[0, 0] == 1009.0
+    assert len(entries(cache)) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_is_parsed_and_not_kept(cache, tmp_path):
+    text = runs_text()
+    expected = columns(load_runs(write(tmp_path / "runs.csv", text)))
+    fifo = tmp_path / "runs.fifo"
+    os.mkfifo(fifo)
+    keep = entries(cache)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        assert columns(load_runs(fifo)) == expected
+    finally:
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert entries(cache) == keep
+
+
+def test_the_cache_keeps_at_most_its_entry_count(cache, tmp_path):
+    paths = [write(tmp_path / f"runs{i}.csv", runs_text(rows=6, seed=i))
+             for i in range(MAX_ENTRIES + 3)]
+    by_age = []
+    for i, path in enumerate(paths[:MAX_ENTRIES]):
+        before = set(entries(cache))
+        load_runs(path)
+        (name,) = set(entries(cache)) - before
+        os.utime(cache / name, ns=(i * 10 ** 9, i * 10 ** 9))  # oldest first, in load order
+        by_age.append(name)
+    for path in paths[MAX_ENTRIES:]:
+        load_runs(path)
+        assert len(entries(cache)) == MAX_ENTRIES
+    assert set(by_age) - set(entries(cache)) == set(by_age[:3])
+
+
+def test_a_loading_process_does_not_import_hashlib(cache, tmp_path):
+    """hashlib loads OpenSSL, which would raise every loading child's memory."""
+    path = write(tmp_path / "runs.csv", runs_text())
+    code = ("import sys\nfrom emodel.core import _load_run_columns\n"
+            f"_load_run_columns({str(path)!r})\nprint('_hashlib' in sys.modules)\n")
+    for _ in range(2):  # a miss that writes the entry, then a hit
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True)
+        assert result.stdout == "False\n", result.stderr
+        assert len(entries(cache)) == 1

@@ -3,7 +3,9 @@
 The ``emodel`` reports other than ``fit`` promise the same bytes on every
 machine, Python and supported numpy. Each command here runs on small fixed
 inputs written by this file (the model file too, never ``fit`` output), and
-its stdout must hash to the digest committed below. One machine can only
+its stdout must hash to the digest committed below. A command that reads a
+runs file runs twice on a new parse cache, parsing the file and then reading
+the kept parse, and both runs must give the digest. One machine can only
 check that the digests hold for itself; the CI matrix of Python and numpy
 versions and runner CPUs checks the promise.
 
@@ -121,23 +123,33 @@ DIGESTS = {
 }
 
 
-def _report_digests(directory, capsys) -> dict[str, str]:
+def _report_digests(directory, capsys, monkeypatch) -> dict[str, str]:
+    """Each report's digest. A command that reads a runs file runs twice on
+    a new parse cache, cold and then warm; the warm digest is listed as
+    ``"<name> (warm)"``."""
     for name, text in [("runs.csv", _runs_csv()), ("compounds.csv", _compounds_csv()),
                        ("f1.csv", _energy_function_csv(0.75, 0.0125, 5)),
                        ("f2.csv", _energy_function_csv(1.5, 0.002, 3)),
                        ("model.json", json.dumps(MODEL))]:
         (directory / name).write_text(text, encoding="utf-8")
     digests = {}
-    for name, argv in COMMANDS.items():
-        code = run_cli([str(directory / arg[1:]) if arg.startswith("@") else arg
-                        for arg in argv])
-        captured = capsys.readouterr()
-        assert code in (0, 2) and captured.err == "", (name, code, captured.err)
-        digests[name] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    for number, (name, argv) in enumerate(COMMANDS.items()):
+        cache = directory / f"cache{number}"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        for run in ([name, f"{name} (warm)"] if "--runs" in argv else [name]):
+            code = run_cli([str(directory / arg[1:]) if arg.startswith("@") else arg
+                            for arg in argv])
+            captured = capsys.readouterr()
+            assert code in (0, 2) and captured.err == "", (run, code, captured.err)
+            digests[run] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        if "--runs" in argv:  # the warm run read what the cold run kept
+            assert (cache / "emodel").is_dir() and any((cache / "emodel").iterdir()), name
     return digests
 
 
-def test_portable_reports_match_their_committed_digests(tmp_path, capsys):
-    changed = {name: digest for name, digest in _report_digests(tmp_path, capsys).items()
-               if DIGESTS.get(name) != digest}
+def test_portable_reports_match_their_committed_digests(tmp_path, capsys, monkeypatch):
+    digests = _report_digests(tmp_path, capsys, monkeypatch)
+    assert len(digests) == len(DIGESTS) + 10
+    changed = {name: digest for name, digest in digests.items()
+               if DIGESTS.get(name.removesuffix(" (warm)")) != digest}
     assert not changed, f"reports that changed on this machine, with their digests: {changed}"
