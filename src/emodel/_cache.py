@@ -13,9 +13,11 @@ same reports as a parse.
 Entries live in ``$XDG_CACHE_HOME/emodel`` (``~/.cache/emodel`` by default),
 and removing them is always safe. Each entry is a header, the matrix as raw
 little-endian float64 bytes, then the text columns and row numbers as JSON.
-Nothing is pickled. Whatever keeps the cache from working leaves the load to
-parse the file as before, silently: a missing, short or unreadable entry, a
-directory that cannot be written, or a path that is not a regular file.
+The header holds the CRC-32 of everything after it, so an entry with any
+damaged bit misses. Nothing is pickled. Whatever keeps the cache from working
+leaves the load to parse the file as before, silently: a missing, short,
+damaged or unreadable entry, a directory that cannot be written, or a path
+that is not a regular file.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import zlib
 from array import array
 
 import numpy as np
@@ -34,12 +37,14 @@ except ImportError:
     from hashlib import blake2b
 
 #: Changed whenever a parse or an entry's layout changes, so older entries miss.
-VERSION = 1
+VERSION = 2
 #: The number of entries kept: a write beyond it removes the oldest by mtime.
 MAX_ENTRIES = 16
 
 _MAGIC = b"emodel parse\n"
-_HEADER = len(_MAGIC) + 8  # then the row count as a little-endian int64
+# Then the CRC-32 of the rest of the entry, and the row count: little-endian,
+# in 4 and 8 bytes.
+_HEADER = len(_MAGIC) + 4 + 8
 _CHUNK = 1 << 18
 
 
@@ -73,18 +78,22 @@ def _key(fd: int, spec: tuple) -> str:
 
 
 def _read(path: str, columns: int, text_columns: int):
-    """The parse kept at ``path``, or None when the entry is missing or not whole."""
+    """The parse kept at ``path``, or None when the entry is missing, not
+    whole or damaged."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(_HEADER)
-            rows = int.from_bytes(head[len(_MAGIC):], "little")
+            rows = int.from_bytes(head[-8:], "little")
             size = _HEADER + 8 * rows * columns
             if head[:len(_MAGIC)] != _MAGIC or os.fstat(fh.fileno()).st_size <= size:
                 return None
             floats = bytearray(size - _HEADER)
             if fh.readinto(floats) != len(floats):
                 return None
-            texts, row_numbers = json.loads(fh.read())
+            rest = fh.read()
+        if _checksum(head[-8:], floats, rest) != head[len(_MAGIC):-8]:
+            return None
+        texts, row_numbers = json.loads(rest)
         if len(texts) != text_columns or len(row_numbers) != rows or any(
                 len(column) != rows for column in texts):
             return None
@@ -94,15 +103,23 @@ def _read(path: str, columns: int, text_columns: int):
         return None
 
 
+def _checksum(rows: bytes, floats, rest: bytes) -> bytes:
+    """The CRC-32 of an entry's row count, matrix and JSON, as 4 little-endian bytes."""
+    return zlib.crc32(rest, zlib.crc32(floats, zlib.crc32(rows))).to_bytes(4, "little")
+
+
 def _write(directory: str, key: str, matrix: np.ndarray, texts, row_numbers) -> None:
     """Keep a parse: written whole to a temporary file, then renamed into place."""
     os.makedirs(directory, mode=0o700, exist_ok=True)
     temporary = os.path.join(directory, f".{key}.{os.getpid()}")
+    rows = len(matrix).to_bytes(8, "little")
+    floats = np.ascontiguousarray(matrix, dtype="<f8").data
+    rest = json.dumps([texts, row_numbers.tolist()], separators=(",", ":")).encode()
     try:
         with open(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "wb") as fh:
-            fh.write(_MAGIC + len(matrix).to_bytes(8, "little"))
-            fh.write(np.ascontiguousarray(matrix, dtype="<f8").data)
-            fh.write(json.dumps([texts, row_numbers.tolist()], separators=(",", ":")).encode())
+            fh.write(_MAGIC + _checksum(rows, floats, rest) + rows)
+            fh.write(floats)
+            fh.write(rest)
         os.replace(temporary, os.path.join(directory, key))
     except BaseException:
         try:
@@ -121,15 +138,17 @@ def _write(directory: str, key: str, matrix: np.ndarray, texts, row_numbers) -> 
                 pass
 
 
-def cached_parse(file, spec: tuple[int, tuple[int, ...], tuple[int, ...]], parse):
-    """``parse()``, a loader's parse of the open ``file`` under ``spec``
-    (header width, number positions, text positions), or its result as an
-    earlier parse of the same bytes under the same spec kept it. The result
-    of a parse that read to the end of the file (the fourth item is None) is
-    kept, unless the file changed while it was read."""
+def cached_parse(rows, spec: tuple[int, tuple[int, ...], tuple[int, ...]], parse):
+    """``parse()``, a loader's parse of the rows that ``_read_csv`` gives
+    under ``spec`` (header width, number positions, text positions), or its
+    result as an earlier parse of the same bytes under the same spec kept it.
+    The result of a parse that read to the end of the file (the fourth item
+    is None) is kept, unless the file changed while it was read. So when an
+    entry is found, the rest of the file reads cleanly: the rows are marked
+    ``clean``, and a fault the loader finds does not read it."""
     directory = _directory()
     try:
-        fd = file.fileno()
+        fd = rows.file.fileno()
         before = _stamp(fd)
         key = _key(fd, spec) if directory and stat.S_ISREG(before[0]) else None
         if _stamp(fd) != before:
@@ -140,6 +159,7 @@ def cached_parse(file, spec: tuple[int, tuple[int, ...], tuple[int, ...]], parse
         return parse()
     kept = _read(os.path.join(directory, key), len(spec[1]), len(spec[2]))
     if kept is not None:
+        rows.clean = True
         return kept
     result = parse()
     matrix, texts, row_numbers, stopped = result

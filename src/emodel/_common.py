@@ -11,6 +11,7 @@ JSON holds null in place of a non-finite number.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 from contextlib import contextmanager
 from enum import Enum
@@ -33,6 +34,68 @@ class ModelKind(str, Enum):
     UNCONSTRAINED = "unconstrained"
     ZERO_INTERCEPT = "zero_intercept"
     ZERO_INTERCEPT_NONNEG = "zero_intercept_nonneg"
+
+
+class _Record:
+    """A small immutable record, as a frozen dataclass is, without importing
+    :mod:`dataclasses` (with :mod:`inspect`, about 8 ms of a numpy-free
+    command's start-up). A subclass names its fields in ``_FIELDS``, holds them
+    in slots and sets them once with :meth:`_set`. Records of one class are
+    equal when their fields are, hash as the tuple of their fields, and print
+    as their constructor call; assigning or deleting a field is an
+    AttributeError."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._FIELDS, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+    The runs load keeps a key tuple per row until its duplicate check ends,
+    and the energy-function load keeps every row's cells until its columns
+    are parsed, so the young collections those allocations trigger would
+    trace them all and free nothing. The compounds load runs unpaused: its
+    pause saved no time, and the collections it deferred fell in the
+    analysis after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _records(path, fh) -> Iterator[list[str]]:
@@ -64,12 +127,14 @@ def _records(path, fh) -> Iterator[list[str]]:
 
 class _Rows:
     """The ``(row number, cells)`` pairs that :func:`_read_csv` gives, and the
-    open ``file`` they are read from."""
+    open ``file`` they are read from. ``clean`` is set once the rest of the
+    file is known to read without a fault (the parse cache holds a whole read
+    of its bytes), so that a fault raised in the block need not read it."""
 
-    __slots__ = ("file", "_rows")
+    __slots__ = ("file", "_rows", "clean")
 
     def __init__(self, file, rows: Iterator[tuple[int, list[str]]]):
-        self.file, self._rows = file, rows
+        self.file, self._rows, self.clean = file, rows, False
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         return self._rows
@@ -85,19 +150,48 @@ def _read_csv(path) -> Iterator[tuple[list[str], _Rows]]:
     and blank rows count). A :class:`DataFormatError` raised in the block
     first reads the rest of the file, so that a read fault further on (text
     that is not UTF-8, or a csv error) takes its place: every fault comes in
-    the order it would if the whole file were read before any check."""
+    the order it would if the whole file were read before any check, unless
+    the rows are marked ``clean``."""
     with open(path, newline="", encoding="utf-8") as fh:
         records = _records(path, fh)
+        rows = _Rows(fh, ((number, cells) for number, cells in enumerate(records, 2)
+                          if any(map(str.strip, cells))))
         try:
             header = [cell.strip() for cell in next(records, [])]
             if not any(header):
                 raise DataFormatError(f"{path}: no header")
-            yield header, _Rows(fh, ((number, cells) for number, cells in enumerate(records, 2)
-                                     if any(map(str.strip, cells))))
+            yield header, rows
         except DataFormatError:
-            for _ in records:
-                pass
+            if not rows.clean:
+                for _ in records:
+                    pass
             raise
+
+
+def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """:func:`_read_csv`'s header and rows, all read at once, for a file small
+    enough to hold whole. The ``csv`` module reads a text without a quote or
+    NUL, whose lines are no longer than ``csv.field_size_limit()`` (so no cell
+    is either), as its lines split at their commas: such a text is split at
+    its line endings (LF, CRLF or CR, as a file opened with ``newline=""``
+    splits them) and commas in a few passes over the whole text, with no
+    generator step per line. Any other file is read by :func:`_read_csv`."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the text ends with a line ending, or is empty
+        lines.pop()
+    if '"' in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
+        with _read_csv(path) as (header, rows):
+            return header, list(rows)
+    header = [cell.strip() for cell in lines[0].split(",")] if lines else []
+    if not any(header):
+        raise DataFormatError(f"{path}: no header")
+    return header, [(number, line.split(",")) for number, line in enumerate(lines[1:], 2)
+                    if line.replace(",", "").strip()]
 
 
 def _row_again(path, index: int) -> list[str]:

@@ -10,7 +10,6 @@ non-additive no matter how its sums come out.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -116,8 +115,12 @@ def _group_cov(values: Sequence[float]) -> float:
     """Coefficient of variation of one PMC across one group's repetitions.
 
     Counts are non-negative, so a zero mean forces all-zero samples; that is
-    perfect reproducibility, not an undefined ratio.
+    perfect reproducibility, not an undefined ratio. Only the cells near the
+    stage-1 bound come here, so :mod:`statistics` (which imports
+    :mod:`decimal` and :mod:`fractions`) is imported only then.
     """
+    import statistics
+
     mean = math.fsum(values) / len(values)
     if mean == 0:
         return 0.0

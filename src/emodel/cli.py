@@ -10,18 +10,16 @@ goes through BLAS, whose summation order depends on the CPU, so its output
 holds per machine and BLAS build.
 
 Each handler imports the library modules it runs, so a process pays only for
-its own subcommand: ``partition``, ``loss`` and ``stats`` never import numpy.
+its own subcommand: ``partition``, ``loss`` and ``stats`` never import numpy,
+and a report imports :mod:`json` only when it is written as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from ._common import DataFormatError, ModelKind, _csv_table, _finite_or_none
@@ -94,6 +92,8 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 def _json_text(payload) -> str:
     """The payload as indented JSON; JSON has no infinity or NaN, so a
     non-finite float is written as null."""
+    import json
+
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
@@ -123,7 +123,8 @@ def _predictions_json(rows) -> Iterator[str]:
     :func:`_json_text` on ``{"predictions": [...]}`` with a dict per row,
     without the dicts. Strings go through the json module's ASCII escaper,
     numbers are their repr, and None or a non-finite prediction is null."""
-    quote = encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as quote
+
     yield '{\n  "predictions": ['
     separator = "\n"
     for app_id, run_id, cores, size, value in rows:
@@ -309,7 +310,7 @@ def _cmd_stats(args) -> int:
             raise DataFormatError(f"{args.values_file}: not UTF-8 text ({exc.reason})") from None
         samples = _parse_floats(",".join(text.split()), "--values-file")
     estimate = sample_mean_ci(samples, confidence=args.confidence, precision=args.precision)
-    _emit(_one_row(asdict(estimate), args.format), args.out)
+    _emit(_one_row(estimate._asdict(), args.format), args.out)
     return 0
 
 

@@ -9,11 +9,9 @@ identical :class:`Dataset`.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -23,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._cache import cached_parse
-from ._common import DataFormatError, ModelKind, _read_csv, _row_again
+from ._common import DataFormatError, ModelKind, _gc_paused, _read_csv, _row_again
 
 __all__ = [
     "DataFormatError",
@@ -519,7 +517,7 @@ def _parse_rows(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
     number); a list of the stripped cells at each position in ``texts``; the
     number of every row read, the one that stopped the parse included; and
     that row's cell count (None if no row stopped it)."""
-    return cached_parse(rows.file, (width, tuple(numbers), tuple(texts)),
+    return cached_parse(rows, (width, tuple(numbers), tuple(texts)),
                         lambda: _parse_stream(rows, width, numbers, texts))
 
 
@@ -625,22 +623,6 @@ def load_runs(path) -> Dataset:
     dataset = _load_run_columns(path)
     dataset.runs  # built now, so later analysis is not charged for the rows
     return dataset
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, then restore the caller's setting.
-    The runs load keeps a key tuple per row until its duplicate check ends,
-    so the young collections those allocations trigger would trace them all
-    and free nothing. The compounds load runs unpaused: its pause saved no
-    time, and the collections it deferred fell in the analysis after it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @_gc_paused()

@@ -12,11 +12,12 @@ is explicitly requested.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from itertools import groupby, islice
+from operator import itemgetter
 
-from ._common import DataFormatError, _read_csv
+from ._common import DataFormatError, _gc_paused, _read_table, _Record
 
 __all__ = [
     "EnergyFunction",
@@ -27,63 +28,74 @@ __all__ = [
     "load_energy_function",
 ]
 
+#: A sample (x, y, energy)'s sort key, its y, and its (x, energy) pair.
+_Y_THEN_X, _Y, _X_ENERGY = itemgetter(1, 0), itemgetter(1), itemgetter(0, 2)
 
-@dataclass(frozen=True)
-class EnergyFunction:
+
+class EnergyFunction(_Record):
     """Discrete dynamic-energy samples e(x, y) for one processor.
 
     All x and y are positive multiples of the granularity; (x, y) pairs are
     unique. Samples are held sorted by (y, x) so identical inputs compare and
     iterate identically, and are also kept as y-slices ``{y: {x: energy}}``.
+    Immutable; equal, hashed and printed by its three fields.
     """
 
-    processor_id: str
-    samples: tuple[tuple[int, int, float], ...]
-    granularity_g: int
+    __slots__ = ("processor_id", "samples", "granularity_g", "_slices")
+    __match_args__ = _FIELDS = ("processor_id", "samples", "granularity_g")
 
-    def __post_init__(self) -> None:
-        if self.granularity_g < 1:
-            raise ValueError(f"granularity must be >= 1, got {self.granularity_g}")
+    def __init__(self, processor_id: str, samples, granularity_g: int) -> None:
+        if granularity_g < 1:
+            raise ValueError(f"granularity must be >= 1, got {granularity_g}")
         normalized = []
-        for x, y, energy in self.samples:
-            if x < 1 or y < 1 or x % self.granularity_g or y % self.granularity_g:
+        for x, y, energy in samples:
+            if x < 1 or y < 1 or x % granularity_g or y % granularity_g:
                 raise ValueError(
                     f"sample ({x}, {y}) is not a positive multiple of "
-                    f"granularity {self.granularity_g}"
+                    f"granularity {granularity_g}"
                 )
             energy = float(energy)
             if not math.isfinite(energy) or energy < 0:
                 raise ValueError(f"energy at ({x}, {y}) must be >= 0, got {energy!r}")
             normalized.append((int(x), int(y), energy))
-        normalized.sort(key=lambda s: (s[1], s[0]))
-        slices: dict[int, dict[int, float]] = {}
-        for x, y, energy in normalized:
-            curve = slices.setdefault(y, {})
-            if x in curve:
-                raise ValueError(f"duplicate sample at (x={x}, y={y})")
-            curve[x] = energy
-        object.__setattr__(self, "samples", tuple(normalized))
+        self._fill(processor_id, normalized, granularity_g)
+
+    @classmethod
+    def _checked(cls, processor_id: str, samples: list, granularity_g: int) -> "EnergyFunction":
+        """A function of ``(int, int, float)`` samples that pass every check
+        of the constructor but the one for a repeated (x, y)."""
+        func = object.__new__(cls)
+        func._fill(processor_id, samples, granularity_g)
+        return func
+
+    def _fill(self, processor_id: str, samples: list, granularity_g: int) -> None:
+        """Set the fields from checked samples in any order, sorting them in
+        place; a repeated (x, y) is a fault."""
+        samples.sort(key=_Y_THEN_X)
+        slices = {y: dict(map(_X_ENERGY, group)) for y, group in groupby(samples, _Y)}
+        if sum(map(len, slices.values())) != len(samples):
+            # Sorted, a repeat follows its (x, y)'s first sample: the first has the smallest key.
+            x, y = next(a[:2] for a, b in zip(samples, islice(samples, 1, None))
+                        if a[:2] == b[:2])
+            raise ValueError(f"duplicate sample at (x={x}, y={y})")
+        self._set(processor_id, tuple(samples), granularity_g)
         object.__setattr__(self, "_slices", slices)
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(_Record):
     """Chosen split: m rows on processor one, k on processor two."""
 
-    m: int
-    k: int
-    e1_j: float
-    e2_j: float
-    total_j: float
+    __slots__ = __match_args__ = _FIELDS = ("m", "k", "e1_j", "e2_j", "total_j")
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.k < 1:
-            raise ValueError(f"both parts must be positive, got m={self.m}, k={self.k}")
-        if self.total_j != self.e1_j + self.e2_j:
+    def __init__(self, m: int, k: int, e1_j: float, e2_j: float, total_j: float) -> None:
+        self._set(m, k, e1_j, e2_j, total_j)
+        if m < 1 or k < 1:
+            raise ValueError(f"both parts must be positive, got m={m}, k={k}")
+        if total_j != e1_j + e2_j:
             raise ValueError("total_j must equal e1_j + e2_j")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def slice_at_n(func: EnergyFunction, n: int) -> tuple[tuple[int, float], ...]:
@@ -175,6 +187,51 @@ def energy_loss(e_alt_j: float, e_ref_j: float) -> float:
     return (e_alt_j - e_ref_j) / e_ref_j * 100.0
 
 
+def _row_fault(row: list[str]) -> str | None:
+    """The fault of one energy-function row, checked in this order: its cell
+    count, x and y as integers, ``energy_j`` as a number, then their ranges;
+    None when it has none."""
+    if len(row) != 3:
+        return f": expected 3 cells, got {len(row)}"
+    x_text, y_text, energy_text = map(str.strip, row)
+    try:
+        x, y = int(x_text), int(y_text)
+    except ValueError:
+        return f": x and y must be integers, got {x_text!r}, {y_text!r}"
+    try:
+        energy = float(energy_text)
+    except ValueError:
+        return f", column 'energy_j': non-numeric cell {energy_text!r}"
+    if x < 1 or y < 1:
+        return ": x and y must be >= 1"
+    if not math.isfinite(energy) or energy < 0:
+        return f", column 'energy_j': must be >= 0, got {energy_text!r}"
+    return None
+
+
+def _parsed_columns(rows: list[list[str]]):
+    """The x, y and energy columns of rows of cells, each cell stripped and
+    parsed as :func:`_row_fault` parses it; None when some row has a fault."""
+    if set(map(len, rows)) != {3}:
+        return None
+    columns = []
+    for parse, cells in zip((int, int, float), zip(*rows)):
+        # int() and float() strip the whitespace that str.strip() does, but
+        # U+001C to U+001F: only a column with a cell they fail on is stripped.
+        try:
+            columns.append(list(map(parse, cells)))
+        except ValueError:
+            try:
+                columns.append(list(map(parse, map(str.strip, cells))))
+            except ValueError:
+                return None
+    xs, ys, energies = columns
+    if min(xs) < 1 or min(ys) < 1 or not all(map(math.isfinite, energies)) or min(energies) < 0:
+        return None
+    return xs, ys, energies
+
+
+@_gc_paused()
 def load_energy_function(
     path,
     processor_id: str | None = None,
@@ -183,48 +240,31 @@ def load_energy_function(
     """Load an energy function from a CSV with header ``x,y,energy_j``.
 
     Granularity defaults to the GCD of every x and y in the file; pass it
-    explicitly to enforce a coarser grid.
+    explicitly to enforce a coarser grid. The file is read whole, then parsed
+    and checked a column at a time; a file with a faulty row reports the first
+    such row's first fault, as a check row by row would.
     """
-    samples: list[tuple[int, int, float]] = []
-    with _read_csv(path) as (header, rows):
-        if header != ["x", "y", "energy_j"]:
-            raise DataFormatError(
-                f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}"
-            )
-        for row_no, row in rows:
-            if len(row) != 3:
-                raise DataFormatError(f"{path}: row {row_no}: expected 3 cells, got {len(row)}")
-            x_text, y_text, energy_text = map(str.strip, row)
-            try:
-                x, y = int(x_text), int(y_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {row_no}: x and y must be integers, got "
-                    f"{x_text!r}, {y_text!r}"
-                ) from None
-            try:
-                energy = float(energy_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {row_no}, column 'energy_j': non-numeric cell {energy_text!r}"
-                ) from None
-            if x < 1 or y < 1:
-                raise DataFormatError(f"{path}: row {row_no}: x and y must be >= 1")
-            if not math.isfinite(energy) or energy < 0:
-                raise DataFormatError(
-                    f"{path}: row {row_no}, column 'energy_j': must be >= 0, got {energy_text!r}"
-                )
-            samples.append((x, y, energy))
-    if not samples:
+    header, table = _read_table(path)
+    if header != ["x", "y", "energy_j"]:
+        raise DataFormatError(f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}")
+    if not table:
         raise DataFormatError(f"{path}: no samples")
+    columns = _parsed_columns([row for _, row in table])
+    if columns is None:
+        for row_no, row in table:
+            if fault := _row_fault(row):
+                raise DataFormatError(f"{path}: row {row_no}{fault}")
+    xs, ys, energies = columns
 
-    if granularity is None:
-        granularity = 0
-        for x, y, _ in samples:
-            granularity = math.gcd(granularity, x, y)
     if processor_id is None:
-        processor_id = Path(path).stem
+        # pathlib's stem: the file name without its last suffix.
+        name = os.path.basename(path)
+        dot = name.rfind(".")
+        processor_id = name[:dot] if 0 < dot < len(name) - 1 else name
+    samples = list(zip(xs, ys, energies))
     try:
-        return EnergyFunction(processor_id, tuple(samples), granularity)
+        if granularity is not None:  # the constructor checks the samples against it
+            return EnergyFunction(processor_id, samples, granularity)
+        return EnergyFunction._checked(processor_id, samples, math.gcd(*xs, *ys))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

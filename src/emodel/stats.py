@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+
+from ._common import _Record
 
 
 class MeasurementFaultWarning(UserWarning):
@@ -48,8 +49,7 @@ def dynamic_energy(total_energy_j: float, static_power_w: float, exec_time_s: fl
     return result
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
+class MeanEstimate(_Record):
     """Sample mean with a two-sided Student-t confidence half-width.
 
     ``converged`` is true when the half-width is within ``precision * |mean|``.
@@ -57,17 +57,16 @@ class MeanEstimate:
     non-zero spread, where relative precision has no meaning.
     """
 
-    mean: float
-    half_width: float
-    n: int
-    converged: bool
-    relative_undefined: bool = False
+    __slots__ = __match_args__ = _FIELDS = (
+        "mean", "half_width", "n", "converged", "relative_undefined")
 
-    def __post_init__(self) -> None:
-        if not self.half_width >= 0:
-            raise ValueError(f"half_width must be >= 0, got {self.half_width!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
+    def __init__(self, mean: float, half_width: float, n: int, converged: bool,
+                 relative_undefined: bool = False) -> None:
+        self._set(mean, half_width, n, converged, relative_undefined)
+        if not half_width >= 0:
+            raise ValueError(f"half_width must be >= 0, got {half_width!r}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n!r}")
 
 
 def sample_mean_ci(samples, confidence: float = 0.95, precision: float = 0.025) -> MeanEstimate:

@@ -3,8 +3,8 @@
 The oracles here are deliberately written differently from the library code
 they check: exhaustive enumeration instead of active sets, candidate-list
 scans instead of streaming argmins, row-by-row CSV loading instead of
-column-by-column, a plain dict of row lists instead of group codes,
-per-name lookups in separate trial loops with scalar draws instead of one
+column-by-column (energy functions included), a plain dict of row lists
+instead of group codes, per-name lookups in separate trial loops with scalar draws instead of one
 composability check over blocks of rows,
 ``math.fsum`` per group instead of TwoSum layers, per-pair centring instead of
 one centring per column, and one ``predict`` call per evaluated case.
@@ -15,6 +15,7 @@ import math
 import statistics
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -527,6 +528,79 @@ def load_compounds_by_rows(path, dataset: Dataset) -> list[CompoundRun]:
             )
         )
     return compounds
+
+
+def load_energy_function_by_rows(path, processor_id=None, granularity=None):
+    """Load an energy function as the loader and the ``EnergyFunction``
+    constructor once did, one row and then one sample at a time: the file is
+    read whole by ``csv.reader``, each row is stripped, parsed and checked on
+    its own, the granularity is the running GCD, and the samples are checked
+    in file order, sorted by a lambda key and put into their slices one by
+    one. Gives ``(processor_id, samples, granularity_g, slices)``, with
+    ``slices`` as ``(y, [(x, energy), ...])`` pairs in order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not records or not any(cell.strip() for cell in records[0]):
+        raise DataFormatError(f"{path}: no header")
+    header = [cell.strip() for cell in records[0]]
+    if header != ["x", "y", "energy_j"]:
+        raise DataFormatError(f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}")
+    samples = []
+    for row_no, row in enumerate(records[1:], 2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise DataFormatError(f"{path}: row {row_no}: expected 3 cells, got {len(row)}")
+        x_text, y_text, energy_text = (cell.strip() for cell in row)
+        try:
+            x, y = int(x_text), int(y_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {row_no}: x and y must be integers, got {x_text!r}, {y_text!r}"
+            ) from None
+        try:
+            energy = float(energy_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {row_no}, column 'energy_j': non-numeric cell {energy_text!r}"
+            ) from None
+        if x < 1 or y < 1:
+            raise DataFormatError(f"{path}: row {row_no}: x and y must be >= 1")
+        if not math.isfinite(energy) or energy < 0:
+            raise DataFormatError(
+                f"{path}: row {row_no}, column 'energy_j': must be >= 0, got {energy_text!r}"
+            )
+        samples.append((x, y, energy))
+    if not samples:
+        raise DataFormatError(f"{path}: no samples")
+    if granularity is None:
+        granularity = 0
+        for x, y, _ in samples:
+            granularity = math.gcd(granularity, x, y)
+    if processor_id is None:
+        processor_id = Path(path).stem
+    if granularity < 1:
+        raise DataFormatError(f"{path}: granularity must be >= 1, got {granularity}")
+    for x, y, _ in samples:
+        if x % granularity or y % granularity:
+            raise DataFormatError(
+                f"{path}: sample ({x}, {y}) is not a positive multiple of granularity {granularity}"
+            )
+    ordered = sorted(samples, key=lambda s: (s[1], s[0]))
+    slices = {}
+    for x, y, energy in ordered:
+        curve = slices.setdefault(y, {})
+        if x in curve:
+            raise DataFormatError(f"{path}: duplicate sample at (x={x}, y={y})")
+        curve[x] = energy
+    return (processor_id, tuple(ordered), granularity,
+            [(y, list(curve.items())) for y, curve in slices.items()])
 
 
 # Reference composability harness: the per-name lookups and the three separate

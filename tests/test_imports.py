@@ -2,7 +2,8 @@
 
 ``import emodel`` resolves its public names on first use, and each ``emodel``
 subcommand imports only the modules it runs: ``partition``, ``loss`` and
-``stats`` need no numpy.
+``stats`` need no numpy, nor :mod:`dataclasses`, :mod:`json` (unless the
+report is JSON) or :mod:`pathlib`.
 """
 
 import importlib
@@ -96,6 +97,54 @@ BASE = {"emodel", "emodel._cache", "emodel._common", "emodel.core"}
 ])
 def test_subcommand_imports_only_its_modules(inputs, argv, modules):
     assert loaded_emodel_modules([inputs.get(arg, arg) for arg in argv]) == (0, modules)
+
+
+# Runs ``emodel.cli`` as ``python -m`` does, then writes to stderr the modules
+# it imported beyond those of the interpreter's start-up (which differ with the
+# installation: a .pth file may import pathlib, say).
+NEW_MODULES = (
+    "import runpy, sys\n"
+    "before = set(sys.modules)\n"
+    "try:\n"
+    "    runpy.run_module('emodel.cli', run_name='__main__')\n"
+    "finally:\n"
+    "    sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def new_modules(argv):
+    """Exit code and the modules that ``python -m emodel.cli`` imports."""
+    result = subprocess.run([sys.executable, "-c", NEW_MODULES, *argv], capture_output=True,
+                            text=True)
+    return result.returncode, set(result.stderr.split())
+
+
+#: Modules a numpy-free command has no use for; json only for a JSON report.
+UNUSED = {"numpy", "dataclasses", "inspect", "json", "pathlib"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    pytest.param(PARTITION, set(), id="partition"),
+    pytest.param(PARTITION + ["--interpolate"], set(), id="partition-interpolate"),
+    pytest.param(["loss", "--alt", "90", "--ref", "100", "--format", "csv"], set(), id="loss-csv"),
+    pytest.param(["stats", "--values-file", "values.txt", "--format", "csv"], set(),
+                 id="stats-csv"),
+    pytest.param(PARTITION + ["--format", "json"], {"json"}, id="partition-json"),
+    pytest.param(["loss", "--alt", "90", "--ref", "100"], {"json"}, id="loss-json"),
+    pytest.param(["stats", "--values", "1.0,1.1,0.9,1.0,1.05"], {"json"}, id="stats-json"),
+])
+def test_numpy_free_commands_import_only_what_they_use(inputs, argv, unused):
+    code, modules = new_modules([inputs.get(arg, arg) for arg in argv])
+    assert code == 0
+    assert modules & UNUSED <= unused, sorted(modules)
+
+
+def test_a_clean_additivity_run_imports_no_statistics(inputs):
+    """Only a CoV near the stage-1 bound is recomputed with statistics.stdev."""
+    code, modules = new_modules(["additivity", "--runs", inputs["runs.csv"]])
+    assert code == 0
+    assert "emodel.additivity" in modules
+    assert not {"statistics", "decimal", "fractions"} & modules, sorted(modules)
 
 
 def test_import_emodel_defers_numpy():

@@ -17,8 +17,9 @@ import threading
 import numpy as np
 import pytest
 
+import emodel._common
 from emodel import DataFormatError, load_compounds, load_runs
-from emodel._cache import _HEADER, MAX_ENTRIES
+from emodel._cache import _HEADER, _MAGIC, MAX_ENTRIES
 from emodel.core import _load_run_columns
 from helpers import load_compounds_by_rows, load_runs_by_rows
 
@@ -179,6 +180,49 @@ def test_a_damaged_entry_is_ignored_and_rewritten(cache, tmp_path, damage):
     }[damage])
     assert columns(load_runs(path)) == expected
     assert entry.read_bytes() == whole
+
+
+def test_an_entry_with_any_bit_flipped_misses(cache, tmp_path):
+    """A flipped bit in the header, in the float body or in the JSON gives
+    the cold load, not a dataset built from the damaged bytes, and the entry
+    is written again. Every bit after the magic is tried in the header, and
+    a spread of bits in the body."""
+    path = write(tmp_path / "runs.csv", runs_text(rows=40))
+    expected = columns(load_runs(path))
+    (name,) = entries(cache)
+    entry = cache / name
+    whole = entry.read_bytes()
+    floats_end = _HEADER + 8 * 40 * 6  # 40 rows x 4 PMCs, exec_time_s and the energy
+    assert whole[floats_end:floats_end + 2] == b"[["  # the JSON starts here
+    bits = [*range(8 * len(_MAGIC), 8 * _HEADER), *range(8 * _HEADER, 8 * floats_end, 61),
+            *range(8 * floats_end, 8 * len(whole), 29)]
+    for bit in bits:
+        damaged = bytearray(whole)
+        damaged[bit // 8] ^= 1 << bit % 8
+        entry.write_bytes(damaged)
+        assert columns(load_runs(path)) == expected, bit
+        assert entry.read_bytes() == whole, bit
+
+
+def test_a_fault_found_on_a_kept_parse_does_not_read_the_rest_of_the_file(
+        cache, tmp_path, monkeypatch):
+    """A kept parse shows that the whole file reads without a fault, so a
+    fault that the checks find on it is raised without reading on."""
+    text = HEADER + GOOD.replace("800,400", "-1,400") + GOOD.replace("r1", "r2") * 50
+    path = write(tmp_path / "runs.csv", text)
+    read = []
+    records = emodel._common._records
+
+    def counted(*args):
+        for record in records(*args):
+            read.append(record)
+            yield record
+
+    monkeypatch.setattr(emodel._common, "_records", counted)
+    for lines in (len(text.splitlines()), 1):  # a parse reads every line; a hit, the header
+        read.clear()
+        assert outcome(lambda: load_runs(path)).endswith("row 3, column 'X1': negative count -1.0")
+        assert len(read) == lines
 
 
 def test_a_cache_directory_that_cannot_be_made_leaves_the_load_to_parse(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
+import csv
+import dataclasses
+import io
+import pickle
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emodel import (
@@ -14,7 +18,11 @@ from emodel import (
     partition,
     slice_at_n,
 )
-from helpers import partition_by_enumeration, random_energy_function
+from helpers import (
+    load_energy_function_by_rows,
+    partition_by_enumeration,
+    random_energy_function,
+)
 
 G = 512
 
@@ -427,3 +435,149 @@ def test_load_row_numbers_count_blank_rows(tmp_path):
     path = write(tmp_path / "f.csv", "x,y,energy_j\n\n512,512,1.0\n\n512,1024,oops\n")
     with pytest.raises(DataFormatError, match=r"row 5, column 'energy_j': non-numeric cell 'oops'$"):
         load_energy_function(path)
+
+
+def test_load_row_faults_come_in_row_order_then_check_order(tmp_path):
+    # An earlier row's fault wins whatever its kind; within a row the cell
+    # count comes first, then the integers, the number and the ranges.
+    cases = [
+        ("x,y,energy_j\n512,512,watts\n1.5,512,1\n",
+         "row 2, column 'energy_j': non-numeric cell 'watts'"),
+        ("x,y,energy_j\n512,512,1\n512,512\n1.5,512,1\n", "row 3: expected 3 cells, got 2"),
+        ("x,y,energy_j\n0,512,watts\n", "row 2, column 'energy_j': non-numeric cell 'watts'"),
+        ("x,y,energy_j\n0,a,-1\n", "row 2: x and y must be integers, got '0', 'a'"),
+        ("x,y,energy_j\n0,512,-1\n", "row 2: x and y must be >= 1"),
+        ("x,y,energy_j\n512,512,1\n512,512,inf\n",
+         "row 3, column 'energy_j': must be >= 0, got 'inf'"),
+    ]
+    for text, message in cases:
+        path = write(tmp_path / "f.csv", text)
+        with pytest.raises(DataFormatError) as caught:
+            load_energy_function(path)
+        assert str(caught.value) == f"{path}: {message}", text
+
+
+def test_load_reports_the_smallest_duplicate_key(tmp_path):
+    # (1024, 1024) repeats first in the file, but (512, 512) sorts first.
+    path = write(tmp_path / "f.csv",
+                 "x,y,energy_j\n1024,1024,1\n1024,1024,3\n512,512,1\n512,512,2\n")
+    with pytest.raises(DataFormatError) as caught:
+        load_energy_function(path)
+    assert str(caught.value) == f"{path}: duplicate sample at (x=512, y=512)"
+
+
+def outcome(load):
+    try:
+        return load()
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def loaded_fields(path, granularity):
+    func = load_energy_function(path, granularity=granularity)
+    return (func.processor_id, func.samples, func.granularity_g,
+            [(y, list(curve.items())) for y, curve in func._slices.items()])
+
+
+COORDINATES = st.sampled_from(["256", "512", "768", "1024", "1536"])
+ENERGIES = st.sampled_from(["1.0", "0", "-0.0", "2.5e3", "7", "0.1", "1_0.5"])
+#: Cells that fail a check, for x or y and for energy_j: not integers, not
+#: numbers, or out of range.
+FAULTY_CELLS = (st.sampled_from(["0", "-512", "1.5", "a", ""]),) * 2 + (
+    st.sampled_from(["-1", "inf", "nan", "watts", ""]),)
+PADS = st.sampled_from(["", " ", "\t", "\x1c", " \x1c"])
+
+
+@st.composite
+def energy_function_files(draw):
+    """Energy-function CSV text: samples on a grid of 256 in any order, some
+    with the (x, y) of an earlier row, among blank rows, each cell padded
+    with whitespace or U+001C, and in half the files rows with a faulty cell
+    or a wrong cell count, with LF or CRLF endings and some rows quoted."""
+    lines, pairs = ["x,y,energy_j"], []
+    # Half the files have no faulty row, so that their grid and repeats are checked.
+    kinds = ["sample"] * 3 + ["repeat", "blank"]
+    kinds += ["fault", "fault", "cells"] * draw(st.booleans())
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",,", " , ,\t"])))
+            continue
+        if kind == "repeat" and pairs:
+            cells = [*draw(st.sampled_from(pairs)), draw(ENERGIES)]
+        else:
+            cells = [draw(COORDINATES), draw(COORDINATES), draw(ENERGIES)]
+            pairs.append(cells[:2])
+        if kind == "fault":
+            column = draw(st.integers(0, 2))
+            cells[column] = draw(FAULTY_CELLS[column])
+        elif kind == "cells":
+            cells = cells[:draw(st.sampled_from([1, 2]))] if draw(st.booleans()) else cells + ["1"]
+        cells = [draw(PADS) + cell + draw(PADS) for cell in cells]
+        if draw(st.integers(0, 9)) == 0:
+            out = io.StringIO()
+            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="").writerow(cells)
+            lines.append(out.getvalue())
+        else:
+            lines.append(",".join(cells))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(energy_function_files(), st.none() | st.sampled_from([-1, 0, 1, 256, 512, 1000]))
+@example("x,y,energy_j\n1024,1024,1\n1024,1024,3\n512,512,1\n512,512,2\n", None)
+@example("x,y,energy_j\n512,512,watts\n1.5,512,1\n", None)
+@example("x,y,energy_j\n\n512,4096,1.0\x1c\n\n\x1c768 ,4096,oops\n", None)
+@example("x,y,energy_j\n512,4096,1.0\n768,4096,2.0\n", 512)
+@example("x,y,energy_j\n512,4096,1.0\n", 0)
+@example("x,y,energy_j\n512,4096,1.0\n512,0,1.0\n", None)
+def test_load_energy_function_matches_row_by_row_reference(tmp_path_factory, text, granularity):
+    """The column-at-a-time loader gives the function, or the fault text,
+    that checking one row and then one sample at a time gives."""
+    path = tmp_path_factory.getbasetemp() / "func.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(lambda: load_energy_function_by_rows(path, granularity=granularity))
+    # repr tells -0.0 from 0.0 and an int from a float.
+    assert repr(outcome(lambda: loaded_fields(path, granularity))) == repr(expected)
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenPartitionResult:
+    """The frozen dataclass that PartitionResult once was: its oracle for ==,
+    hash, repr and assignment."""
+
+    m: int
+    k: int
+    e1_j: float
+    e2_j: float
+    total_j: float
+
+
+def test_records_behave_as_frozen_dataclasses():
+    result = PartitionResult(1, 2, 1.5, 2.5, 4.0)
+    frozen = FrozenPartitionResult(1, 2, 1.5, 2.5, 4.0)
+    assert repr(result) == repr(frozen).replace("FrozenPartitionResult", "PartitionResult")
+    assert hash(result) == hash(frozen)
+    assert result == PartitionResult(m=1, k=2, e1_j=1.5, e2_j=2.5, total_j=4.0)
+    assert result != PartitionResult(1, 3, 1.5, 2.5, 4.0)
+    assert result != frozen and result != (1, 2, 1.5, 2.5, 4.0)
+    assert pickle.loads(pickle.dumps(result)) == result
+    for record in (result, frozen):
+        with pytest.raises(AttributeError, match="cannot assign to field 'm'"):
+            record.m = 5
+        with pytest.raises(AttributeError, match="cannot delete field 'k'"):
+            del record.k
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    func = EnergyFunction("p", ((1024, 512, 2.0), (512, 512, 1.0)), 512)
+    assert repr(func) == ("EnergyFunction(processor_id='p', samples=((512, 512, 1.0), "
+                          "(1024, 512, 2.0)), granularity_g=512)")
+    assert hash(func) == hash(("p", func.samples, 512))
+    assert func == EnergyFunction("p", func.samples[::-1], 512)
+    assert func != EnergyFunction("q", func.samples, 512)
+    assert pickle.loads(pickle.dumps(func))._slices == func._slices
+    with pytest.raises(AttributeError):
+        func.samples = ()
+    match func:
+        case EnergyFunction(name, samples, g):
+            assert (name, samples, g) == ("p", func.samples, 512)

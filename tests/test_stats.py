@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -89,6 +91,33 @@ def test_parameter_validation():
         sample_mean_ci([1.0, 2.0, -math.inf])
     with pytest.raises(ValueError, match="half_width must be >= 0, got nan"):
         MeanEstimate(math.nan, math.nan, 3, True)
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenMeanEstimate:
+    """The frozen dataclass that MeanEstimate once was: its oracle for ==,
+    hash, repr, the field dict and assignment."""
+
+    mean: float
+    half_width: float
+    n: int
+    converged: bool
+    relative_undefined: bool = False
+
+
+def test_mean_estimate_behaves_as_a_frozen_dataclass():
+    for args, kwargs in [((1.0, 0.5, 3, False), {}), ((0.0, 0.5, 3, False),
+                                                      {"relative_undefined": True})]:
+        estimate, frozen = MeanEstimate(*args, **kwargs), FrozenMeanEstimate(*args, **kwargs)
+        assert repr(estimate) == repr(frozen).replace("FrozenMeanEstimate", "MeanEstimate")
+        assert hash(estimate) == hash(frozen)
+        assert estimate._asdict() == dataclasses.asdict(frozen)
+        assert estimate == MeanEstimate(*args, **kwargs) != frozen
+        assert pickle.loads(pickle.dumps(estimate)) == estimate
+        for record in (estimate, frozen):
+            with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+                record.n = 4
+    assert MeanEstimate(1.0, 0.5, 3, False) != MeanEstimate(1.0, 0.5, 3, True)
 
 
 def test_tight_stream_converges_at_default_precision():

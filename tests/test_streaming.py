@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emodel import DataFormatError, load_compounds, load_runs
-from emodel._common import _read_csv
+from emodel._common import _read_csv, _read_table
 from emodel.cli import _json_text, _predictions_json
 from emodel.core import _load_run_columns
 from helpers import load_runs_by_rows
@@ -131,6 +131,28 @@ def test_reader_matches_csv_reader(tmp_path_factory, data):
         assert outcome(read_streamed, path) == expected
         assert outcome(fault_after_first_row, path) == (
             expected if isinstance(expected, str) else "the loader's fault")
+    finally:
+        csv.field_size_limit(limit)
+
+
+@settings(max_examples=600, deadline=None)
+@given(csv_files())
+@example(b"a,b\r\n1,2\r\n\r\n3,4")
+@example(b"a,b\r\r\n1,2\r3,4\n\r\n")
+@example(b"a,b\n1,2\n" + b"9" * LIMIT + b"\r\n3,4\n")
+@example(b"a,b\n1,2\n" + b"9" * (LIMIT + 1) + b"\n3,4\n")
+@example(b"a,b\n1,2\n" + b"9," * LIMIT + b"\n3,4\n")
+@example(b"a\n1\n\xff\n")
+@example(b"\n\na,b\n")
+@example(b"")
+def test_whole_file_reader_matches_csv_reader(tmp_path_factory, data):
+    """``_read_table`` reads a file at once, and gives what ``csv.reader``
+    gives on it, read faults included."""
+    path = tmp_path_factory.getbasetemp() / "table_oracle.csv"
+    path.write_bytes(data)
+    limit = csv.field_size_limit(LIMIT)
+    try:
+        assert outcome(_read_table, path) == outcome(read_whole, path)
     finally:
         csv.field_size_limit(limit)
 
