@@ -16,8 +16,8 @@ little-endian float64 bytes, then the text columns and row numbers as JSON.
 The header holds the CRC-32 of everything after it, so an entry with any
 damaged bit misses. Nothing is pickled. Whatever keeps the cache from working
 leaves the load to parse the file as before, silently: a missing, short,
-damaged or unreadable entry, a directory that cannot be written, or a path
-that is not a regular file.
+damaged or unreadable entry, a directory that cannot be written or that is
+not the user's own, or a path that is not a regular file.
 """
 
 from __future__ import annotations
@@ -49,12 +49,20 @@ _CHUNK = 1 << 18
 
 
 def _directory() -> str | None:
-    """The cache directory; None when there is no absolute place for it."""
+    """The cache directory, made if it is missing; None when there is no
+    absolute place for it, or when it is not this user's own or others may
+    write to it, since an entry there could have been planted."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # the XDG rule: a relative path is ignored
         base = os.path.join(os.path.expanduser("~"), ".cache")
     # With no home to expand, "~" stays as it is: then there is no cache.
-    return os.path.join(base, "emodel") if os.path.isabs(base) else None
+    if not os.path.isabs(base) or not hasattr(os, "getuid"):
+        return None
+    directory = os.path.join(base, "emodel")
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    status = os.stat(directory)
+    private = status.st_uid == os.getuid() and not status.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    return directory if private else None
 
 
 def _stamp(fd: int) -> tuple[int, int, int]:
@@ -110,7 +118,6 @@ def _checksum(rows: bytes, floats, rest: bytes) -> bytes:
 
 def _write(directory: str, key: str, matrix: np.ndarray, texts, row_numbers) -> None:
     """Keep a parse: written whole to a temporary file, then renamed into place."""
-    os.makedirs(directory, mode=0o700, exist_ok=True)
     temporary = os.path.join(directory, f".{key}.{os.getpid()}")
     rows = len(matrix).to_bytes(8, "little")
     floats = np.ascontiguousarray(matrix, dtype="<f8").data
@@ -146,11 +153,11 @@ def cached_parse(rows, spec: tuple[int, tuple[int, ...], tuple[int, ...]], parse
     is None) is kept, unless the file changed while it was read. So when an
     entry is found, the rest of the file reads cleanly: the rows are marked
     ``clean``, and a fault the loader finds does not read it."""
-    directory = _directory()
     try:
         fd = rows.file.fileno()
         before = _stamp(fd)
-        key = _key(fd, spec) if directory and stat.S_ISREG(before[0]) else None
+        directory = _directory() if stat.S_ISREG(before[0]) else None
+        key = _key(fd, spec) if directory else None
         if _stamp(fd) != before:
             key = None
     except OSError:

@@ -16,6 +16,7 @@ import math
 from contextlib import contextmanager
 from enum import Enum
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -37,34 +38,46 @@ class ModelKind(str, Enum):
 
 
 class _Record:
-    """A small immutable record, as a frozen dataclass is, without importing
-    :mod:`dataclasses` (with :mod:`inspect`, about 8 ms of a numpy-free
-    command's start-up). A subclass names its fields in ``_FIELDS``, holds them
-    in slots and sets them once with :meth:`_set`. Records of one class are
-    equal when their fields are, hash as the tuple of their fields, and print
-    as their constructor call; assigning or deleting a field is an
-    AttributeError."""
+    """The package's one immutable value type, behaving as a frozen dataclass.
+    A subclass names its fields in ``_FIELDS``, holds them in slots (or, as
+    ``Dataset`` does, in its ``__dict__``) and sets them once in ``__init__``
+    with :meth:`_set`; ``_values`` is the tuple of its fields. Records of one
+    class are equal when their fields are, hash as that tuple, print as their
+    constructor call, pickle as that call and match by position; assigning or
+    deleting an attribute is an AttributeError.
+
+    Declared by hand, records import no :mod:`dataclasses` (with
+    :mod:`inspect`, about 8 ms of a numpy-free command) and generate no code
+    when a module loads. Each class binds its slots' setters and a getter of
+    its fields once, so that the thousands of rows of a runs file are built,
+    compared and hashed without a lookup by field name."""
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
+    _values: tuple
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls.__match_args__ = cls._FIELDS
+        slots = vars(cls).get("__slots__", ())
+        cls._setters = tuple(vars(cls)[name].__set__ for name in fields if name in slots)
+        values = attrgetter(*fields)  # of one name, the value itself
+        cls._values = property(values if len(fields) > 1 else lambda record: (values(record),))
 
     def _set(self, *values) -> None:
-        for name, value in zip(self._FIELDS, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _asdict(self) -> dict:
-        return dict(zip(self._FIELDS, self._values()))
+        return dict(zip(self._FIELDS, self._values))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
@@ -77,7 +90,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
 
 @contextmanager

@@ -10,13 +10,12 @@ non-additive no matter how its sums come out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from ._common import _csv_table
+from ._common import _csv_table, _Record
 from .core import CompoundRun, Dataset
 
 __all__ = [
@@ -48,35 +47,30 @@ class Classification(str, Enum):
     NON_ADDITIVE = "non_additive"
 
 
-@dataclass(frozen=True)
-class PmcAdditivity:
+class PmcAdditivity(_Record):
     """Test outcome for one PMC."""
 
-    pmc: str
-    stage1_pass: bool
-    max_error_pct: float
-    classification: Classification
+    __slots__ = _FIELDS = ("pmc", "stage1_pass", "max_error_pct", "classification")
 
-    def __post_init__(self) -> None:
+    def __init__(self, pmc: str, stage1_pass: bool, max_error_pct: float,
+                 classification: Classification) -> None:
+        self._set(pmc, stage1_pass, max_error_pct, classification)
         if self.max_error_pct < 0:
             raise ValueError(f"max_error_pct must be >= 0, got {self.max_error_pct!r}")
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(_Record):
     """Per-PMC verdicts at one tolerance, plus an error ranking.
 
     ``ranking`` lists every PMC ordered by max_error_pct ascending, ties
     broken by name; infinite errors sort last.
     """
 
-    tolerance_pct: float
-    per_pmc: tuple[PmcAdditivity, ...]
-    ranking: tuple[str, ...]
+    __slots__ = _FIELDS = ("tolerance_pct", "per_pmc", "ranking")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_pmc", tuple(self.per_pmc))
-        object.__setattr__(self, "ranking", tuple(self.ranking))
+    def __init__(self, tolerance_pct: float, per_pmc: Sequence[PmcAdditivity],
+                 ranking: Sequence[str]) -> None:
+        self._set(tolerance_pct, tuple(per_pmc), tuple(ranking))
         if sorted(self.ranking) != sorted(e.pmc for e in self.per_pmc):
             raise ValueError("ranking is not a permutation of the tested PMC names")
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import _finite_or_none
+from ._common import _finite_or_none, _Record
 from .core import ApplicationRun, EnergyModel, PmcVector
 from .fitting import _positions, _predict_rows, predict
 
@@ -72,14 +71,13 @@ _OPERATOR_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(_Record):
     """Componentwise composition operator for one PMC position."""
 
-    kind: str
-    delta: float = 0.0
+    __slots__ = _FIELDS = ("kind", "delta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, delta: float = 0.0) -> None:
+        self._set(kind, delta)
         if self.kind not in _OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if not math.isfinite(self.delta):
@@ -106,19 +104,17 @@ def sum_plus_delta(delta: float) -> Operator:
     return Operator("sum_plus_delta", delta)
 
 
-@dataclass(frozen=True)
-class OperatorTable:
+class OperatorTable(_Record):
     """Composition operators per PMC position.
 
     ``overrides`` maps 1-based PMC positions to an operator; positions not
     overridden use ``default``.
     """
 
-    default: Operator = SUM
-    overrides: Mapping[int, Operator] = field(default_factory=dict)
+    __slots__ = _FIELDS = ("default", "overrides")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", dict(self.overrides))
+    def __init__(self, default: Operator = SUM, overrides: Mapping[int, Operator] = {}) -> None:
+        self._set(default, dict(overrides))
         for index, op in self.overrides.items():
             if not isinstance(index, int) or index < 1:
                 raise ValueError(f"override index must be a 1-based position, got {index!r}")
@@ -135,13 +131,13 @@ class ViolationKind(str, Enum):
     NEGATIVE_PREDICTION_WITNESS = "negative_prediction_witness"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    pmc_name: str | None = None
-    value: float | None = None
-    witness: PmcVector | None = None
-    predicted_j: float | None = None
+class Violation(_Record):
+    __slots__ = _FIELDS = ("kind", "pmc_name", "value", "witness", "predicted_j")
+
+    def __init__(self, kind: ViolationKind, pmc_name: str | None = None,
+                 value: float | None = None, witness: PmcVector | None = None,
+                 predicted_j: float | None = None) -> None:
+        self._set(kind, pmc_name, value, witness, predicted_j)
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind.value}
@@ -156,12 +152,11 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    violations: tuple[Violation, ...]
+class ViolationReport(_Record):
+    __slots__ = _FIELDS = ("violations",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
+    def __init__(self, violations: Sequence[Violation]) -> None:
+        self._set(tuple(violations))
 
     @property
     def clean(self) -> bool:
@@ -329,15 +324,14 @@ def compose(
     return PmcVector(vec_a.names, tuple(composed[0].tolist()))
 
 
-@dataclass(frozen=True)
-class CompositionCounterexample:
+class CompositionCounterexample(_Record):
     """One composed pair whose predicted energy is not the sum of its parts."""
 
-    vec_a: PmcVector
-    vec_b: PmcVector
-    composed: PmcVector
-    lhs_j: float
-    rhs_j: float
+    __slots__ = _FIELDS = ("vec_a", "vec_b", "composed", "lhs_j", "rhs_j")
+
+    def __init__(self, vec_a: PmcVector, vec_b: PmcVector, composed: PmcVector, lhs_j: float,
+                 rhs_j: float) -> None:
+        self._set(vec_a, vec_b, composed, lhs_j, rhs_j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -387,16 +381,15 @@ def verify_weak_composability(
     return not counterexamples, counterexamples
 
 
-@dataclass(frozen=True)
-class OperatorDetection:
+class OperatorDetection(_Record):
     """Whether replacing "+" by one operator at one position was caught."""
 
-    operator: Operator
-    pmc_index: int
-    pmc_name: str
-    detected: bool
-    trials_used: int
-    witness: CompositionCounterexample | None
+    __slots__ = _FIELDS = ("operator", "pmc_index", "pmc_name", "detected", "trials_used",
+                           "witness")
+
+    def __init__(self, operator: Operator, pmc_index: int, pmc_name: str, detected: bool,
+                 trials_used: int, witness: CompositionCounterexample | None) -> None:
+        self._set(operator, pmc_index, pmc_name, detected, trials_used, witness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,17 +402,17 @@ class OperatorDetection:
         }
 
 
-@dataclass(frozen=True)
-class ComposabilityReport:
+class ComposabilityReport(_Record):
     """Outcome of the randomized strong-composability check."""
 
-    trials: int
-    seed: int
-    delta: float
-    applicable: bool
-    additive_ok: bool
-    additive_counterexamples: tuple[CompositionCounterexample, ...]
-    detections: tuple[OperatorDetection, ...]
+    __slots__ = _FIELDS = ("trials", "seed", "delta", "applicable", "additive_ok",
+                           "additive_counterexamples", "detections")
+
+    def __init__(self, trials: int, seed: int, delta: float, applicable: bool, additive_ok: bool,
+                 additive_counterexamples: tuple[CompositionCounterexample, ...],
+                 detections: tuple[OperatorDetection, ...]) -> None:
+        self._set(trials, seed, delta, applicable, additive_ok, additive_counterexamples,
+                  detections)
 
     @property
     def passed(self) -> bool:

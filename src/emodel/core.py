@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter, not_
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._cache import cached_parse
-from ._common import DataFormatError, ModelKind, _gc_paused, _read_csv, _row_again
+from ._common import DataFormatError, ModelKind, _gc_paused, _read_csv, _Record, _row_again
 
 __all__ = [
     "DataFormatError",
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PmcVector:
+class PmcVector(_Record):
     """Ordered, named vector of performance-monitoring counts.
 
     Counts are stored as reals: aggregation across cores and repetition means
@@ -51,12 +49,10 @@ class PmcVector:
     integral.
     """
 
-    names: tuple[str, ...]
-    counts: tuple[float, ...]
+    __slots__ = _FIELDS = ("names", "counts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "counts", tuple(float(c) for c in self.counts))
+    def __init__(self, names: Sequence[str], counts: Sequence[float]) -> None:
+        self._set(tuple(names), tuple(float(c) for c in counts))
         if len(self.names) != len(self.counts):
             raise ValueError(
                 f"got {len(self.names)} PMC names but {len(self.counts)} counts"
@@ -71,7 +67,7 @@ class PmcVector:
     @classmethod
     def _checked(cls, names: tuple[str, ...], counts: tuple[float, ...]) -> "PmcVector":
         """A vector of unique names and finite, non-negative float counts that
-        the caller has already checked, built without ``__post_init__``."""
+        the caller has already checked, built without the constructor's checks."""
         vector = object.__new__(cls)
         object.__setattr__(vector, "names", names)
         object.__setattr__(vector, "counts", counts)
@@ -94,14 +90,13 @@ class PmcVector:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Execution configuration of a run: core count and a free-form problem size."""
 
-    cores: int
-    problem_size: str = ""
+    __slots__ = _FIELDS = ("cores", "problem_size")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cores: int, problem_size: str = "") -> None:
+        self._set(cores, problem_size)
         if not isinstance(self.cores, int) or isinstance(self.cores, bool) or self.cores < 1:
             raise ValueError(f"cores must be a positive integer, got {self.cores!r}")
 
@@ -119,18 +114,14 @@ class RunRef(NamedTuple):
         return f"{self.app_id}@{self.config.label()}"
 
 
-@dataclass(frozen=True)
-class ApplicationRun:
+class ApplicationRun(_Record):
     """One measured execution of a base application."""
 
-    app_id: str
-    config: RunConfig
-    pmc: PmcVector
-    exec_time_s: float
-    dynamic_energy_j: float
-    run_id: str | None = None
+    __slots__ = _FIELDS = ("app_id", "config", "pmc", "exec_time_s", "dynamic_energy_j", "run_id")
 
-    def __post_init__(self) -> None:
+    def __init__(self, app_id: str, config: RunConfig, pmc: PmcVector, exec_time_s: float,
+                 dynamic_energy_j: float, run_id: str | None = None) -> None:
+        self._set(app_id, config, pmc, exec_time_s, dynamic_energy_j, run_id)
         if not math.isfinite(self.exec_time_s) or self.exec_time_s <= 0:
             raise ValueError(f"exec_time_s must be > 0, got {self.exec_time_s!r}")
         if not math.isfinite(self.dynamic_energy_j) or self.dynamic_energy_j < 0:
@@ -143,33 +134,29 @@ class ApplicationRun:
         return RunRef(self.app_id, self.config)
 
 
-@dataclass(frozen=True)
-class CompoundRun:
+class CompoundRun(_Record):
     """One measured execution of two base applications run serially."""
 
-    compound_id: str
-    base_a: RunRef
-    base_b: RunRef
-    pmc: PmcVector
-    dynamic_energy_j: float
+    __slots__ = _FIELDS = ("compound_id", "base_a", "base_b", "pmc", "dynamic_energy_j")
 
-    def __post_init__(self) -> None:
+    def __init__(self, compound_id: str, base_a: RunRef, base_b: RunRef, pmc: PmcVector,
+                 dynamic_energy_j: float) -> None:
+        self._set(compound_id, base_a, base_b, pmc, dynamic_energy_j)
         if not math.isfinite(self.dynamic_energy_j) or self.dynamic_energy_j < 0:
             raise ValueError(
                 f"dynamic_energy_j must be >= 0, got {self.dynamic_energy_j!r}"
             )
 
 
-@dataclass(frozen=True)
-class AggregatedRun:
+class AggregatedRun(_Record):
     """Repetition mean over all samples of one (app_id, config) group."""
 
-    app_id: str
-    config: RunConfig
-    pmc: PmcVector
-    exec_time_s: float
-    dynamic_energy_j: float
-    n_samples: int
+    __slots__ = _FIELDS = ("app_id", "config", "pmc", "exec_time_s", "dynamic_energy_j",
+                           "n_samples")
+
+    def __init__(self, app_id: str, config: RunConfig, pmc: PmcVector, exec_time_s: float,
+                 dynamic_energy_j: float, n_samples: int) -> None:
+        self._set(app_id, config, pmc, exec_time_s, dynamic_energy_j, n_samples)
 
     @property
     def ref(self) -> RunRef:
@@ -212,8 +199,7 @@ class GroupIndex(NamedTuple):
     starts: np.ndarray
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """An ordered PMC name list with the runs (and optional compounds) that cover it.
 
     Immutable after construction; any number of readers may share one instance.
@@ -228,14 +214,12 @@ class Dataset:
     repetitions included, and so does ``emodel evaluate`` on a runs file.
     """
 
-    pmc_names: tuple[str, ...]
-    runs: tuple[ApplicationRun, ...]
-    compounds: tuple[CompoundRun, ...] = ()
+    _FIELDS = ("pmc_names", "runs", "compounds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pmc_names", tuple(self.pmc_names))
-        object.__setattr__(self, "runs", tuple(self.runs))
-        object.__setattr__(self, "compounds", tuple(self.compounds))
+    def __init__(self, pmc_names: Sequence[str], runs: Iterable[ApplicationRun],
+                 compounds: Iterable[CompoundRun] = ()) -> None:
+        self.__dict__.update(pmc_names=tuple(pmc_names), runs=tuple(runs),
+                             compounds=tuple(compounds))
         if len(set(self.pmc_names)) != len(self.pmc_names):
             raise ValueError("dataset PMC names are not unique")
         seen: set[tuple[str, RunConfig, str | None]] = set()
@@ -263,7 +247,7 @@ class Dataset:
     @classmethod
     def _from_columns(cls, pmc_names: tuple[str, ...], *columns: Sequence) -> "Dataset":
         """A dataset without compounds whose runs, given as columns in ``_store``
-        order, the caller has already checked as ``__post_init__`` does."""
+        order, the caller has already checked as ``__init__`` does."""
         dataset = object.__new__(cls)
         dataset.__dict__.update(pmc_names=pmc_names, compounds=())
         dataset._store(*columns)
@@ -417,8 +401,7 @@ class Dataset:
         return RunRef(ref, RunConfig(*matches[0][1:]))
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(_Record):
     """Linear dynamic-energy model: intercept plus one coefficient per PMC.
 
     Coefficients are joules per event. The kind records which constraints the
@@ -427,16 +410,12 @@ class EnergyModel:
     negative coefficient.
     """
 
-    pmc_names: tuple[str, ...]
-    intercept: float
-    coefficients: tuple[float, ...]
-    kind: ModelKind
+    __slots__ = _FIELDS = ("pmc_names", "intercept", "coefficients", "kind")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pmc_names", tuple(self.pmc_names))
-        object.__setattr__(self, "intercept", float(self.intercept))
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "kind", ModelKind(self.kind))
+    def __init__(self, pmc_names: Sequence[str], intercept: float,
+                 coefficients: Sequence[float], kind: ModelKind) -> None:
+        self._set(tuple(pmc_names), float(intercept), tuple(float(c) for c in coefficients),
+                  ModelKind(kind))
         if len(self.pmc_names) != len(self.coefficients):
             raise ValueError(
                 f"got {len(self.pmc_names)} PMC names but "

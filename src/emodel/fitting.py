@@ -13,13 +13,12 @@ parameters problem, and no Q of the runs' size is ever formed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ._common import _csv_table, _finite_or_none
+from ._common import _csv_table, _finite_or_none, _Record
 from .core import Dataset, EnergyModel, ModelKind, PmcVector, _getter
 
 __all__ = [
@@ -50,20 +49,17 @@ NNLS_TOLERANCE = 1e-10
 TARGET_LABEL = "dynamic_energy"
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(_Record):
     """Symmetric Pearson matrix over the target column and selected PMCs.
 
     ``labels[0]`` is the target; entries involving a constant column hold
     :data:`UNDEFINED` (NaN).
     """
 
-    labels: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
+    __slots__ = _FIELDS = ("labels", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
+    def __init__(self, labels: Sequence[str], values: Sequence[Sequence[float]]) -> None:
+        self._set(tuple(labels), tuple(tuple(row) for row in values))
         k = len(self.labels)
         if len(self.values) != k or any(len(row) != k for row in self.values):
             raise ValueError("correlation matrix shape does not match its labels")
@@ -84,16 +80,13 @@ class CorrelationMatrix:
         }
 
 
-@dataclass(frozen=True)
-class ErrorSummary:
+class ErrorSummary(_Record):
     """Min/mean/max percentage prediction error over a set of cases."""
 
-    min_pct: float
-    avg_pct: float
-    max_pct: float
-    n_cases: int
+    __slots__ = _FIELDS = ("min_pct", "avg_pct", "max_pct", "n_cases")
 
-    def __post_init__(self) -> None:
+    def __init__(self, min_pct: float, avg_pct: float, max_pct: float, n_cases: int) -> None:
+        self._set(min_pct, avg_pct, max_pct, n_cases)
         if self.n_cases < 1:
             raise ValueError(f"n_cases must be >= 1, got {self.n_cases}")
         if not (0 <= self.min_pct <= self.avg_pct <= self.max_pct):
@@ -103,7 +96,7 @@ class ErrorSummary:
             )
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:
@@ -338,7 +331,7 @@ def predict(model: EnergyModel, pmc: PmcVector) -> float:
     global _last_kernel
     wanted, names, kernel = _last_kernel
     if model.pmc_names is not wanted or pmc.names is not names:
-        positions = _lookup(model.pmc_names, pmc.names)
+        positions = _positions(model.pmc_names, pmc.names)
         kernel = _kernel(positions)
         if kernel is None:
             total = model.intercept
@@ -412,24 +405,9 @@ def _predict_rows(intercept: float, coefficients: Sequence[float], counts: np.nd
     return totals
 
 
-_last_lookup: tuple = ((), (), ())
-
-
-def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
-    """The position in ``names`` of each name in ``wanted``. The last pair is
-    matched by identity before the LRU cache, whose key hashes both tuples: a
-    cost on the order of a whole prediction of a few dozen terms. The pair
-    lives in one tuple, read once and replaced whole, so concurrent callers
-    each see a consistent entry."""
-    global _last_lookup
-    last_wanted, last_names, positions = _last_lookup
-    if wanted is not last_wanted or names is not last_names:
-        _last_lookup = wanted, names, (positions := _lookup(wanted, names))
-    return positions
-
-
 @lru_cache(maxsize=64)
-def _lookup(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
+def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
+    """The position in ``names`` of each name in ``wanted``."""
     index = {name: i for i, name in enumerate(names)}
     for name in wanted:
         if name not in index:

@@ -42,7 +42,7 @@ class EnergyFunction(_Record):
     """
 
     __slots__ = ("processor_id", "samples", "granularity_g", "_slices")
-    __match_args__ = _FIELDS = ("processor_id", "samples", "granularity_g")
+    _FIELDS = ("processor_id", "samples", "granularity_g")
 
     def __init__(self, processor_id: str, samples, granularity_g: int) -> None:
         if granularity_g < 1:
@@ -85,7 +85,7 @@ class EnergyFunction(_Record):
 class PartitionResult(_Record):
     """Chosen split: m rows on processor one, k on processor two."""
 
-    __slots__ = __match_args__ = _FIELDS = ("m", "k", "e1_j", "e2_j", "total_j")
+    __slots__ = _FIELDS = ("m", "k", "e1_j", "e2_j", "total_j")
 
     def __init__(self, m: int, k: int, e1_j: float, e2_j: float, total_j: float) -> None:
         self._set(m, k, e1_j, e2_j, total_j)

@@ -57,7 +57,7 @@ class MeanEstimate(_Record):
     non-zero spread, where relative precision has no meaning.
     """
 
-    __slots__ = __match_args__ = _FIELDS = (
+    __slots__ = _FIELDS = (
         "mean", "half_width", "n", "converged", "relative_undefined")
 
     def __init__(self, mean: float, half_width: float, n: int, converged: bool,

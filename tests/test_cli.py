@@ -441,13 +441,13 @@ def test_group_index_builds_no_per_group_object(files, capsys, monkeypatch):
                          "c1,app0@1:s,app1@2:s,21.0,201,53\n"
                          "c2,app1@2:s,app0@1:s,21.0,201,53\n"
                          "c3,app0@1:s,app2@4:s,22.0,202,55\n", encoding="utf-8")
-    built, post_init = [], RunConfig.__post_init__
+    built, init = [], RunConfig.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(RunConfig, "__post_init__", counted)
+    monkeypatch.setattr(RunConfig, "__init__", counted)
     assert len(_load_run_columns(runs).group_index.sizes) == 60
     assert built == []
     for argv in (("additivity", "--runs", runs, "--compounds", compounds),

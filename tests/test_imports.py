@@ -3,7 +3,7 @@
 ``import emodel`` resolves its public names on first use, and each ``emodel``
 subcommand imports only the modules it runs: ``partition``, ``loss`` and
 ``stats`` need no numpy, nor :mod:`dataclasses`, :mod:`json` (unless the
-report is JSON) or :mod:`pathlib`.
+report is JSON) or :mod:`pathlib`. No command imports :mod:`dataclasses`.
 """
 
 import importlib
@@ -137,6 +137,21 @@ def test_numpy_free_commands_import_only_what_they_use(inputs, argv, unused):
     code, modules = new_modules([inputs.get(arg, arg) for arg in argv])
     assert code == 0
     assert modules & UNUSED <= unused, sorted(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["additivity", "--runs", "runs.csv"], id="additivity"),
+    pytest.param(["fit", "--runs", "runs.csv", "--kind", "zero_intercept"], id="fit"),
+    pytest.param(["predict", "--model", "model.json", "--runs", "runs.csv"], id="predict"),
+    pytest.param(["conserve", "--model", "model.json", "--composability-trials", "5"],
+                 id="conserve"),
+    pytest.param(["evaluate", "--model", "model.json", "--runs", "runs.csv"], id="evaluate"),
+    pytest.param(["correlate", "--runs", "runs.csv"], id="correlate"),
+])
+def test_numpy_commands_import_no_dataclasses(inputs, argv):
+    code, modules = new_modules([inputs.get(arg, arg) for arg in argv])
+    assert code == 0
+    assert "numpy" in modules and "dataclasses" not in modules, sorted(modules)
 
 
 def test_a_clean_additivity_run_imports_no_statistics(inputs):

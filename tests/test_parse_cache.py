@@ -4,15 +4,18 @@ A load that finds its file's parse in the cache must give what parsing the
 file gives, bit for bit, and the same fault text. Everything that keeps the
 cache from working must leave the load to parse the file: a missing, short or
 garbage entry, a cache directory that cannot be made, a file that is not a
-regular file, and a file whose bytes changed.
+regular file, and a file whose bytes changed. A cache directory that another
+user could write to is neither read nor written.
 """
 
 import os
 import random
 import stat
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -234,6 +237,37 @@ def test_a_cache_directory_that_cannot_be_made_leaves_the_load_to_parse(tmp_path
         assert columns(load_runs(path)) == expected
         assert columns(load_runs(path)) == expected
     assert blocker.read_bytes() == b""
+
+
+@pytest.mark.parametrize("mode, other_owner", [
+    pytest.param(0o777, False, id="world-writable"),
+    pytest.param(0o770, False, id="group-writable"),
+    pytest.param(0o700, True, id="another-owner"),
+])
+def test_a_directory_others_may_write_is_neither_read_nor_written(
+        cache, tmp_path, monkeypatch, mode, other_owner):
+    """An entry planted where another user could have put it, here one whose
+    first count is doubled under a recomputed CRC-32, reaches the load only
+    from a private directory. Anywhere else the file is parsed, and no entry
+    is written."""
+    path = write(tmp_path / "runs.csv", runs_text(rows=40))
+    expected = columns(load_runs(path))
+    (name,) = entries(cache)
+    entry = cache / name
+    planted = bytearray(entry.read_bytes())
+    struct.pack_into("<d", planted, _HEADER, 2 * struct.unpack_from("<d", planted, _HEADER)[0])
+    crc = len(_MAGIC)
+    planted[crc:crc + 4] = zlib.crc32(planted[crc + 4:]).to_bytes(4, "little")
+    entry.write_bytes(planted)
+    assert columns(load_runs(path)) != expected  # a private directory is trusted
+    os.chmod(cache, mode)
+    if other_owner:
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert columns(load_runs(path)) == expected
+    assert columns(_load_run_columns(path)) == expected
+    load_runs(write(tmp_path / "other.csv", runs_text(rows=40, seed=9)))
+    assert entries(cache) == [name] and entry.read_bytes() == planted
 
 
 def test_a_same_size_edit_misses(cache, tmp_path):
