@@ -11,8 +11,8 @@ functions. The ``emodel`` command exposes the same operations for batch
 use.
 
 The public names below are loaded on first use (PEP 562), so importing the
-package imports no submodule and no numpy; partitioning and the statistics
-helpers never need numpy.
+package imports no submodule and no numpy; partitioning, the statistics, the
+run records, the model file, ``predict`` and ``check_conservation`` never need it.
 """
 
 __version__ = "0.1.0"
@@ -20,20 +20,20 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     # core types and I/O
-    "PmcVector": "core",
-    "RunConfig": "core",
-    "RunRef": "core",
-    "ApplicationRun": "core",
-    "CompoundRun": "core",
-    "AggregatedRun": "core",
+    "PmcVector": "model",
+    "RunConfig": "model",
+    "RunRef": "model",
+    "ApplicationRun": "model",
+    "CompoundRun": "model",
+    "AggregatedRun": "model",
     "Dataset": "core",
     "ModelKind": "_common",
-    "EnergyModel": "core",
+    "EnergyModel": "model",
     "DataFormatError": "_common",
     "load_runs": "core",
     "load_compounds": "core",
-    "load_model": "core",
-    "save_model": "core",
+    "load_model": "model",
+    "save_model": "model",
     # measurement statistics
     "MeasurementFaultWarning": "stats",
     "MeanEstimate": "stats",
@@ -57,7 +57,7 @@ _EXPORTS = {
     "ErrorSummary": "fitting",
     "correlation_matrix": "fitting",
     "fit": "fitting",
-    "predict": "fitting",
+    "predict": "model",
     "evaluate": "fitting",
     "nnls": "fitting",
     # conservation and composability

@@ -98,10 +98,10 @@ def _gc_paused():
     """Pause the cyclic garbage collector, then restore the caller's setting.
     The runs load keeps a key tuple per row until its duplicate check ends,
     and the energy-function load keeps every row's cells until its columns
-    are parsed, so the young collections those allocations trigger would
-    trace them all and free nothing. The compounds load runs unpaused: its
-    pause saved no time, and the collections it deferred fell in the
-    analysis after it."""
+    are parsed: young collections would trace them all and free nothing.
+    The compounds load runs unpaused (its pause saved no time, and deferred
+    collections into the analysis). In the ``emodel`` command the collector
+    is already off, as ``cli.main`` leaves it, so this serves library callers."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -10,13 +10,16 @@ goes through BLAS, whose summation order depends on the CPU, so its output
 holds per machine and BLAS build.
 
 Each handler imports the library modules it runs, so a process pays only for
-its own subcommand: ``partition``, ``loss`` and ``stats`` never import numpy,
-and a report imports :mod:`json` only when it is written as JSON.
+its own subcommand: ``partition``, ``loss``, ``stats``, ``predict --counts`` and
+``conserve`` without its probe never import numpy, and a report imports :mod:`json`
+only when it is written as JSON. :func:`main`, unlike :func:`run_cli`, turns the
+cyclic garbage collector off: a one-shot process frees nothing in a cycle.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import re
 import sys
@@ -58,8 +61,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _parse_counts(text: str):
-    """The ``--counts`` flag as a :class:`~emodel.core.PmcVector`."""
-    from .core import PmcVector
+    """The ``--counts`` flag as a :class:`~emodel.model.PmcVector`."""
+    from .model import PmcVector
 
     pairs = {}
     for part in _split_names(text):
@@ -206,8 +209,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .core import _load_run_columns, load_model
-    from .fitting import _positions, _predict_rows, predict
+    from .model import _positions, _predict_rows, load_model, predict
 
     model = load_model(args.model)
     if args.counts:
@@ -215,6 +217,7 @@ def _cmd_predict(args) -> int:
         _emit(_one_row({"prediction_j": value}, args.format), args.out)
         return 0
 
+    from .core import _load_run_columns
     dataset = _load_run_columns(args.runs)
     values = []
     if dataset.app_id:  # a file without rows has no PMC to look up
@@ -246,7 +249,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_conserve(args) -> int:
     from .conservation import check_conservation, strong_composability_check
-    from .core import load_model
+    from .model import load_model
 
     if args.seed < 0:
         raise UsageError(f"error: --seed must be a non-negative integer, got {args.seed}")
@@ -430,6 +433,7 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
+    gc.disable()
     sys.exit(run_cli(sys.argv[1:]))
 
 

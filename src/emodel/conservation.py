@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._common import _finite_or_none, _Record
-from .core import ApplicationRun, EnergyModel, PmcVector
-from .fitting import _positions, _predict_rows, predict
+from .model import ApplicationRun, EnergyModel, PmcVector, _positions, _predict_rows, predict
+
+if TYPE_CHECKING:  # numpy is imported by the composability probe alone, when it runs
+    import numpy as np
 
 __all__ = [
     "Operator",
@@ -57,7 +57,8 @@ _MAX_ROWS = 4096
 def _max(a, b, delta):
     """MAX keeps ``a`` on a tie, as Python's ``max`` does, so ``0.0`` against
     ``-0.0`` stays ``0.0``; on arrays, elementwise."""
-    if isinstance(a, np.ndarray):
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and isinstance(a, np.ndarray):
         return np.where(b > a, b, a)
     return max(a, b)
 
@@ -237,14 +238,15 @@ def _pmc(run: ApplicationRun | PmcVector) -> PmcVector:
 # ``Operator.apply`` per count, and ``predict``'s left-to-right sum per row.
 
 
-@np.errstate(all="ignore")
 def _compose(a: np.ndarray, b: np.ndarray, default: Operator, planted=()) -> np.ndarray:
     """``default`` at every element, then each ``(rows, columns, operator)``
     of ``planted`` at the elements it indexes."""
-    composed = default.apply(a, b)
-    for rows, columns, operator in planted:
-        composed[rows, columns] = operator.apply(a[rows, columns], b[rows, columns])
-    return composed
+    import numpy as np
+    with np.errstate(all="ignore"):
+        composed = default.apply(a, b)
+        for rows, columns, operator in planted:
+            composed[rows, columns] = operator.apply(a[rows, columns], b[rows, columns])
+        return composed
 
 
 def _sums(model: EnergyModel, a, b, composed) -> tuple[np.ndarray, ...]:
@@ -253,11 +255,10 @@ def _sums(model: EnergyModel, a, b, composed) -> tuple[np.ndarray, ...]:
     built from. The columns are the model's PMCs, in model order."""
     lhs, part_a, part_b = (_predict_rows(model.intercept, model.coefficients, m)
                            for m in (composed, a, b))
-    scale = _predict_rows(0.0, [abs(c) for c in model.coefficients], np.abs(composed) + a + b)
+    scale = _predict_rows(0.0, [abs(c) for c in model.coefficients], abs(composed) + a + b)
     return lhs, part_a + part_b, scale
 
 
-@np.errstate(all="ignore")
 def _flagged(model: EnergyModel, columns, a, b, composed, tol: float) -> tuple[np.ndarray, ...]:
     """Per row: lhs, rhs, and whether the row stops a trial loop: its composed
     counts are not a valid PMC vector, or lhs and rhs differ by more than
@@ -269,23 +270,25 @@ def _flagged(model: EnergyModel, columns, a, b, composed, tol: float) -> tuple[n
     exactly (unless it falls below the normal range), so the verdict is the
     one unbounded exponents would give; lhs and rhs are reported unscaled.
     """
-    picked = [m[:, columns] for m in (a, b, composed)]
-    lhs, rhs, scale = _sums(model, *picked)
-    gap, bound = np.abs(lhs - rhs), tol * scale
-    overflowed = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(scale)))
-    if overflowed.size:
-        rows = [m[overflowed] for m in picked]
-        # |c| < 2**e_c and each count < 2**e_m, so the scale is below
-        # 3n * 2**max(e_c + e_m) <= 2**(max(e_c + e_m) + bit_length(3n)).
-        _, e_c = np.frexp(np.array(model.coefficients))
-        _, e_m = np.frexp(np.maximum.reduce([np.abs(m) for m in rows]))
-        top = (e_c + e_m).max(axis=1, initial=0)
-        shift = np.maximum(top + (3 * len(model.coefficients)).bit_length() - 1023, 0)
-        scaled = (np.ldexp(m, -shift[:, None]) for m in rows)
-        lhs_s, rhs_s, scale_s = _sums(model, *scaled)
-        gap[overflowed], bound[overflowed] = np.abs(lhs_s - rhs_s), tol * scale_s
-    invalid = ~np.isfinite(composed) | (composed < 0)
-    return lhs, rhs, invalid.any(axis=1) | (gap > bound)
+    import numpy as np
+    with np.errstate(all="ignore"):
+        picked = [m[:, columns] for m in (a, b, composed)]
+        lhs, rhs, scale = _sums(model, *picked)
+        gap, bound = np.abs(lhs - rhs), tol * scale
+        overflowed = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(scale)))
+        if overflowed.size:
+            rows = [m[overflowed] for m in picked]
+            # |c| < 2**e_c and each count < 2**e_m, so the scale is below
+            # 3n * 2**max(e_c + e_m) <= 2**(max(e_c + e_m) + bit_length(3n)).
+            _, e_c = np.frexp(np.array(model.coefficients))
+            _, e_m = np.frexp(np.maximum.reduce([np.abs(m) for m in rows]))
+            top = (e_c + e_m).max(axis=1, initial=0)
+            shift = np.maximum(top + (3 * len(model.coefficients)).bit_length() - 1023, 0)
+            scaled = (np.ldexp(m, -shift[:, None]) for m in rows)
+            lhs_s, rhs_s, scale_s = _sums(model, *scaled)
+            gap[overflowed], bound[overflowed] = np.abs(lhs_s - rhs_s), tol * scale_s
+        invalid = ~np.isfinite(composed) | (composed < 0)
+        return lhs, rhs, invalid.any(axis=1) | (gap > bound)
 
 
 def _compose_pair(vec_a: PmcVector, vec_b: PmcVector, ops: OperatorTable
@@ -302,6 +305,7 @@ def _compose_pair(vec_a: PmcVector, vec_b: PmcVector, ops: OperatorTable
                 f"operator override index {index} exceeds the {len(vec_a)}-component "
                 f"PMC vector"
             )
+    import numpy as np
     a = np.array([vec_a.counts])
     b = np.array([vec_b.counts])[:, list(_positions(vec_a.names, vec_b.names))]
     planted = [(slice(None), index - 1, op) for index, op in ops.overrides.items()]
@@ -436,6 +440,7 @@ class ComposabilityReport(_Record):
 
 
 def _require_seed(seed) -> None:
+    import numpy as np
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
@@ -446,6 +451,7 @@ def _draw_counts(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
     every octave of ``COUNT_RANGE`` is equally likely. Only correctly rounded
     operations make a count, so it is the same on every machine; and as each
     value takes one 64-bit word, rows drawn in blocks equal rows drawn at once."""
+    import numpy as np
     u = rng.random((rows, width, 2))
     return np.ldexp(1.0 + u[..., 0], np.floor(u[..., 1] * _OCTAVES).astype(np.intc))
 
@@ -499,6 +505,7 @@ def strong_composability_check(
     if delta == 0.0 or not math.isfinite(delta):
         raise ValueError(f"delta must be finite and nonzero, got {delta!r}")
     _require_seed(seed)
+    import numpy as np
     names = model.pmc_names
     n = len(names)
     clauses = [(0, SUM, 0)] + [
@@ -569,6 +576,7 @@ def generate_cases(
     if noise_sigma < 0 or not math.isfinite(noise_sigma):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     _require_seed(seed)
+    import numpy as np
     rng = np.random.default_rng(seed)
     counts = _draw_counts(rng, n_cases, len(model.pmc_names))
     measured = _predict_rows(model.intercept, model.coefficients, counts)

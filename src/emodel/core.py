@@ -1,26 +1,28 @@
-"""Domain types for measured runs, datasets, and linear energy models, plus file I/O.
+"""Datasets of measured runs and the runs and compounds loaders.
 
 The interchange formats are CSV with a mandatory header (runs, compounds,
 energy functions) and a flat JSON document (models). PMC column order in a
 runs file defines the variable order everywhere downstream, so loading is
 strictly order-preserving and deterministic: identical bytes produce an
-identical :class:`Dataset`.
+identical :class:`Dataset`. The run records, the model and its file are
+defined in the numpy-free :mod:`emodel.model` and re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter, not_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._cache import cached_parse
 from ._common import DataFormatError, ModelKind, _gc_paused, _read_csv, _Record, _row_again
+from .model import (AggregatedRun, ApplicationRun, CompoundRun, EnergyModel, PmcVector, RunConfig,
+                    RunRef, load_model, model_to_dict, save_model)
 
 __all__ = [
     "DataFormatError",
@@ -39,128 +41,6 @@ __all__ = [
     "save_model",
     "model_to_dict",
 ]
-
-
-class PmcVector(_Record):
-    """Ordered, named vector of performance-monitoring counts.
-
-    Counts are stored as reals: aggregation across cores and repetition means
-    produce non-integer values even though single hardware readings are
-    integral.
-    """
-
-    __slots__ = _FIELDS = ("names", "counts")
-
-    def __init__(self, names: Sequence[str], counts: Sequence[float]) -> None:
-        self._set(tuple(names), tuple(float(c) for c in counts))
-        if len(self.names) != len(self.counts):
-            raise ValueError(
-                f"got {len(self.names)} PMC names but {len(self.counts)} counts"
-            )
-        if len(set(self.names)) != len(self.names):
-            dupes = sorted({n for n in self.names if self.names.count(n) > 1})
-            raise ValueError(f"duplicate PMC names: {', '.join(dupes)}")
-        for name, count in zip(self.names, self.counts):
-            if not math.isfinite(count) or count < 0:
-                raise ValueError(f"PMC {name!r} has invalid count {count!r}")
-
-    @classmethod
-    def _checked(cls, names: tuple[str, ...], counts: tuple[float, ...]) -> "PmcVector":
-        """A vector of unique names and finite, non-negative float counts that
-        the caller has already checked, built without the constructor's checks."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "names", names)
-        object.__setattr__(vector, "counts", counts)
-        return vector
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, float]) -> "PmcVector":
-        return cls(tuple(mapping.keys()), tuple(mapping.values()))
-
-    def get(self, name: str) -> float:
-        try:
-            return self.counts[self.names.index(name)]
-        except ValueError:
-            raise KeyError(f"PMC {name!r} not present in vector") from None
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.counts))
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-class RunConfig(_Record):
-    """Execution configuration of a run: core count and a free-form problem size."""
-
-    __slots__ = _FIELDS = ("cores", "problem_size")
-
-    def __init__(self, cores: int, problem_size: str = "") -> None:
-        self._set(cores, problem_size)
-        if not isinstance(self.cores, int) or isinstance(self.cores, bool) or self.cores < 1:
-            raise ValueError(f"cores must be a positive integer, got {self.cores!r}")
-
-    def label(self) -> str:
-        return f"{self.cores}:{self.problem_size}"
-
-
-class RunRef(NamedTuple):
-    """Reference to a run group: application id plus configuration."""
-
-    app_id: str
-    config: RunConfig
-
-    def label(self) -> str:
-        return f"{self.app_id}@{self.config.label()}"
-
-
-class ApplicationRun(_Record):
-    """One measured execution of a base application."""
-
-    __slots__ = _FIELDS = ("app_id", "config", "pmc", "exec_time_s", "dynamic_energy_j", "run_id")
-
-    def __init__(self, app_id: str, config: RunConfig, pmc: PmcVector, exec_time_s: float,
-                 dynamic_energy_j: float, run_id: str | None = None) -> None:
-        self._set(app_id, config, pmc, exec_time_s, dynamic_energy_j, run_id)
-        if not math.isfinite(self.exec_time_s) or self.exec_time_s <= 0:
-            raise ValueError(f"exec_time_s must be > 0, got {self.exec_time_s!r}")
-        if not math.isfinite(self.dynamic_energy_j) or self.dynamic_energy_j < 0:
-            raise ValueError(
-                f"dynamic_energy_j must be >= 0, got {self.dynamic_energy_j!r}"
-            )
-
-    @property
-    def ref(self) -> RunRef:
-        return RunRef(self.app_id, self.config)
-
-
-class CompoundRun(_Record):
-    """One measured execution of two base applications run serially."""
-
-    __slots__ = _FIELDS = ("compound_id", "base_a", "base_b", "pmc", "dynamic_energy_j")
-
-    def __init__(self, compound_id: str, base_a: RunRef, base_b: RunRef, pmc: PmcVector,
-                 dynamic_energy_j: float) -> None:
-        self._set(compound_id, base_a, base_b, pmc, dynamic_energy_j)
-        if not math.isfinite(self.dynamic_energy_j) or self.dynamic_energy_j < 0:
-            raise ValueError(
-                f"dynamic_energy_j must be >= 0, got {self.dynamic_energy_j!r}"
-            )
-
-
-class AggregatedRun(_Record):
-    """Repetition mean over all samples of one (app_id, config) group."""
-
-    __slots__ = _FIELDS = ("app_id", "config", "pmc", "exec_time_s", "dynamic_energy_j",
-                           "n_samples")
-
-    def __init__(self, app_id: str, config: RunConfig, pmc: PmcVector, exec_time_s: float,
-                 dynamic_energy_j: float, n_samples: int) -> None:
-        self._set(app_id, config, pmc, exec_time_s, dynamic_energy_j, n_samples)
-
-    @property
-    def ref(self) -> RunRef:
-        return RunRef(self.app_id, self.config)
 
 
 def _row_tuples(matrix: np.ndarray) -> Iterator[tuple[float, ...]]:
@@ -401,46 +281,6 @@ class Dataset(_Record):
         return RunRef(ref, RunConfig(*matches[0][1:]))
 
 
-class EnergyModel(_Record):
-    """Linear dynamic-energy model: intercept plus one coefficient per PMC.
-
-    Coefficients are joules per event. The kind records which constraints the
-    model was fitted under and is enforced as an invariant: zero-intercept
-    kinds carry an exact 0.0 intercept, and the non-negative kind admits no
-    negative coefficient.
-    """
-
-    __slots__ = _FIELDS = ("pmc_names", "intercept", "coefficients", "kind")
-
-    def __init__(self, pmc_names: Sequence[str], intercept: float,
-                 coefficients: Sequence[float], kind: ModelKind) -> None:
-        self._set(tuple(pmc_names), float(intercept), tuple(float(c) for c in coefficients),
-                  ModelKind(kind))
-        if len(self.pmc_names) != len(self.coefficients):
-            raise ValueError(
-                f"got {len(self.pmc_names)} PMC names but "
-                f"{len(self.coefficients)} coefficients"
-            )
-        if len(set(self.pmc_names)) != len(self.pmc_names):
-            raise ValueError("model PMC names are not unique")
-        if not math.isfinite(self.intercept):
-            raise ValueError(f"intercept must be finite, got {self.intercept!r}")
-        for name, c in zip(self.pmc_names, self.coefficients):
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient for {name!r} must be finite, got {c!r}")
-        if self.kind is not ModelKind.UNCONSTRAINED and self.intercept != 0.0:
-            raise ValueError(
-                f"{self.kind.value} model must have intercept 0, got {self.intercept!r}"
-            )
-        if self.kind is ModelKind.ZERO_INTERCEPT_NONNEG:
-            for name, c in zip(self.pmc_names, self.coefficients):
-                if c < 0:
-                    raise ValueError(
-                        f"{self.kind.value} model has negative coefficient "
-                        f"{c!r} for {name!r}"
-                    )
-
-
 # Runs-CSV column names with fixed meaning; everything else is a PMC column.
 _RESERVED_COLUMNS = (
     "app_id",
@@ -580,14 +420,18 @@ def _cores(text: str) -> int | str:
     return cores if cores >= 1 else f", column 'cores': must be >= 1, got {cores}"
 
 
-def _first_repeat(keys: Iterable) -> int:
-    """Position of the first key equal to an earlier one; the number of keys when there is none."""
+def _position(values: list, value) -> int:
+    """Position of the first ``value`` in ``values``; the length when there is none."""
+    return values.index(value) if value in values else len(values)
+
+
+def _first_repeat(keys, count: int) -> int:
+    """Position of the first of the ``count`` keys from ``keys()`` equal to an earlier one; ``count``
+    when there is none. A set of them all tells at C speed whether to look key by key."""
+    if len(set(keys())) == count:
+        return count
     seen: set = set()
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i
-        seen.add(key)
-    return len(seen)
+    return next(i for i, key in enumerate(keys()) if key in seen or seen.add(key))
 
 
 def load_runs(path) -> Dataset:
@@ -654,7 +498,8 @@ def _load_run_columns(path) -> Dataset:
         app_ids, sizes, cores_texts = texts[:3]
         run_ids = [text or None for text in texts[3]] if len(texts) > 3 else [None] * len(values)
         cores_of = {text: _cores(text) for text in set(cores_texts)}
-        cores = [cores_of[text] for text in cores_texts]
+        cores = list(map(cores_of.__getitem__, cores_texts))
+        faults = [value for value in cores_of.values() if _is_fault(value)]
         del texts, cores_texts
         keys = lambda: zip(app_ids, cores, sizes, run_ids)
 
@@ -665,8 +510,8 @@ def _load_run_columns(path) -> Dataset:
 
         _raise_first_fault(path, row_numbers, [
             (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
-            (_first(_where(not_, app_ids)), lambda i: ": empty app_id"),
-            (_first(_where(_is_fault, cores)), cores.__getitem__),
+            (_position(app_ids, ""), lambda i: ": empty app_id"),
+            (min(map(cores.index, faults), default=len(cores)), cores.__getitem__),
             *check("exec_time_s", times <= 0, "must be > 0, got"),
             *(check("dynamic_energy_j") if has_dynamic else check("total_energy_j")
               + check("static_power_w", number["static_power_w"] < 0, "must be >= 0, got")),
@@ -675,7 +520,7 @@ def _load_run_columns(path) -> Dataset:
                                              f"baseline)"),
             *chain.from_iterable(check(name, number[name] < 0, "negative count")
                                  for name in pmc_names),
-            (_first_repeat(keys()), duplicate),
+            (_first_repeat(keys, len(values)), duplicate),
         ])
     counts = _frozen(values[:, :len(pmc_names)])
     return Dataset._from_columns(pmc_names, counts, times, energies, app_ids, run_ids, cores, sizes)
@@ -720,7 +565,7 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
         del base_texts
         _raise_first_fault(path, row_numbers, [
             (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
-            (_first(_where(not_, compound_ids)), lambda i: ": empty compound_id"),
+            (_position(compound_ids, ""), lambda i: ": empty compound_id"),
             (_first(_where(_is_fault, bases_a)), bases_a.__getitem__),
             (_first(_where(_is_fault, bases_b)), bases_b.__getitem__),
             *check("dynamic_energy_j", energies < 0, "must be >= 0, got"),
@@ -735,61 +580,3 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
             compound_ids, bases_a, bases_b, _row_tuples(values[:, :-1]), energies.tolist()
         )
     ]
-
-
-def model_to_dict(model: EnergyModel) -> dict:
-    """The model-file document as a plain dict."""
-    return {
-        "kind": model.kind.value,
-        "pmc_names": list(model.pmc_names),
-        "intercept": model.intercept,
-        "coefficients": list(model.coefficients),
-    }
-
-
-def save_model(model: EnergyModel, path) -> None:
-    """Write a model file. Floats round-trip bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path) -> EnergyModel:
-    """Read a model file, enforcing the declared kind's invariants."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    missing = [k for k in ("kind", "pmc_names", "intercept", "coefficients") if k not in document]
-    if missing:
-        raise DataFormatError(f"{path}: missing keys: {', '.join(missing)}")
-    try:
-        kind = ModelKind(document["kind"])
-    except ValueError:
-        raise DataFormatError(
-            f"{path}: unknown kind {document['kind']!r}; expected one of "
-            f"{', '.join(k.value for k in ModelKind)}"
-        ) from None
-    names = document["pmc_names"]
-    coefficients = document["coefficients"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise DataFormatError(f"{path}: pmc_names must be a list of strings")
-    # A JSON number loads as an int or a float; float() would also take a
-    # string or a bool.
-    number = lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not isinstance(coefficients, list) or not all(map(number, coefficients)):
-        raise DataFormatError(f"{path}: coefficients must be a list of numbers")
-    if not number(document["intercept"]):
-        raise DataFormatError(f"{path}: intercept must be a number, got {document['intercept']!r}")
-    try:
-        return EnergyModel(
-            pmc_names=tuple(names),
-            intercept=float(document["intercept"]),
-            coefficients=tuple(float(c) for c in coefficients),
-            kind=kind,
-        )
-    except (OverflowError, ValueError) as exc:  # an integer too large for a float overflows
-        raise DataFormatError(f"{path}: {exc}") from None

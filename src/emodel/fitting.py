@@ -13,13 +13,13 @@ parameters problem, and no Q of the runs' size is ever formed.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from ._common import _csv_table, _finite_or_none, _Record
 from .core import Dataset, EnergyModel, ModelKind, PmcVector, _getter
+from .model import _positions, _predict_rows, predict
 
 __all__ = [
     "UNDEFINED",
@@ -313,106 +313,6 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
         coefficients=tuple(float(c) for c in coefficients),
         kind=kind,
     )
-
-
-def predict(model: EnergyModel, pmc: PmcVector) -> float:
-    """Predicted dynamic energy: intercept plus the coefficient dot product.
-
-    The vector may carry extra PMCs; every model PMC must be present. May be
-    negative for models whose constraints permit it.
-
-    The sum runs in a kernel of one statement per term (see :func:`_compile`)
-    once the model's PMCs have been met at the same positions before, and in
-    a loop with the same IEEE sequence until then. A kernel is kept for the
-    last (model names, vector names) pair, matched by identity. The pair and
-    its kernel live in one tuple, read once and replaced whole, so concurrent
-    callers each see a consistent entry.
-    """
-    global _last_kernel
-    wanted, names, kernel = _last_kernel
-    if model.pmc_names is not wanted or pmc.names is not names:
-        positions = _positions(model.pmc_names, pmc.names)
-        kernel = _kernel(positions)
-        if kernel is None:
-            total = model.intercept
-            for coefficient, position in zip(model.coefficients, positions):
-                total += coefficient * pmc.counts[position]
-            return total
-        _last_kernel = model.pmc_names, pmc.names, kernel
-    return kernel(model.intercept, model.coefficients, pmc.counts)
-
-
-_last_kernel: tuple = (None, None, None)  # not (): the empty tuple is a shared object
-
-#: At most this many kernels are compiled, and as many positions tuples are
-#: remembered as met once.
-_KERNELS = 64
-_kernels: dict = {}
-_met: set = set()
-
-
-def _kernel(positions: tuple[int, ...]):
-    """The compiled kernel for ``positions``, or None while they have been met
-    only once. A tuple is compiled the second time it is met, and its kernel
-    is kept for the life of the process: no tuple is compiled twice, so
-    rotating among more orders than fit costs a loop per call, not a compile.
-    Once ``_KERNELS`` kernels exist, other tuples always take the loop; the
-    tuples met once are forgotten together when ``_KERNELS`` of them pile up.
-    Concurrent callers may compile one tuple twice or pass the bound by a
-    few kernels; each kernel is a pure function, so no result changes."""
-    kernel = _kernels.get(positions)
-    if kernel is None and len(_kernels) < _KERNELS:
-        if positions in _met:
-            kernel = _kernels[positions] = _compile(positions)
-        else:
-            if len(_met) >= _KERNELS:
-                _met.clear()
-            _met.add(positions)
-    return kernel
-
-
-def _compile(positions: tuple[int, ...]):
-    """:func:`predict`'s sum for a vector whose model PMCs sit at ``positions``,
-    as straight-line code: ``total = intercept``, then one statement
-    ``total += coefficients[j] * counts[position]`` per term, in model order.
-    That is a loop's IEEE sequence without the loop. Only integers enter the
-    source; the model's values come in as arguments on every call, so no
-    float is printed and parsed back, and no kernel holds a model's values
-    (an equal model may differ in a zero's sign). One statement per term,
-    because one long expression overflows the compiler's recursion limit."""
-    source = "\n".join([
-        "def kernel(intercept, coefficients, counts):",
-        "    total = intercept",
-        *(f"    total += coefficients[{j}] * counts[{p}]" for j, p in enumerate(positions)),
-        "    return total",
-    ])
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["kernel"]
-
-
-def _predict_rows(intercept: float, coefficients: Sequence[float], counts: np.ndarray
-                  ) -> np.ndarray:
-    """:func:`predict` for each row of ``counts`` (columns: the model's PMCs,
-    in model order), bit for bit: the one array form of the model-order sum.
-    Totals start at the intercept and add ``coefficient * column`` one column
-    at a time, never a matrix product, which BLAS would sum in another order.
-    An overflow gives the scalar sum's inf or NaN, without a numpy warning."""
-    totals = np.full(len(counts), intercept, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, coefficient in enumerate(coefficients):
-            totals += coefficient * counts[:, j]
-    return totals
-
-
-@lru_cache(maxsize=64)
-def _positions(wanted: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
-    """The position in ``names`` of each name in ``wanted``."""
-    index = {name: i for i, name in enumerate(names)}
-    for name in wanted:
-        if name not in index:
-            raise KeyError(f"PMC {name!r} not present in vector")
-    return tuple(map(index.__getitem__, wanted))
 
 
 def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from emodel import (
     save_model,
     strong_composability_check,
 )
+from emodel import cli
 from emodel.additivity import report_to_json_dict
 from emodel.cli import _json_text, run_cli
 from emodel.core import _load_run_columns, model_to_dict
@@ -942,6 +944,51 @@ def test_installed_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"loss_pct": -10.0}
+
+
+# Calls cli.main() as the installed ``emodel`` script does, its fit handler
+# wrapped to write whether the cyclic collector runs before and after it.
+MAIN_WITH_TRACED_GC = (
+    "import gc, sys\n"
+    "from emodel import cli\n"
+    "handler = cli._cmd_fit\n"
+    "def traced(args):\n"
+    "    before = gc.isenabled()\n"
+    "    code = handler(args)\n"
+    "    sys.stderr.write(f'{before} {gc.isenabled()}')\n"
+    "    return code\n"
+    "cli._cmd_fit = traced\n"
+    "assert gc.isenabled()\n"
+    "cli.main()\n"
+)
+
+
+def test_main_runs_the_command_with_the_collector_off(files):
+    result = subprocess.run(
+        [sys.executable, "-c", MAIN_WITH_TRACED_GC, "fit", "--runs", files["runs_fit.csv"],
+         "--kind", "zero_intercept"], capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "False False")
+    assert json.loads(result.stdout)["coefficients"] == pytest.approx([2.0, 0.5])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("command", ["fit", "loss"])
+def test_run_cli_leaves_the_callers_collector_setting(files, capsys, monkeypatch, enabled,
+                                                      command):
+    argv = {"fit": ["fit", "--runs", files["runs_fit.csv"], "--kind", "zero_intercept"],
+            "loss": ["loss", "--alt", "90", "--ref", "100"]}[command]
+    handler, seen = getattr(cli, f"_cmd_{command}"), []
+    monkeypatch.setattr(cli, f"_cmd_{command}",
+                        lambda args: seen.append(gc.isenabled()) or handler(args))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(argv) == 0
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (seen, after) == ([enabled], enabled)
 
 
 def test_overflowing_repetition_sum_is_an_input_error(tmp_path):

@@ -670,6 +670,40 @@ def test_column_loader_matches_row_by_row_reference(tmp_path_factory, text):
                                      for g in range(len(groups))]
 
 
+@st.composite
+def runs_with_planted_key_faults(draw):
+    """A runs file of distinct valid rows into which up to three each of
+    repeated keys (the cores cell perhaps spelt another way), empty app_ids
+    and bad cores cells are planted, at random rows."""
+    with_run_id = draw(st.booleans())
+    rows = [[f"a{i % 3}", str(1 + i % 2), f"s{i}", "1.0", "2.0", str(i), "1"]
+            + ([f"r{i % 2}"] if with_run_id else []) for i in range(draw(st.integers(1, 40)))]
+    row = st.integers(0, len(rows) - 1)
+    for _ in range(draw(st.integers(0, 3)) if len(rows) > 1 else 0):
+        first, again = draw(st.lists(row, min_size=2, max_size=2, unique=True))
+        for j in (0, 2, 7)[:3 if with_run_id else 2]:
+            rows[again][j] = rows[first][j]
+        rows[again][1] = draw(st.sampled_from(["", "0", "+", " "])) + rows[first][1].strip(" +0")
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(row)][0] = draw(st.sampled_from(["", " "]))
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(row)][1] = draw(st.sampled_from(["0", "-1", "x", "1.5", ""]))
+    header = ["app_id", "cores", "problem_size", "exec_time_s", "dynamic_energy_j", "X1", "X2"]
+    return "\n".join(",".join(cells) for cells in [header + ["run_id"] * with_run_id] + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs_with_planted_key_faults())
+def test_key_faults_at_random_rows_match_row_by_row_reference(tmp_path_factory, text):
+    """The empty-app_id, cores and duplicate checks, decided from whole
+    columns, name the fault that checking row by row from the top names."""
+    path = tmp_path_factory.getbasetemp() / "planted_keys.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(load_runs_by_rows, path)
+    assert outcome(_load_run_columns, path) == expected
+    assert outcome(load_runs, path) == expected
+
+
 def test_rows_are_built_once_and_the_dataset_stays_frozen(tmp_path):
     dataset = _load_run_columns(write(tmp_path / "runs.csv", RUNS_CSV))
     assert "runs" not in vars(dataset)

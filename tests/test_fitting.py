@@ -18,7 +18,7 @@ from emodel import (
     nnls,
     predict,
 )
-from emodel import fitting
+from emodel import fitting, model as model_module
 from emodel.fitting import RANK_RATIO_THRESHOLD, UNDEFINED, ErrorSummary, _centred
 from helpers import (
     correlation_by_pairs,
@@ -745,12 +745,12 @@ def test_predict_compiles_an_order_once_and_only_when_met_again(monkeypatch):
     loop, never by compiling on every call. An order met again is compiled
     once and kept. Every result has the bits of the name-by-name sum."""
     compiled = []
-    compile_kernel = fitting._compile
-    monkeypatch.setattr(fitting, "_compile",
+    compile_kernel = model_module._compile
+    monkeypatch.setattr(model_module, "_compile",
                         lambda positions: compiled.append(positions) or compile_kernel(positions))
-    monkeypatch.setattr(fitting, "_kernels", {})
-    monkeypatch.setattr(fitting, "_met", set())
-    monkeypatch.setattr(fitting, "_last_kernel", (None, None, None))
+    monkeypatch.setattr(model_module, "_kernels", {})
+    monkeypatch.setattr(model_module, "_met", set())
+    monkeypatch.setattr(model_module, "_last_kernel", (None, None, None))
     rng = np.random.default_rng(19)
     names = tuple(f"C{i}" for i in range(14))
     model = EnergyModel(pmc_names=names, intercept=0.5, kind=ModelKind.UNCONSTRAINED,
@@ -761,14 +761,14 @@ def test_predict_compiles_an_order_once_and_only_when_met_again(monkeypatch):
     for call in range(2000):
         vector = vectors[call % len(vectors)]
         assert predict(model, vector).hex() == predict_by_names(model, vector).hex()
-    assert len(set(compiled)) == len(compiled) <= fitting._KERNELS
+    assert len(set(compiled)) == len(compiled) <= model_module._KERNELS
 
     before = len(compiled)
     for vector in [vectors[0]] * 5 + [vectors[1], vectors[0]] * 5:
         assert predict(model, vector).hex() == predict_by_names(model, vector).hex()
     assert len(compiled) - before <= 2 and len(set(compiled)) == len(compiled)
-    assert fitting._last_kernel[1] is vectors[0].names
-    assert fitting._last_kernel[2] in fitting._kernels.values()
+    assert model_module._last_kernel[1] is vectors[0].names
+    assert model_module._last_kernel[2] in model_module._kernels.values()
 
 
 def test_predict_missing_pmc():

@@ -3,7 +3,9 @@
 ``import emodel`` resolves its public names on first use, and each ``emodel``
 subcommand imports only the modules it runs: ``partition``, ``loss`` and
 ``stats`` need no numpy, nor :mod:`dataclasses`, :mod:`json` (unless the
-report is JSON) or :mod:`pathlib`. No command imports :mod:`dataclasses`.
+report is JSON) or :mod:`pathlib`; ``conserve`` without its composability
+probe and ``predict --counts`` need no numpy either, and the probe imports
+none of the loaders or the fitting code. No command imports :mod:`dataclasses`.
 """
 
 import importlib
@@ -32,6 +34,11 @@ MODEL = """{"kind": "zero_intercept", "pmc_names": ["X1", "X2"], "intercept": 0.
  "coefficients": [2.0, 0.5]}
 """
 
+# Breaks energy conservation: a nonzero intercept and a negative coefficient.
+BAD_MODEL = """{"kind": "unconstrained", "pmc_names": ["X1", "X2"], "intercept": 1.5,
+ "coefficients": [2.0, -0.5]}
+"""
+
 
 @pytest.fixture
 def inputs(tmp_path):
@@ -43,7 +50,7 @@ def inputs(tmp_path):
     )
     paths = {}
     for name, text in (("f1.csv", func1), ("f2.csv", func2), ("values.txt", "1.0 1.1\n0.9 1.0\n"),
-                       ("runs.csv", RUNS), ("model.json", MODEL)):
+                       ("runs.csv", RUNS), ("model.json", MODEL), ("bad.json", BAD_MODEL)):
         (tmp_path / name).write_text(text, encoding="utf-8")
         paths[name] = str(tmp_path / name)
     return paths
@@ -52,22 +59,29 @@ def inputs(tmp_path):
 PARTITION = ["partition", "--func1", "f1.csv", "--func2", "f2.csv", "--n", "4096"]
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(PARTITION, id="partition"),
-    pytest.param(PARTITION + ["--interpolate"], id="partition-interpolate"),
-    pytest.param(PARTITION + ["--format", "json"], id="partition-json"),
-    pytest.param(["loss", "--alt", "90", "--ref", "100"], id="loss"),
-    pytest.param(["stats", "--values", "1.0,1.1,0.9,1.0,1.05"], id="stats-values"),
-    pytest.param(["stats", "--values-file", "values.txt", "--format", "csv"],
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(PARTITION, 0, id="partition"),
+    pytest.param(PARTITION + ["--interpolate"], 0, id="partition-interpolate"),
+    pytest.param(PARTITION + ["--format", "json"], 0, id="partition-json"),
+    pytest.param(["loss", "--alt", "90", "--ref", "100"], 0, id="loss"),
+    pytest.param(["stats", "--values", "1.0,1.1,0.9,1.0,1.05"], 0, id="stats-values"),
+    pytest.param(["stats", "--values-file", "values.txt", "--format", "csv"], 0,
                  id="stats-values-file"),
+    pytest.param(["conserve", "--model", "model.json"], 0, id="conserve-clean"),
+    pytest.param(["conserve", "--model", "bad.json"], 2, id="conserve-violations"),
+    pytest.param(["conserve", "--model", "bad.json", "--format", "csv"], 2, id="conserve-csv"),
+    pytest.param(["predict", "--model", "bad.json", "--counts", "X2=4,X1=1"], 0,
+                 id="predict-counts"),
 ])
-def test_subcommand_runs_without_numpy(inputs, argv):
+def test_subcommand_runs_without_numpy(inputs, argv, code):
     argv = [inputs.get(arg, arg) for arg in argv]
     normal = subprocess.run([sys.executable, "-m", "emodel.cli", *argv], capture_output=True)
     blocked = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv], capture_output=True)
-    assert (normal.returncode, normal.stderr) == (0, b"")
-    assert (blocked.returncode, blocked.stderr) == (0, b"")
+    assert (normal.returncode, normal.stderr) == (code, b"")
+    assert (blocked.returncode, blocked.stderr) == (code, b"")
     assert blocked.stdout == normal.stdout
+    if argv[0] == "conserve" and code:
+        assert b"negative_prediction_witness" in normal.stdout
 
 
 def loaded_emodel_modules(argv):
@@ -81,7 +95,8 @@ def loaded_emodel_modules(argv):
     return result.returncode, {name for name in names if name.split(".")[0] == "emodel"}
 
 
-BASE = {"emodel", "emodel._cache", "emodel._common", "emodel.core"}
+BASE = {"emodel", "emodel._cache", "emodel._common", "emodel.core", "emodel.model"}
+NUMPY_FREE_MODEL = {"emodel", "emodel._common", "emodel.model"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -90,9 +105,11 @@ BASE = {"emodel", "emodel._cache", "emodel._common", "emodel.core"}
     pytest.param(["fit", "--runs", "runs.csv", "--kind", "zero_intercept"],
                  BASE | {"emodel.fitting"}, id="fit"),
     pytest.param(["predict", "--model", "model.json", "--counts", "X1=1,X2=2"],
-                 BASE | {"emodel.fitting"}, id="predict"),
+                 NUMPY_FREE_MODEL, id="predict"),
+    pytest.param(["predict", "--model", "model.json", "--runs", "runs.csv"], BASE,
+                 id="predict-runs"),
     pytest.param(["conserve", "--model", "model.json"],
-                 BASE | {"emodel.fitting", "emodel.conservation"}, id="conserve"),
+                 NUMPY_FREE_MODEL | {"emodel.conservation"}, id="conserve"),
     pytest.param(PARTITION, {"emodel", "emodel._common", "emodel.partitioning"}, id="partition"),
 ])
 def test_subcommand_imports_only_its_modules(inputs, argv, modules):
@@ -154,6 +171,14 @@ def test_numpy_commands_import_no_dataclasses(inputs, argv):
     assert "numpy" in modules and "dataclasses" not in modules, sorted(modules)
 
 
+def test_composability_probe_imports_no_loader_or_fitting(inputs):
+    """The probe needs numpy, but not the runs loaders, the parse cache or the fits."""
+    code, modules = new_modules(["conserve", "--model", inputs["model.json"],
+                                 "--composability-trials", "100", "--seed", "1"])
+    assert code == 0 and {"numpy", "emodel.conservation"} <= modules, sorted(modules)
+    assert not {"emodel.core", "emodel._cache", "emodel.fitting"} & modules, sorted(modules)
+
+
 def test_a_clean_additivity_run_imports_no_statistics(inputs):
     """Only a CoV near the stage-1 bound is recomputed with statistics.stdev."""
     code, modules = new_modules(["additivity", "--runs", inputs["runs.csv"]])
@@ -162,18 +187,24 @@ def test_a_clean_additivity_run_imports_no_statistics(inputs):
     assert not {"statistics", "decimal", "fractions"} & modules, sorted(modules)
 
 
-def test_import_emodel_defers_numpy():
+def test_import_emodel_defers_numpy(tmp_path):
     code = (
         "import sys\n"
         "import emodel\n"
         "assert not {'numpy', 'emodel.core'} & set(sys.modules), sorted(sys.modules)\n"
         "assert set(emodel.__all__) <= set(dir(emodel))\n"
         "emodel.energy_loss, emodel.sample_mean_ci, emodel.DataFormatError, emodel.ModelKind\n"
-        "assert 'numpy' not in sys.modules\n"
+        "model = emodel.EnergyModel(('X1', 'X2'), 1.0, (2.0, -0.5), 'unconstrained')\n"
+        "emodel.save_model(model, sys.argv[1])\n"
+        "assert emodel.load_model(sys.argv[1]) == model\n"
+        "assert emodel.predict(model, emodel.PmcVector(('X2', 'X1'), (4.0, 1.0))) == 1.0\n"
+        "assert not emodel.check_conservation(model).clean\n"
+        "assert not {'numpy', 'emodel.core', 'emodel.fitting'} & set(sys.modules)\n"
         "emodel.fit\n"
         "assert 'numpy' in sys.modules\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "model.json")],
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 

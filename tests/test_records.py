@@ -150,3 +150,15 @@ def test_constructors_normalise_their_fields():
     assert (dataset.pmc_names, dataset.runs, dataset.compounds) == (("X1", "X2"), (RUN_A,), ())
     assert "runs" in vars(dataset) and "counts" in vars(dataset)
     assert RunRef("a", CONFIG) == RUN_A.ref
+
+
+def test_records_pickled_under_emodel_core_still_load():
+    """The run records and the model moved from ``emodel.core`` to
+    ``emodel.model``; a pickle that names them in ``emodel.core`` loads as
+    the same classes, through the re-exports."""
+    model = EnergyModel(["X1", "X2"], 0, [1, 2.5], "zero_intercept_nonneg")
+    for record in (VECTOR, CONFIG, RUN_A, RUN_A.ref, COMPOUND, model):
+        data = pickle.dumps(record, protocol=0)
+        assert b"emodel.model\n" in data
+        old = pickle.loads(data.replace(b"emodel.model\n", b"emodel.core\n"))
+        assert type(old) is type(record) and old == record
