@@ -13,16 +13,21 @@ Each handler imports the library modules it runs, so a process pays only for
 its own subcommand: ``partition``, ``loss``, ``stats``, ``predict --counts`` and
 ``conserve`` without its probe never import numpy, and a report imports :mod:`json`
 only when it is written as JSON. :func:`main`, unlike :func:`run_cli`, turns the
-cyclic garbage collector off: a one-shot process frees nothing in a cycle.
+cyclic garbage collector off (a one-shot process frees nothing in a cycle), flushes
+stdout and stderr, and ends in :func:`os._exit`: an ``emodel`` process runs no
+:mod:`atexit` handlers. A report it cannot write is an ``emodel: error:`` line, exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
+import os
 import re
 import sys
+from itertools import islice
 from typing import Iterable, Iterator
 
 from ._common import DataFormatError, ModelKind, _csv_table, _finite_or_none
@@ -88,6 +93,8 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
+    elif sys.stdout is None:
+        raise OSError("stdout is closed")
     else:
         sys.stdout.writelines(pieces)
 
@@ -118,22 +125,26 @@ def _finite_or_null(value):
 #: ``json.dumps(..., indent=2)`` lays out the record's dict.
 _PREDICTION = ('    {\n      "app_id": %s,\n      "run_id": %s,\n      "cores": %d,\n'
                '      "problem_size": %s,\n      "prediction_j": %s\n    }')
+#: Records per piece of the ``predict --runs`` JSON report.
+_BLOCK = 512
 
 
 def _predictions_json(rows) -> Iterator[str]:
     """The ``predict --runs`` JSON report on ``(app_id, run_id, cores,
-    problem_size, prediction_j)`` rows, one record at a time: the bytes of
-    :func:`_json_text` on ``{"predictions": [...]}`` with a dict per row,
+    problem_size, prediction_j)`` rows, :data:`_BLOCK` records per piece: the
+    bytes of :func:`_json_text` on ``{"predictions": [...]}`` with a dict per row,
     without the dicts. Strings go through the json module's ASCII escaper,
     numbers are their repr, and None or a non-finite prediction is null."""
     from json.encoder import encode_basestring_ascii as quote
 
+    records = (_PREDICTION % (
+        quote(app_id), "null" if run_id is None else quote(run_id), cores, quote(size),
+        repr(value) if math.isfinite(value) else "null")
+        for app_id, run_id, cores, size, value in rows)
     yield '{\n  "predictions": ['
     separator = "\n"
-    for app_id, run_id, cores, size, value in rows:
-        yield separator + _PREDICTION % (
-            quote(app_id), "null" if run_id is None else quote(run_id), cores, quote(size),
-            repr(value) if math.isfinite(value) else "null")
+    while block := ",\n".join(islice(records, _BLOCK)):
+        yield separator + block
         separator = ",\n"
     yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
@@ -433,8 +444,21 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
+    """``emodel``: :func:`run_cli` on ``sys.argv``, then flush and :func:`os._exit`."""
     gc.disable()
-    sys.exit(run_cli(sys.argv[1:]))
+    code = 1
+    try:
+        code = run_cli(sys.argv[1:])
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # no room for the report, or for run_cli's error message
+        if code != 1:  # code 1: run_cli has reported an error, or stderr failed
+            code = 1
+            with contextlib.suppress(OSError):
+                print(f"emodel: error: {exc}", file=sys.stderr)
+    with contextlib.suppress(AttributeError, OSError):  # stderr is closed or full
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -991,6 +991,114 @@ def test_run_cli_leaves_the_callers_collector_setting(files, capsys, monkeypatch
     assert (seen, after) == ([enabled], enabled)
 
 
+# --- the emodel process: main() flushes, then ends in os._exit ------------------
+
+
+def emodel_process(argv, unbuffered="1", **streams):
+    """``python -m emodel.cli argv`` as a child, with PYTHONUNBUFFERED set to
+    ``unbuffered`` or, for None, unset; stdout and stderr are captured unless
+    ``streams`` says otherwise."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-m", "emodel.cli", *argv], env=env, **streams)
+
+
+@pytest.fixture
+def predictions(files):
+    """A runs file of 1,300 rows, more than two blocks of the JSON prediction report."""
+    path = files["dir"] / "runs_many.csv"
+    path.write_text(RUNS_FIT.splitlines()[0] + "\n" + "".join(
+        f"app{i},r1,2,1024,1.0,{2.0 * i + 0.5 * (i % 9)!r},{i},{i % 9}\n"
+        for i in range(1300)), encoding="utf-8")
+    files["runs_many.csv"] = str(path)
+    return files
+
+
+MAIN_CASES = [
+    pytest.param(["fit", "--runs", "runs_fit.csv", "--kind", "zero_intercept_nonneg"], 0,
+                 id="fit"),
+    pytest.param(["predict", "--model", "clean.json", "--runs", "runs_many.csv"], 0,
+                 id="predict-runs"),
+    pytest.param(["partition", "--func1", "f1.csv", "--func2", "f2.csv", "--n", "4096"], 0,
+                 id="partition"),
+    pytest.param(["loss", "--alt", "90", "--ref", "100"], 0, id="loss"),
+    pytest.param(["loss", "--alt", "90"], 1, id="usage-error"),
+    pytest.param(["conserve", "--model", "dirty.json"], 2, id="conserve-violations"),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", MAIN_CASES)
+def test_main_gives_run_clis_bytes_and_exit_code(predictions, capsys, argv, code, unbuffered):
+    argv = [predictions.get(arg, arg) for arg in argv]
+    child = emodel_process(argv, unbuffered)
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert (child.returncode, child.stdout, child.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["predict", "--model", "clean.json", "--runs", "runs_many.csv"], id="predict"),
+    pytest.param(["fit", "--runs", "runs_many.csv", "--kind", "zero_intercept"], id="fit"),
+])
+def test_main_leaves_an_out_file_complete(predictions, capsys, argv):
+    argv = [predictions.get(arg, arg) for arg in argv]
+    out = predictions["dir"] / "report.txt"
+    child = emodel_process([*argv, "--out", str(out)])
+    assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+    assert run_cli(argv) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def test_run_cli_returns_and_never_ends_the_process(files, monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) called in process")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    assert run_cli(["loss", "--alt", "90", "--ref", "100"]) == 0
+    assert run_cli(["loss", "--alt", "90"]) == 1
+    assert run_cli(["conserve", "--model", files["dirty.json"]]) == 2
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+NO_SPACE = b"emodel: error: [Errno 28] No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["loss", "--alt", "1", "--ref", "2"], id="loss"),
+    pytest.param(["predict", "--model", "clean.json", "--runs", "runs_many.csv"], id="predict"),
+])
+def test_a_full_stdout_is_one_error_line_and_exit_1(predictions, argv, unbuffered):
+    argv = [predictions.get(arg, arg) for arg in argv]
+    with open("/dev/full", "wb") as full:
+        child = emodel_process(argv, unbuffered, stdout=full)
+    assert (child.returncode, child.stderr) == (1, NO_SPACE)
+
+
+def test_a_closed_stdout_is_one_error_line_and_exit_1():
+    child = emodel_process(["loss", "--alt", "1", "--ref", "2"], stdout=None,
+                           preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr) == (1, b"emodel: error: stdout is closed\n")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, full_stdout", [
+    pytest.param(["loss", "--alt", "1"], False, id="usage-error"),
+    pytest.param(["loss", "--alt", "1", "--ref", "2"], True, id="full-stdout"),
+])
+def test_a_full_stderr_still_exits_1(argv, full_stdout, unbuffered):
+    with open("/dev/full", "wb") as full:
+        streams = {"stdout": full, "stderr": full} if full_stdout else {"stderr": full}
+        child = emodel_process(argv, unbuffered, **streams)
+    assert child.returncode == 1
+
+
 def test_overflowing_repetition_sum_is_an_input_error(tmp_path):
     runs = tmp_path / "huge.csv"
     runs.write_text(

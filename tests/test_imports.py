@@ -116,24 +116,34 @@ def test_subcommand_imports_only_its_modules(inputs, argv, modules):
     assert loaded_emodel_modules([inputs.get(arg, arg) for arg in argv]) == (0, modules)
 
 
-# Runs ``emodel.cli`` as ``python -m`` does, then writes to stderr the modules
-# it imported beyond those of the interpreter's start-up (which differ with the
-# installation: a .pth file may import pathlib, say).
+# Runs ``emodel.cli`` as ``python -m`` does and writes to stderr the modules it
+# imported beyond those of the interpreter's start-up (which differ with the
+# installation: a .pth file may import pathlib, say). ``cli.main`` ends the
+# process with ``os._exit``, which runs no ``finally``, so the list is written
+# by a wrapper around ``os._exit`` before the real one is called.
 NEW_MODULES = (
-    "import runpy, sys\n"
+    "import os, runpy, sys\n"
     "before = set(sys.modules)\n"
-    "try:\n"
-    "    runpy.run_module('emodel.cli', run_name='__main__')\n"
-    "finally:\n"
+    "real_exit = os._exit\n"
+    "def listing_exit(code):\n"
     "    sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+    "    sys.stderr.flush()\n"
+    "    real_exit(code)\n"
+    "os._exit = listing_exit\n"
+    "runpy.run_module('emodel.cli', run_name='__main__')\n"
 )
 
 
 def new_modules(argv):
-    """Exit code and the modules that ``python -m emodel.cli`` imports."""
+    """Exit code and the modules that ``python -m emodel.cli`` imports. Run as
+    ``__main__``, ``emodel.cli`` never enters ``sys.modules``; the ``emodel._common``
+    it imports at module level (``import emodel`` does not) shows that the list
+    was written after the command ran."""
     result = subprocess.run([sys.executable, "-c", NEW_MODULES, *argv], capture_output=True,
                             text=True)
-    return result.returncode, set(result.stderr.split())
+    modules = set(result.stderr.split())
+    assert "emodel._common" in modules, result.stderr
+    return result.returncode, modules
 
 
 #: Modules a numpy-free command has no use for; json only for a JSON report.

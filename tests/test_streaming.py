@@ -4,7 +4,7 @@ The reader splits plain lines at their commas and leaves every other line to
 the csv module; it must give what ``csv.reader`` gives on the whole file. The
 loaders parse each row as it is read, so a load's memory follows the numbers it
 keeps, not the cells it reads. The JSON report of ``predict --runs`` is written
-one record at a time and must keep the bytes of the indented ``json`` output.
+in blocks of records and must keep the bytes of the indented ``json`` output.
 """
 
 import csv
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from emodel import DataFormatError, load_compounds, load_runs
 from emodel._common import _read_csv, _read_table
-from emodel.cli import _json_text, _predictions_json
+from emodel.cli import _BLOCK, _json_text, _predictions_json
 from emodel.core import _load_run_columns
 from helpers import load_runs_by_rows
 
@@ -266,12 +266,29 @@ PREDICTIONS = st.one_of(st.floats(), st.sampled_from(
      math.inf, -math.inf, math.nan, 0.1]))
 
 
+def numbered_rows(count):
+    """``count`` rows around the report's block size, with a null run id, an
+    escaped string and a non-finite prediction among them."""
+    return [(f"app{i}", None if i % 5 == 0 else f"r\t{i}", i % 8 + 1, str(i),
+             math.inf if i % 7 == 3 else i / 3) for i in range(count)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(TEXT, st.none() | TEXT, st.integers(1, 10 ** 6), TEXT, PREDICTIONS),
                 max_size=5))
 @example([])
 @example([("a\"b\\c", None, 2, "é\x01", -0.0), ("x", "r1", 1, "", math.nan),
           ("y", "", 3, "s", math.inf), ("z", "r2", 4, "t", 5e-324)])
+@example(numbered_rows(1))
+@example(numbered_rows(511))
+@example(numbered_rows(512))
+@example(numbered_rows(513))
+@example(numbered_rows(1025))
 def test_prediction_report_keeps_the_indented_json_bytes(rows):
+    """Whatever the row count, the report keeps its bytes, in one piece for the
+    opening, one per block of :data:`_BLOCK` records and one for the close."""
+    assert _BLOCK == 512
     expected = _json_text({"predictions": [dict(zip(FIELDS, row)) for row in rows]})
-    assert "".join(_predictions_json(iter(rows))) == expected
+    pieces = list(_predictions_json(iter(rows)))
+    assert "".join(pieces) == expected
+    assert len(pieces) == 2 + -(-len(rows) // _BLOCK)
