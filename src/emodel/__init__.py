@@ -54,11 +54,11 @@ _EXPORTS = {
     # model fitting
     "UNDEFINED": "fitting",
     "CorrelationMatrix": "fitting",
-    "ErrorSummary": "fitting",
+    "ErrorSummary": "model",
     "correlation_matrix": "fitting",
     "fit": "fitting",
     "predict": "model",
-    "evaluate": "fitting",
+    "evaluate": "model",
     "nnls": "fitting",
     # conservation and composability
     "Operator": "conservation",

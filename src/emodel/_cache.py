@@ -1,21 +1,22 @@
-"""A cache of parsed runs and compounds files, keyed by their content.
+"""A cache of checked loads of runs and compounds files, keyed by their content.
 
 Every ``emodel`` command is its own process, so a pipeline over one runs file
-parses that file once per command. Here a loader's parse of a whole file is
-kept: the float64 matrix of its number columns, its stripped text columns and
-its row numbers. The key is a BLAKE2b digest of the file's bytes together with
-the parse spec (the header width and the positions of the number and text
-columns) and :data:`VERSION`. A later load of the same bytes under the same
-spec reads the entry and skips the CSV parse. The loader then runs every check
-on the same arrays, so a hit gives the same dataset, the same faults and the
-same reports as a parse.
+loads that file once per command. Here a load that passed every check is
+kept: its float64 columns and its other columns, as the loader gives them to
+its result. The key is a BLAKE2b digest of the file's bytes together with the
+load's spec (what kind of file, and for compounds the key of the runs they
+were resolved against) and :data:`VERSION`. A later load of the same bytes
+under the same spec reads the entry and builds its result from it, with no
+parse and no check: the checks passed on those bytes, and the entry holds what
+they passed. A file with a fault is never kept, so it is parsed, and its fault
+found, on every load. Reading an entry needs no numpy.
 
 Entries live in ``$XDG_CACHE_HOME/emodel`` (``~/.cache/emodel`` by default),
-and removing them is always safe. Each entry is a header, the matrix as raw
-little-endian float64 bytes, then the text columns and row numbers as JSON.
-The header holds the CRC-32 of everything after it, so an entry with any
-damaged bit misses. Nothing is pickled. Whatever keeps the cache from working
-leaves the load to parse the file as before, silently: a missing, short,
+and removing them is always safe. Each entry is a header, the float columns
+as raw little-endian float64 bytes, then the other columns as JSON. The
+header holds the CRC-32 of everything after it, so an entry with any damaged
+bit misses. Nothing is pickled. Whatever keeps the cache from working leaves
+the load to parse and check the file as before, silently: a missing, short,
 damaged or unreadable entry, a directory that cannot be written or that is
 not the user's own, or a path that is not a regular file.
 """
@@ -25,10 +26,9 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 import zlib
 from array import array
-
-import numpy as np
 
 try:
     # hashlib would load OpenSSL, which costs every loading process about 3.5 MiB.
@@ -36,14 +36,15 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-#: Changed whenever a parse or an entry's layout changes, so older entries miss.
-VERSION = 2
+#: Changed whenever a load or an entry's layout changes, so older entries miss.
+VERSION = 3
 #: The number of entries kept: a write beyond it removes the oldest by mtime.
 MAX_ENTRIES = 16
 
-_MAGIC = b"emodel parse\n"
-# Then the CRC-32 of the rest of the entry, and the row count: little-endian,
-# in 4 and 8 bytes.
+_MAGIC = b"emodel checked load\n"
+# Then the CRC-32 of the rest of the entry, and the count of its float64
+# values: little-endian, in 4 and 8 bytes. The 32 bytes keep the floats of an
+# entry read whole 8-byte aligned, as numpy views of them want.
 _HEADER = len(_MAGIC) + 4 + 8
 _CHUNK = 1 << 18
 
@@ -85,47 +86,42 @@ def _key(fd: int, spec: tuple) -> str:
     return digest.hexdigest()
 
 
-def _read(path: str, columns: int, text_columns: int):
-    """The parse kept at ``path``, or None when the entry is missing, not
-    whole or damaged."""
+def _floats(data) -> memoryview:
+    """Little-endian float64 bytes as a read-only memoryview of native doubles:
+    the bytes themselves, or a swapped copy on a big-endian machine."""
+    if sys.byteorder == "little":
+        return memoryview(data).cast("d").toreadonly()
+    swapped = array("d", bytes(data))
+    swapped.byteswap()
+    return memoryview(swapped).toreadonly()
+
+
+def _read(path: str):
+    """The floats and the document kept at ``path``, or None when the entry is
+    missing, not whole or damaged."""
     try:
         with open(path, "rb") as fh:
-            head = fh.read(_HEADER)
-            rows = int.from_bytes(head[-8:], "little")
-            size = _HEADER + 8 * rows * columns
-            if head[:len(_MAGIC)] != _MAGIC or os.fstat(fh.fileno()).st_size <= size:
-                return None
-            floats = bytearray(size - _HEADER)
-            if fh.readinto(floats) != len(floats):
-                return None
-            rest = fh.read()
-        if _checksum(head[-8:], floats, rest) != head[len(_MAGIC):-8]:
+            whole = fh.read()
+        end = _HEADER + 8 * int.from_bytes(whole[_HEADER - 8:_HEADER], "little")
+        crc = zlib.crc32(memoryview(whole)[len(_MAGIC) + 4:]).to_bytes(4, "little")
+        if whole[:len(_MAGIC)] != _MAGIC or len(whole) <= end or (
+                crc != whole[len(_MAGIC):_HEADER - 8]):
             return None
-        texts, row_numbers = json.loads(rest)
-        if len(texts) != text_columns or len(row_numbers) != rows or any(
-                len(column) != rows for column in texts):
-            return None
-        matrix = np.frombuffer(floats, dtype="<f8").reshape(rows, columns)
-        return matrix.astype(float, copy=False), texts, array("q", row_numbers), None
-    except (OSError, ValueError, TypeError):
+        return _floats(memoryview(whole)[_HEADER:end]), json.loads(whole[end:])
+    except (OSError, ValueError):
         return None
 
 
-def _checksum(rows: bytes, floats, rest: bytes) -> bytes:
-    """The CRC-32 of an entry's row count, matrix and JSON, as 4 little-endian bytes."""
-    return zlib.crc32(rest, zlib.crc32(floats, zlib.crc32(rows))).to_bytes(4, "little")
-
-
-def _write(directory: str, key: str, matrix: np.ndarray, texts, row_numbers) -> None:
-    """Keep a parse: written whole to a temporary file, then renamed into place."""
+def _write(directory: str, key: str, data: bytes, document) -> None:
+    """Keep a load: written whole to a temporary file, then renamed into place."""
     temporary = os.path.join(directory, f".{key}.{os.getpid()}")
-    rows = len(matrix).to_bytes(8, "little")
-    floats = np.ascontiguousarray(matrix, dtype="<f8").data
-    rest = json.dumps([texts, row_numbers.tolist()], separators=(",", ":")).encode()
+    count = (len(data) // 8).to_bytes(8, "little")
+    rest = json.dumps(document, separators=(",", ":")).encode()
+    crc = zlib.crc32(rest, zlib.crc32(data, zlib.crc32(count))).to_bytes(4, "little")
     try:
         with open(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "wb") as fh:
-            fh.write(_MAGIC + _checksum(rows, floats, rest) + rows)
-            fh.write(floats)
+            fh.write(_MAGIC + crc + count)
+            fh.write(data)
             fh.write(rest)
         os.replace(temporary, os.path.join(directory, key))
     except BaseException:
@@ -145,34 +141,34 @@ def _write(directory: str, key: str, matrix: np.ndarray, texts, row_numbers) -> 
                 pass
 
 
-def cached_parse(rows, spec: tuple[int, tuple[int, ...], tuple[int, ...]], parse):
-    """``parse()``, a loader's parse of the rows that ``_read_csv`` gives
-    under ``spec`` (header width, number positions, text positions), or its
-    result as an earlier parse of the same bytes under the same spec kept it.
-    The result of a parse that read to the end of the file (the fourth item
-    is None) is kept, unless the file changed while it was read. So when an
-    entry is found, the rest of the file reads cleanly: the rows are marked
-    ``clean``, and a fault the loader finds does not read it."""
+def cached_load(file, spec: tuple, load):
+    """``(key, floats, document)`` for the open ``file`` (None: no cache):
+    as an earlier load of the same bytes under the same ``spec`` kept them,
+    or as ``load()`` gives them, as little-endian float64 bytes and a JSON
+    document. ``load()`` parses and checks the file; what it returns is kept,
+    unless the file changed while it was read, and what it raises is never
+    kept. ``key`` is the digest the entry is kept under (None when there is
+    no cache for this file), and ``floats`` a read-only memoryview of doubles."""
+    key = None
     try:
-        fd = rows.file.fileno()
-        before = _stamp(fd)
-        directory = _directory() if stat.S_ISREG(before[0]) else None
-        key = _key(fd, spec) if directory else None
-        if _stamp(fd) != before:
-            key = None
+        if file is not None:
+            fd = file.fileno()
+            before = _stamp(fd)
+            directory = _directory() if stat.S_ISREG(before[0]) else None
+            if directory:
+                key = _key(fd, spec)
+                if _stamp(fd) != before:
+                    key = None
     except OSError:
         key = None
-    if key is None:
-        return parse()
-    kept = _read(os.path.join(directory, key), len(spec[1]), len(spec[2]))
-    if kept is not None:
-        rows.clean = True
-        return kept
-    result = parse()
-    matrix, texts, row_numbers, stopped = result
+    if key is not None:
+        kept = _read(os.path.join(directory, key))
+        if kept is not None:
+            return (key, *kept)
+    data, document = load()
     try:
-        if stopped is None and _stamp(fd) == before:
-            _write(directory, key, matrix, texts, row_numbers)
+        if key is not None and _stamp(fd) == before:
+            _write(directory, key, data, document)
     except OSError:
         pass
-    return result
+    return key, _floats(data), document

@@ -140,14 +140,12 @@ def _records(path, fh) -> Iterator[list[str]]:
 
 class _Rows:
     """The ``(row number, cells)`` pairs that :func:`_read_csv` gives, and the
-    open ``file`` they are read from. ``clean`` is set once the rest of the
-    file is known to read without a fault (the parse cache holds a whole read
-    of its bytes), so that a fault raised in the block need not read it."""
+    open ``file`` they are read from."""
 
-    __slots__ = ("file", "_rows", "clean")
+    __slots__ = ("file", "_rows")
 
     def __init__(self, file, rows: Iterator[tuple[int, list[str]]]):
-        self.file, self._rows, self.clean = file, rows, False
+        self.file, self._rows = file, rows
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         return self._rows
@@ -163,8 +161,7 @@ def _read_csv(path) -> Iterator[tuple[list[str], _Rows]]:
     and blank rows count). A :class:`DataFormatError` raised in the block
     first reads the rest of the file, so that a read fault further on (text
     that is not UTF-8, or a csv error) takes its place: every fault comes in
-    the order it would if the whole file were read before any check, unless
-    the rows are marked ``clean``."""
+    the order it would if the whole file were read before any check."""
     with open(path, newline="", encoding="utf-8") as fh:
         records = _records(path, fh)
         rows = _Rows(fh, ((number, cells) for number, cells in enumerate(records, 2)
@@ -175,9 +172,8 @@ def _read_csv(path) -> Iterator[tuple[list[str], _Rows]]:
                 raise DataFormatError(f"{path}: no header")
             yield header, rows
         except DataFormatError:
-            if not rows.clean:
-                for _ in records:
-                    pass
+            for _ in records:
+                pass
             raise
 
 

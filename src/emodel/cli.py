@@ -11,11 +11,13 @@ holds per machine and BLAS build.
 
 Each handler imports the library modules it runs, so a process pays only for
 its own subcommand: ``partition``, ``loss``, ``stats``, ``predict --counts`` and
-``conserve`` without its probe never import numpy, and a report imports :mod:`json`
-only when it is written as JSON. :func:`main`, unlike :func:`run_cli`, turns the
-cyclic garbage collector off (a one-shot process frees nothing in a cycle), flushes
-stdout and stderr, and ends in :func:`os._exit`: an ``emodel`` process runs no
-:mod:`atexit` handlers. A report it cannot write is an ``emodel: error:`` line, exit 1.
+``conserve`` without its probe never import numpy; ``predict --runs`` and
+``evaluate`` import it only when the parse cache misses and their files are
+parsed and checked; and a report imports :mod:`json` only when it is written as
+JSON. :func:`main`, unlike :func:`run_cli`, turns the cyclic garbage collector
+off (a one-shot process frees nothing in a cycle), flushes stdout and stderr,
+and ends in :func:`os._exit`: an ``emodel`` process runs no :mod:`atexit`
+handlers. A report it cannot write is an ``emodel: error:`` line, exit 1.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .model import _positions, _predict_rows, load_model, predict
+    from .model import _predict_each, load_model, predict
 
     model = load_model(args.model)
     if args.counts:
@@ -230,11 +232,9 @@ def _cmd_predict(args) -> int:
 
     from .core import _load_run_columns
     dataset = _load_run_columns(args.runs)
-    values = []
-    if dataset.app_id:  # a file without rows has no PMC to look up
-        counts = dataset.counts[:, list(_positions(model.pmc_names, dataset.pmc_names))]
-        values = _predict_rows(model.intercept, model.coefficients, counts).tolist()
-    rows = zip(dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size, values)
+    counts, _, _ = dataset._python_columns()
+    rows = zip(dataset.app_id, dataset.run_id, dataset.cores, dataset.problem_size,
+               _predict_each(model, dataset.pmc_names, counts))
     if args.format == "csv":
         text = _csv_table(("app_id", "run_id", "cores", "problem_size", "prediction_j"), rows)
     else:
@@ -244,8 +244,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .core import _load_run_columns, load_compounds, load_model
-    from .fitting import _evaluate_rows, evaluate
+    from .core import _load_run_columns, load_compounds
+    from .model import _error_summary, _predict_each, evaluate, load_model
 
     model = load_model(args.model)
     dataset = _load_run_columns(args.runs)
@@ -253,7 +253,8 @@ def _cmd_evaluate(args) -> int:
         compounds = load_compounds(args.compounds, dataset)
         summary = evaluate(model, [(c.pmc, c.dynamic_energy_j) for c in compounds])
     else:
-        summary = _evaluate_rows(model, dataset.pmc_names, dataset.counts, dataset.dynamic_energy_j)
+        counts, _, energies = dataset._python_columns()
+        summary = _error_summary(zip(_predict_each(model, dataset.pmc_names, counts), energies))
     _emit(_one_row(summary.to_json_dict(), args.format), args.out)
     return 0
 

@@ -6,20 +6,26 @@ runs file defines the variable order everywhere downstream, so loading is
 strictly order-preserving and deterministic: identical bytes produce an
 identical :class:`Dataset`. The run records, the model and its file are
 defined in the numpy-free :mod:`emodel.model` and re-exported here.
+
+A runs or compounds load that finds its file's bytes in the parse cache
+(:mod:`emodel._cache`) reads the checked columns kept there and imports no
+numpy: a dataset's float columns become numpy arrays only on first access,
+and its rows and the compounds are built without them. Only a load that
+misses, and so parses and checks the file, imports numpy here, as the group
+index and the group means do.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from ._cache import cached_parse
+from ._cache import cached_load
 from ._common import DataFormatError, ModelKind, _gc_paused, _read_csv, _Record, _row_again
 from .model import (AggregatedRun, ApplicationRun, CompoundRun, EnergyModel, PmcVector, RunConfig,
                     RunRef, load_model, model_to_dict, save_model)
@@ -43,20 +49,20 @@ __all__ = [
 ]
 
 
-def _row_tuples(matrix: np.ndarray) -> Iterator[tuple[float, ...]]:
+def _row_tuples(matrix) -> Iterator[tuple[float, ...]]:
     """The rows of a matrix as tuples of floats, one at a time: converting all
     rows first would leave as many lists for the garbage collector to scan."""
     return (tuple(row.tolist()) for row in matrix)
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only ``float64`` copy of ``values``, holding no view of a larger matrix."""
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
+def _unpacked(floats: memoryview, rows: int, width: int) -> Iterator[tuple[float, ...]]:
+    """The first ``rows`` x ``width`` doubles of ``floats`` as one tuple per row, without numpy."""
+    if not width:
+        return iter([()] * rows)
+    return struct.iter_unpack(f"{width}d", floats[:rows * width])
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _two_sum(a, b):
     """Knuth's TwoSum: ``a + b`` rounded, and the exact error of that rounding."""
     total = a + b
     b_part = total - a
@@ -85,13 +91,15 @@ class Dataset(_Record):
     Immutable after construction; any number of readers may share one instance.
     The runs are stored as columns in row order: read-only ``float64`` arrays
     ``counts`` (runs x PMCs), ``exec_time_s`` and ``dynamic_energy_j``, and
-    tuples ``app_id``, ``run_id``, ``cores`` and ``problem_size``. ``runs``,
-    the :class:`ApplicationRun` rows, is built from them on first access:
-    :func:`load_runs` builds it at load, the ``emodel`` commands never do.
-    Repeated (app_id, config) rows are repetition samples. ``points()`` gives
-    the per-group means, which are the base side of additivity testing.
-    ``fit`` and ``correlation_matrix`` take every run row as one sample,
-    repetitions included, and so does ``emodel evaluate`` on a runs file.
+    tuples ``app_id``, ``run_id``, ``cores`` and ``problem_size``. The three
+    arrays are numpy views of one block of doubles, made on first access.
+    ``runs``, the :class:`ApplicationRun` rows, is built from that block on
+    first access, without numpy: :func:`load_runs` builds it at load, the
+    ``emodel`` commands never do. Repeated (app_id, config) rows are
+    repetition samples. ``points()`` gives the per-group means, which are the
+    base side of additivity testing. ``fit`` and ``correlation_matrix`` take
+    every run row as one sample, repetitions included, and so does
+    ``emodel evaluate`` on a runs file.
     """
 
     _FIELDS = ("pmc_names", "runs", "compounds")
@@ -117,42 +125,63 @@ class Dataset(_Record):
                     f"run_id={run.run_id!r})"
                 )
             seen.add(key)
-        runs, width = self.runs, len(self.pmc_names)
-        self._store(_frozen([run.pmc.counts for run in runs]).reshape(len(runs), width),
-                    [run.exec_time_s for run in runs], [run.dynamic_energy_j for run in runs],
-                    [run.app_id for run in runs], [run.run_id for run in runs],
-                    [run.config.cores for run in runs], [run.config.problem_size for run in runs])
+        runs = self.runs
+        floats = array("d", chain.from_iterable(run.pmc.counts for run in runs))
+        floats.extend([run.exec_time_s for run in runs])
+        floats.extend([run.dynamic_energy_j for run in runs])
+        self._store(memoryview(floats).toreadonly(), [run.app_id for run in runs],
+                    [run.run_id for run in runs], [run.config.cores for run in runs],
+                    [run.config.problem_size for run in runs])
+        self.counts  # the arrays, derived from the rows at construction
         self.check_compounds(self.compounds)
 
     @classmethod
-    def _from_columns(cls, pmc_names: tuple[str, ...], *columns: Sequence) -> "Dataset":
+    def _from_columns(cls, key: str | None, floats: memoryview, pmc_names: Sequence[str],
+                      *columns: Sequence) -> "Dataset":
         """A dataset without compounds whose runs, given as columns in ``_store``
-        order, the caller has already checked as ``__init__`` does."""
+        order, have passed a loader's checks. ``key`` is the parse-cache key of
+        the load (None when it has none), which compounds resolved against
+        this dataset are kept under."""
         dataset = object.__new__(cls)
-        dataset.__dict__.update(pmc_names=pmc_names, compounds=())
-        dataset._store(*columns)
+        dataset.__dict__.update(pmc_names=tuple(pmc_names), compounds=(), _key=key)
+        dataset._store(floats, *columns)
         return dataset
 
-    def _store(self, counts, times, energies, app_id, run_id, cores, sizes) -> None:
-        self.__dict__.update(
-            counts=counts, exec_time_s=_frozen(times), dynamic_energy_j=_frozen(energies),
-            app_id=tuple(app_id), run_id=tuple(run_id), cores=tuple(cores),
-            problem_size=tuple(sizes),
-        )
+    def _store(self, floats: memoryview, app_id, run_id, cores, sizes) -> None:
+        """``floats`` holds the doubles of ``counts`` (row by row), then of
+        ``exec_time_s``, then of ``dynamic_energy_j``."""
+        self.__dict__.update(_floats=floats, app_id=tuple(app_id), run_id=tuple(run_id),
+                             cores=tuple(cores), problem_size=tuple(sizes))
+
+    def _python_columns(self) -> tuple[Iterator[tuple[float, ...]], list[float], list[float]]:
+        """The rows of ``counts`` as tuples, and ``exec_time_s`` and
+        ``dynamic_energy_j`` as lists: the float columns, read without numpy."""
+        floats, rows, width = self.__dict__["_floats"], len(self.app_id), len(self.pmc_names)
+        return (_unpacked(floats, rows, width), floats[rows * width:rows * (width + 1)].tolist(),
+                floats[rows * (width + 1):].tolist())
 
     def __getattr__(self, name: str):
-        # Reached only for a missing attribute: ``runs`` not yet built from the columns.
-        if name != "runs":
-            raise AttributeError(f"'Dataset' object has no attribute {name!r}")
-        self.__dict__["runs"] = runs = tuple(
-            ApplicationRun(app_id, self._configs[cores, size],
-                           PmcVector._checked(self.pmc_names, row), time_s, energy, run_id)
-            for app_id, cores, size, row, time_s, energy, run_id in zip(
-                self.app_id, self.cores, self.problem_size, _row_tuples(self.counts),
-                self.exec_time_s.tolist(), self.dynamic_energy_j.tolist(), self.run_id,
+        # Reached only for a missing attribute: the rows or the arrays, not yet built.
+        if name == "runs":
+            counts, times, energies = self._python_columns()
+            self.__dict__["runs"] = runs = tuple(
+                ApplicationRun(app_id, self._configs[cores, size],
+                               PmcVector._checked(self.pmc_names, row), time_s, energy, run_id)
+                for app_id, cores, size, row, time_s, energy, run_id in zip(
+                    self.app_id, self.cores, self.problem_size, counts, times, energies,
+                    self.run_id)
             )
-        )
-        return runs
+            return runs
+        if name in ("counts", "exec_time_s", "dynamic_energy_j"):
+            import numpy as np
+
+            rows, width = len(self.app_id), len(self.pmc_names)
+            floats = np.frombuffer(self.__dict__["_floats"], dtype=float)
+            self.__dict__.update(counts=floats[:rows * width].reshape(rows, width),
+                                 exec_time_s=floats[rows * width:rows * (width + 1)],
+                                 dynamic_energy_j=floats[rows * (width + 1):])
+            return self.__dict__[name]
+        raise AttributeError(f"'Dataset' object has no attribute {name!r}")
 
     @cached_property
     def _configs(self) -> dict[tuple[int, str], RunConfig]:
@@ -177,12 +206,19 @@ class Dataset(_Record):
         return groups
 
     @cached_property
+    def _group_codes(self) -> tuple[dict[tuple[str, int, str], int], array]:
+        """The group index's ``code_of`` and each row's group number, without numpy."""
+        code_of: dict[tuple[str, int, str], int] = {}
+        return code_of, array("q", (code_of.setdefault(key, len(code_of))
+                                    for key in zip(self.app_id, self.cores, self.problem_size)))
+
+    @cached_property
     def group_index(self) -> GroupIndex:
         """Run groups by (app_id, config) in first-seen order, as row positions."""
-        code_of: dict[tuple[str, int, str], int] = {}
-        codes = (code_of.setdefault(key, len(code_of))
-                 for key in zip(self.app_id, self.cores, self.problem_size))
-        row_group = np.fromiter(codes, dtype=np.intp, count=len(self.app_id))
+        import numpy as np
+
+        code_of, codes = self._group_codes
+        row_group = np.frombuffer(codes, dtype=np.int64).astype(np.intp, copy=False)
         sizes = np.bincount(row_group, minlength=len(code_of))
         return GroupIndex(code_of=code_of, sizes=sizes, order=np.argsort(row_group, kind="stable"),
                           starts=np.cumsum(sizes) - sizes)
@@ -204,6 +240,8 @@ class Dataset(_Record):
         running sum reached 2**1022 is summed again with ``fsum``, so an
         overflowing sum raises :class:`OverflowError`.
         """
+        import numpy as np
+
         index = self.group_index
         values = np.asarray(values, dtype=float)
         columns = values[:, None] if values.ndim == 1 else values
@@ -243,7 +281,7 @@ class Dataset(_Record):
     def _keys_by_app(self) -> dict[str, list[tuple[str, int, str]]]:
         """Each app's run-group keys, in first-seen order."""
         by_app: dict[str, list[tuple[str, int, str]]] = {}
-        for key in self.group_index.code_of:
+        for key in self._group_codes[0]:
             by_app.setdefault(key[0], []).append(key)
         return by_app
 
@@ -253,6 +291,11 @@ class Dataset(_Record):
         Full form is ``app_id@cores:problem_size``; a bare ``app_id`` is
         accepted when exactly one group carries it.
         """
+        app_id, cores, problem_size = self._group_key(ref)
+        return RunRef(app_id, RunConfig(cores, problem_size))
+
+    def _group_key(self, ref: str) -> tuple[str, int, str]:
+        """:meth:`resolve`'s run group, as its ``(app_id, cores, problem_size)`` key."""
         if "@" in ref:
             app_id, _, config_text = ref.partition("@")
             cores_text, _, problem_size = config_text.partition(":")
@@ -267,9 +310,9 @@ class Dataset(_Record):
                 raise DataFormatError(
                     f"malformed base reference {ref!r}: cores must be >= 1, got {cores}"
                 )
-            if (app_id, cores, problem_size) not in self.group_index.code_of:
+            if (app_id, cores, problem_size) not in self._group_codes[0]:
                 raise DataFormatError(f"unknown base reference {ref!r}")
-            return RunRef(app_id, RunConfig(cores, problem_size))
+            return app_id, cores, problem_size
         matches = self._keys_by_app.get(ref)
         if not matches:
             raise DataFormatError(f"unknown base reference {ref!r}")
@@ -278,7 +321,7 @@ class Dataset(_Record):
                 f"ambiguous base reference {ref!r}: matches "
                 f"{', '.join(RunRef(a, RunConfig(c, s)).label() for a, c, s in matches)}"
             )
-        return RunRef(ref, RunConfig(*matches[0][1:]))
+        return matches[0]
 
 
 # Runs-CSV column names with fixed meaning; everything else is a PMC column.
@@ -326,23 +369,16 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _parse_rows(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
-                ) -> tuple[np.ndarray, list[list[str]], array, int | None]:
+def _parse_rows(rows, width: int, numbers: Sequence[int], texts: Sequence[int]):
     """The ``(row number, cells)`` pairs of ``rows`` (as :func:`_read_csv`
     gives them) before the first one without ``width`` cells, parsed one at a
-    time, or that parse of the same file's bytes read from the parse cache.
-    Gives the rows x ``numbers`` matrix of the cells at those positions as
-    Python's ``float`` parses them after stripping (NaN where a cell is not a
-    number); a list of the stripped cells at each position in ``texts``; the
+    time. Gives the rows x ``numbers`` matrix of the cells at those positions
+    as Python's ``float`` parses them after stripping (NaN where a cell is not
+    a number); a list of the stripped cells at each position in ``texts``; the
     number of every row read, the one that stopped the parse included; and
     that row's cell count (None if no row stopped it)."""
-    return cached_parse(rows, (width, tuple(numbers), tuple(texts)),
-                        lambda: _parse_stream(rows, width, numbers, texts))
+    import numpy as np
 
-
-def _parse_stream(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
-                  ) -> tuple[np.ndarray, list[list[str]], array, int | None]:
-    """:func:`_parse_rows` by reading the rows."""
     values, row_numbers, flat = array("d"), array("q"), []
     pick_numbers, pick_texts = _getter(numbers), _getter(texts)
     cells = None
@@ -365,9 +401,22 @@ def _parse_stream(rows, width: int, numbers: Sequence[int], texts: Sequence[int]
     return matrix, [flat[k::len(texts)] for k in range(len(texts))], row_numbers, cells
 
 
-def _first(mask: np.ndarray) -> int:
-    """Position of the first true entry; the length when there is none."""
-    return int(np.argmax(mask)) if mask.any() else len(mask)
+def _first(mask) -> int:
+    """Position of the first true entry of a boolean array; the length when there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _entry_floats(*blocks) -> bytearray:
+    """The float arrays ``blocks``, each in row order, one after another as
+    little-endian float64 bytes: the floats of a parse-cache entry."""
+    import numpy as np
+
+    data = bytearray(8 * sum(block.size for block in blocks))
+    out, start = np.frombuffer(data, dtype="<f8"), 0
+    for block in blocks:
+        out[start:start + block.size].reshape(block.shape)[...] = block
+        start += block.size
+    return data
 
 
 def _raise_first_fault(path, row_numbers: Sequence[int], checks) -> None:
@@ -381,8 +430,7 @@ def _raise_first_fault(path, row_numbers: Sequence[int], checks) -> None:
         raise DataFormatError(f"{path}: row {row_numbers[first]}{fault(first)}")
 
 
-def _number_checks(path, j: int, name: str, values: np.ndarray,
-                   out_of_range: np.ndarray | None = None, wording: str = "") -> list:
+def _number_checks(path, j: int, name: str, values, out_of_range=None, wording: str = "") -> list:
     """The checks of column ``name``, cell ``j`` of a row of the file at
     ``path``, parsed as ``values``: a finite number, then (when
     ``out_of_range`` is given) in range."""
@@ -394,6 +442,8 @@ def _number_checks(path, j: int, name: str, values: np.ndarray,
             return f", column {name!r}: non-numeric cell {text!r}"
         return f", column {name!r}: non-finite value {text!r}"
 
+    import numpy as np
+
     checks = [(_first(~np.isfinite(values)), not_finite)]
     if out_of_range is not None:
         checks.append((_first(out_of_range),
@@ -401,8 +451,10 @@ def _number_checks(path, j: int, name: str, values: np.ndarray,
     return checks
 
 
-def _where(test, values: list) -> np.ndarray:
+def _where(test, values: list):
     """Mask of the ``values`` for which ``test`` is true."""
+    import numpy as np
+
     return np.fromiter(map(test, values), bool, len(values))
 
 
@@ -435,7 +487,7 @@ def _first_repeat(keys, count: int) -> int:
 
 
 def load_runs(path) -> Dataset:
-    """Load a runs CSV into a :class:`Dataset`, its ``runs`` rows built at load.
+    """Load a runs CSV into a :class:`Dataset`, its ``runs`` rows and group keys built at load.
 
     Header: ``app_id,cores,problem_size,exec_time_s,dynamic_energy_j`` plus one
     column per PMC, in model variable order. ``run_id`` is optional and marks
@@ -444,86 +496,100 @@ def load_runs(path) -> Dataset:
     at load time.
     """
     dataset = _load_run_columns(path)
-    dataset.runs  # built now, so later analysis is not charged for the rows
+    # Built now, without numpy, so later analysis is not charged for them.
+    dataset.runs, dataset._group_codes
     return dataset
 
 
 @_gc_paused()
 def _load_run_columns(path) -> Dataset:
-    """:func:`load_runs` with every check, leaving ``runs`` to be built on first access."""
+    """:func:`load_runs` leaving ``runs`` to be built on first access: the
+    checked columns kept in the parse cache for the file's bytes, or those of
+    :func:`_checked_runs`, which are then kept."""
     with _read_csv(path) as (header, rows):
-        columns = _columns(path, header)
+        key, floats, document = cached_load(rows.file, ("runs",),
+                                            lambda: _checked_runs(path, header, rows))
+    return Dataset._from_columns(key, floats, *document)
 
-        missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s")
-                   if c not in columns]
-        if missing:
-            raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
 
-        has_dynamic = "dynamic_energy_j" in columns
-        has_total = "total_energy_j" in columns
-        has_static = "static_power_w" in columns
-        if has_dynamic and (has_total or has_static):
-            raise DataFormatError(
-                f"{path}: give either dynamic_energy_j or total_energy_j+static_power_w, not both"
-            )
-        if not (has_dynamic or has_total and has_static):
-            raise DataFormatError(
-                f"{path}: missing energy columns: need dynamic_energy_j or "
-                f"total_energy_j together with static_power_w"
-            )
+def _checked_runs(path, header: list[str], rows) -> tuple[bytearray, list]:
+    """Parse and check a runs file: the floats of ``counts``, ``exec_time_s``
+    and ``dynamic_energy_j``, and the document ``[pmc_names, app_id, run_id,
+    cores, problem_size]``; or the file's first fault."""
+    import numpy as np
 
-        pmc_names = tuple(c for c in header if c not in _RESERVED_COLUMNS)
-        if not pmc_names:
-            raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
+    columns = _columns(path, header)
 
-        energy_columns = (("dynamic_energy_j",) if has_dynamic
-                          else ("total_energy_j", "static_power_w"))
-        number_columns = pmc_names + ("exec_time_s",) + energy_columns
-        text_columns = ("app_id", "problem_size", "cores") + (
-            ("run_id",) if "run_id" in columns else ())
-        values, texts, row_numbers, cells = _parse_rows(
-            rows, len(header), [columns[name] for name in number_columns],
-            [columns[name] for name in text_columns])
-        number = dict(zip(number_columns, values.T))
-        check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
-        times = number["exec_time_s"]
-        if has_dynamic:
-            energies = number["dynamic_energy_j"]
-        else:
-            # The arithmetic of stats.dynamic_energy, so values match it bit for
-            # bit; a product that overflows gives -inf, a negative energy.
-            with np.errstate(over="ignore", invalid="ignore"):
-                energies = number["total_energy_j"] - number["static_power_w"] * times
+    missing = [c for c in ("app_id", "cores", "problem_size", "exec_time_s")
+               if c not in columns]
+    if missing:
+        raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
 
-        app_ids, sizes, cores_texts = texts[:3]
-        run_ids = [text or None for text in texts[3]] if len(texts) > 3 else [None] * len(values)
-        cores_of = {text: _cores(text) for text in set(cores_texts)}
-        cores = list(map(cores_of.__getitem__, cores_texts))
-        faults = [value for value in cores_of.values() if _is_fault(value)]
-        del texts, cores_texts
-        keys = lambda: zip(app_ids, cores, sizes, run_ids)
+    has_dynamic = "dynamic_energy_j" in columns
+    has_total = "total_energy_j" in columns
+    has_static = "static_power_w" in columns
+    if has_dynamic and (has_total or has_static):
+        raise DataFormatError(
+            f"{path}: give either dynamic_energy_j or total_energy_j+static_power_w, not both"
+        )
+    if not (has_dynamic or has_total and has_static):
+        raise DataFormatError(
+            f"{path}: missing energy columns: need dynamic_energy_j or "
+            f"total_energy_j together with static_power_w"
+        )
 
-        def duplicate(i: int) -> str:
-            listed = list(keys())
-            return ": duplicate run ({!r}, {}:{}, run_id={!r}), first seen at row {}".format(
-                *listed[i], row_numbers[listed.index(listed[i])])
+    pmc_names = tuple(c for c in header if c not in _RESERVED_COLUMNS)
+    if not pmc_names:
+        raise DataFormatError(f"{path}: no PMC columns after the reserved columns")
 
-        _raise_first_fault(path, row_numbers, [
-            (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
-            (_position(app_ids, ""), lambda i: ": empty app_id"),
-            (min(map(cores.index, faults), default=len(cores)), cores.__getitem__),
-            *check("exec_time_s", times <= 0, "must be > 0, got"),
-            *(check("dynamic_energy_j") if has_dynamic else check("total_energy_j")
-              + check("static_power_w", number["static_power_w"] < 0, "must be >= 0, got")),
-            (_first(energies < 0), lambda i: f": dynamic energy {energies[i].item()!r} J is "
-                                             f"negative (measurement fault: total below static "
-                                             f"baseline)"),
-            *chain.from_iterable(check(name, number[name] < 0, "negative count")
-                                 for name in pmc_names),
-            (_first_repeat(keys, len(values)), duplicate),
-        ])
-    counts = _frozen(values[:, :len(pmc_names)])
-    return Dataset._from_columns(pmc_names, counts, times, energies, app_ids, run_ids, cores, sizes)
+    energy_columns = (("dynamic_energy_j",) if has_dynamic
+                      else ("total_energy_j", "static_power_w"))
+    number_columns = pmc_names + ("exec_time_s",) + energy_columns
+    text_columns = ("app_id", "problem_size", "cores") + (
+        ("run_id",) if "run_id" in columns else ())
+    values, texts, row_numbers, cells = _parse_rows(
+        rows, len(header), [columns[name] for name in number_columns],
+        [columns[name] for name in text_columns])
+    number = dict(zip(number_columns, values.T))
+    check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
+    times = number["exec_time_s"]
+    if has_dynamic:
+        energies = number["dynamic_energy_j"]
+    else:
+        # The arithmetic of stats.dynamic_energy, so values match it bit for
+        # bit; a product that overflows gives -inf, a negative energy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = number["total_energy_j"] - number["static_power_w"] * times
+
+    app_ids, sizes, cores_texts = texts[:3]
+    run_ids = [text or None for text in texts[3]] if len(texts) > 3 else [None] * len(values)
+    cores_of = {text: _cores(text) for text in set(cores_texts)}
+    cores = list(map(cores_of.__getitem__, cores_texts))
+    faults = [value for value in cores_of.values() if _is_fault(value)]
+    del texts, cores_texts
+    keys = lambda: zip(app_ids, cores, sizes, run_ids)
+
+    def duplicate(i: int) -> str:
+        listed = list(keys())
+        return ": duplicate run ({!r}, {}:{}, run_id={!r}), first seen at row {}".format(
+            *listed[i], row_numbers[listed.index(listed[i])])
+
+    _raise_first_fault(path, row_numbers, [
+        (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
+        (_position(app_ids, ""), lambda i: ": empty app_id"),
+        (min(map(cores.index, faults), default=len(cores)), cores.__getitem__),
+        *check("exec_time_s", times <= 0, "must be > 0, got"),
+        *(check("dynamic_energy_j") if has_dynamic else check("total_energy_j")
+          + check("static_power_w", number["static_power_w"] < 0, "must be >= 0, got")),
+        (_first(energies < 0), lambda i: f": dynamic energy {energies[i].item()!r} J is "
+                                         f"negative (measurement fault: total below static "
+                                         f"baseline)"),
+        *chain.from_iterable(check(name, number[name] < 0, "negative count")
+                             for name in pmc_names),
+        (_first_repeat(keys, len(values)), duplicate),
+    ])
+    return (_entry_floats(values[:, :len(pmc_names)], times, energies),
+            [pmc_names, app_ids, run_ids, cores, sizes])
 
 
 def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
@@ -533,50 +599,67 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     dataset's PMC columns in the same order. Base references use the
     ``app_id@cores:problem_size`` form (bare ``app_id`` when unambiguous).
     A file with a valid header and zero data rows is an empty test set, not
-    an error.
+    an error. Resolved against a dataset that :func:`load_runs` read, the
+    checked compounds are kept in the parse cache under both files' bytes.
     """
+    runs_key = vars(dataset).get("_key")
     with _read_csv(path) as (header, rows):
-        columns = _columns(path, header)
-        required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
-        missing = [c for c in required if c not in columns]
-        if missing:
-            raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
-        pmc_columns = tuple(c for c in header if c not in required)
-        if pmc_columns != dataset.pmc_names:
-            raise DataFormatError(
-                f"{path}: PMC columns {list(pmc_columns)} do not match dataset PMC "
-                f"names {list(dataset.pmc_names)}"
-            )
-
-        number_columns = pmc_columns + ("dynamic_energy_j",)
-        values, (compound_ids, *base_texts), row_numbers, cells = _parse_rows(
-            rows, len(header), [columns[name] for name in number_columns],
-            [columns[name] for name in required[:3]])
-        number = dict(zip(number_columns, values.T))
-        check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
-        energies = number["dynamic_energy_j"]
-        ref_of = {}
-        for text in set(base_texts[0]).union(base_texts[1]):
-            try:
-                ref_of[text] = dataset.resolve(text)
-            except DataFormatError as exc:
-                ref_of[text] = f": {exc}"
-        bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
-        del base_texts
-        _raise_first_fault(path, row_numbers, [
-            (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
-            (_position(compound_ids, ""), lambda i: ": empty compound_id"),
-            (_first(_where(_is_fault, bases_a)), bases_a.__getitem__),
-            (_first(_where(_is_fault, bases_b)), bases_b.__getitem__),
-            *check("dynamic_energy_j", energies < 0, "must be >= 0, got"),
-            *chain.from_iterable(check(name, number[name] < 0, "negative count")
-                                 for name in pmc_columns),
-        ])
-
+        _, floats, (compound_ids, refs, bases_a, bases_b) = cached_load(
+            rows.file if runs_key else None, ("compounds", runs_key),
+            lambda: _checked_compounds(path, header, rows, dataset))
+    refs = [RunRef(app_id, RunConfig(cores, size)) for app_id, cores, size in refs]
+    names, count = dataset.pmc_names, len(compound_ids)
     return [
-        CompoundRun(compound_id, base_a, base_b, PmcVector._checked(dataset.pmc_names, row),
-                    energy)
-        for compound_id, base_a, base_b, row, energy in zip(
-            compound_ids, bases_a, bases_b, _row_tuples(values[:, :-1]), energies.tolist()
-        )
+        CompoundRun(compound_id, refs[a], refs[b], PmcVector._checked(names, row), energy)
+        for compound_id, a, b, row, energy in zip(
+            compound_ids, bases_a, bases_b, _unpacked(floats, count, len(names)),
+            floats[count * len(names):].tolist())
     ]
+
+
+def _checked_compounds(path, header: list[str], rows, dataset: Dataset) -> tuple[bytearray, list]:
+    """Parse and check a compounds file against ``dataset``: the floats of the
+    counts and of the energies, and the document ``[compound_id, refs, base_a,
+    base_b]``, where each base is a position in ``refs``, the keys ``(app_id,
+    cores, problem_size)`` of the run groups the bases resolve to; or the
+    file's first fault."""
+    columns = _columns(path, header)
+    required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
+    missing = [c for c in required if c not in columns]
+    if missing:
+        raise DataFormatError(f"{path}: missing header columns: {', '.join(missing)}")
+    pmc_columns = tuple(c for c in header if c not in required)
+    if pmc_columns != dataset.pmc_names:
+        raise DataFormatError(
+            f"{path}: PMC columns {list(pmc_columns)} do not match dataset PMC "
+            f"names {list(dataset.pmc_names)}"
+        )
+
+    number_columns = pmc_columns + ("dynamic_energy_j",)
+    values, (compound_ids, *base_texts), row_numbers, cells = _parse_rows(
+        rows, len(header), [columns[name] for name in number_columns],
+        [columns[name] for name in required[:3]])
+    number = dict(zip(number_columns, values.T))
+    check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
+    energies = number["dynamic_energy_j"]
+    ref_of = {}
+    for text in set(base_texts[0]).union(base_texts[1]):
+        try:
+            ref_of[text] = dataset._group_key(text)
+        except DataFormatError as exc:
+            ref_of[text] = f": {exc}"
+    bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
+    del base_texts
+    _raise_first_fault(path, row_numbers, [
+        (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
+        (_position(compound_ids, ""), lambda i: ": empty compound_id"),
+        (_first(_where(_is_fault, bases_a)), bases_a.__getitem__),
+        (_first(_where(_is_fault, bases_b)), bases_b.__getitem__),
+        *check("dynamic_energy_j", energies < 0, "must be >= 0, got"),
+        *chain.from_iterable(check(name, number[name] < 0, "negative count")
+                             for name in pmc_columns),
+    ])
+    position: dict[tuple[str, int, str], int] = {}
+    bases = [[position.setdefault(key, len(position)) for key in keys]
+             for keys in (bases_a, bases_b)]
+    return _entry_floats(values[:, :-1], energies), [compound_ids, list(position), *bases]

@@ -8,6 +8,9 @@ origin. Every fit goes through one QR factorization of the augmented matrix
 collinear. Only the triangle is computed: its top block is X's R and its last
 column holds Q'y, so each kind then works on the small parameters x
 parameters problem, and no Q of the runs' size is ever formed.
+
+``predict``, ``evaluate`` and ``ErrorSummary`` are defined in the numpy-free
+:mod:`emodel.model` and re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from ._common import _csv_table, _finite_or_none, _Record
-from .core import Dataset, EnergyModel, ModelKind, PmcVector, _getter
-from .model import _positions, _predict_rows, predict
+from .core import Dataset, EnergyModel, ModelKind
+from .model import ErrorSummary, _predict_rows, evaluate, predict
 
 __all__ = [
     "UNDEFINED",
@@ -78,25 +81,6 @@ class CorrelationMatrix(_Record):
             "labels": list(self.labels),
             "values": [list(map(_finite_or_none, row)) for row in self.values],
         }
-
-
-class ErrorSummary(_Record):
-    """Min/mean/max percentage prediction error over a set of cases."""
-
-    __slots__ = _FIELDS = ("min_pct", "avg_pct", "max_pct", "n_cases")
-
-    def __init__(self, min_pct: float, avg_pct: float, max_pct: float, n_cases: int) -> None:
-        self._set(min_pct, avg_pct, max_pct, n_cases)
-        if self.n_cases < 1:
-            raise ValueError(f"n_cases must be >= 1, got {self.n_cases}")
-        if not (0 <= self.min_pct <= self.avg_pct <= self.max_pct):
-            raise ValueError(
-                f"error summary out of order: min={self.min_pct!r} "
-                f"avg={self.avg_pct!r} max={self.max_pct!r}"
-            )
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:
@@ -313,53 +297,3 @@ def fit(dataset: Dataset, pmcs: Sequence[str] | None = None,
         coefficients=tuple(float(c) for c in coefficients),
         kind=kind,
     )
-
-
-def evaluate(model: EnergyModel, cases: Sequence[tuple[PmcVector, float]]) -> ErrorSummary:
-    """Percentage prediction errors (min, avg, max) over measured cases.
-
-    Every measured energy must be positive and every prediction finite;
-    errors are on dynamic energy. One pass gathers every case's model counts
-    (a getter per names tuple, matched by identity) and energy into one array
-    for :func:`_predict_rows`. The first faulty case wins: its missing PMC
-    (KeyError), then its energy (ValueError, or if not numeric the TypeError
-    of ``energy <= 0``, which the row keeps).
-    """
-    names = pick = None
-    rows: list[tuple] = []
-    try:
-        rows.extend((pick if pmc.names is names else (pick := _getter(
-            _positions(model.pmc_names, names := pmc.names))))(pmc.counts)
-                    + (energy <= 0, energy) for pmc, energy in cases)
-    finally:
-        # Also on a case's KeyError or TypeError: an earlier case's energy fault wins.
-        table = np.array(rows, dtype=float).reshape(len(rows), len(model.pmc_names) + 2)
-        _check_energies(table[:, -1], rows)
-    return _evaluate_rows(model, model.pmc_names, table[:, :-2], table[:, -1])
-
-
-def _check_energies(energies: np.ndarray, rows: Sequence[tuple] | None = None) -> None:
-    """Raise for the first energy not finite and positive, as passed if in ``rows``."""
-    for case in np.flatnonzero(~((energies > 0) & (energies < math.inf)))[:1].tolist():
-        energy = float(energies[case]) if rows is None else rows[case][-1]
-        if energy <= 0:
-            raise ValueError(f"measured must be > 0, got {energy!r}")
-        raise ValueError(f"measured energy for case {case + 1} is not finite: {energy!r}")
-
-
-def _evaluate_rows(model: EnergyModel, names, counts, energies) -> ErrorSummary:
-    """:func:`evaluate` on ``counts`` (a column per name in ``names``) and measured ``energies``."""
-    if not len(energies):
-        raise ValueError("need at least one (pmc, measured) case")
-    counts = counts[:, list(_positions(model.pmc_names, names))]
-    _check_energies(energies)
-    totals = _predict_rows(model.intercept, model.coefficients, counts)
-    unpredictable = np.flatnonzero(~np.isfinite(totals))
-    if unpredictable.size:
-        case = int(unpredictable[0])
-        raise ValueError(f"prediction for case {case + 1} is not finite: {float(totals[case])!r}")
-    with np.errstate(over="ignore"):
-        errors = (np.abs(totals - energies) / energies * 100.0).tolist()
-    low, high = min(errors), max(errors)
-    avg = min(max(math.fsum(errors) / len(errors), low), high)
-    return ErrorSummary(min_pct=low, avg_pct=avg, max_pct=high, n_cases=len(errors))

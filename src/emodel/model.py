@@ -1,20 +1,23 @@
-"""Run records, the linear energy model, its file, and per-vector prediction, free of numpy.
+"""Run records, the linear energy model, its file, prediction and its error summary, free of numpy.
 
 :mod:`emodel.core` and :mod:`emodel.fitting` re-export these names as the same objects. Apart
-from them, ``conserve`` and ``predict --counts`` need no numpy, and the probe no loader or fit.
+from them, ``conserve`` and ``predict --counts`` need no numpy, nor do ``predict --runs`` and
+``evaluate`` on a parse-cache hit, and the probe needs no loader or fit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from functools import lru_cache, partial
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._common import DataFormatError, ModelKind, _Record
 
 __all__ = ["PmcVector", "RunConfig", "RunRef", "ApplicationRun", "CompoundRun", "AggregatedRun",
-           "EnergyModel", "load_model", "save_model", "model_to_dict", "predict"]
+           "EnergyModel", "ErrorSummary", "load_model", "save_model", "model_to_dict", "predict",
+           "evaluate"]
 
 
 class PmcVector(_Record):
@@ -179,6 +182,25 @@ class EnergyModel(_Record):
                     )
 
 
+class ErrorSummary(_Record):
+    """Min/mean/max percentage prediction error over a set of cases."""
+
+    __slots__ = _FIELDS = ("min_pct", "avg_pct", "max_pct", "n_cases")
+
+    def __init__(self, min_pct: float, avg_pct: float, max_pct: float, n_cases: int) -> None:
+        self._set(min_pct, avg_pct, max_pct, n_cases)
+        if self.n_cases < 1:
+            raise ValueError(f"n_cases must be >= 1, got {self.n_cases}")
+        if not (0 <= self.min_pct <= self.avg_pct <= self.max_pct):
+            raise ValueError(
+                f"error summary out of order: min={self.min_pct!r} "
+                f"avg={self.avg_pct!r} max={self.max_pct!r}"
+            )
+
+    def to_json_dict(self) -> dict:
+        return self._asdict()
+
+
 def model_to_dict(model: EnergyModel) -> dict:
     """The model-file document as a plain dict."""
     return {
@@ -311,6 +333,54 @@ def _compile(positions: tuple[int, ...]):
     namespace: dict = {}
     exec(source, namespace)
     return namespace["kernel"]
+
+
+def _predict_each(model: EnergyModel, names: tuple[str, ...],
+                  rows: Iterable[Sequence[float]]) -> Iterator[float]:
+    """:func:`predict` for each counts row of ``rows``, all under the PMC
+    ``names``, bit for bit: one kernel (see :func:`_compile`) sums every row.
+    The model's PMCs are looked up in ``names`` only when there is a row, so
+    no rows give no lookup error."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return iter(())
+    kernel = _compile(_positions(model.pmc_names, names))
+    return map(partial(kernel, model.intercept, model.coefficients), chain((first,), rows))
+
+
+def evaluate(model: EnergyModel, cases: Iterable[tuple[PmcVector, float]]) -> ErrorSummary:
+    """Percentage prediction errors (min, avg, max) over measured cases.
+
+    Every measured energy must be positive and every prediction finite;
+    errors are on dynamic energy, ``abs(predicted - measured) / measured *
+    100`` per case, and the mean is their ``math.fsum`` over the count. The
+    cases are checked in order, each for its missing PMC (KeyError), then its
+    energy (ValueError, or if not numeric the TypeError of ``energy <= 0``);
+    only then is the first prediction that is not finite an error.
+    """
+    return _error_summary((predict(model, pmc), energy) for pmc, energy in cases)
+
+
+def _error_summary(pairs: Iterable[tuple[float, float]]) -> ErrorSummary:
+    """:func:`evaluate` on ``(prediction, measured)`` pairs, checked in order."""
+    errors: list[float] = []
+    unpredictable = None
+    for case, (predicted, measured) in enumerate(pairs, start=1):
+        if measured <= 0:
+            raise ValueError(f"measured must be > 0, got {measured!r}")
+        if not measured < math.inf:
+            raise ValueError(f"measured energy for case {case} is not finite: {measured!r}")
+        if unpredictable is None and not math.isfinite(predicted):
+            unpredictable = f"prediction for case {case} is not finite: {predicted!r}"
+        errors.append(abs(predicted - measured) / measured * 100.0)
+    if not errors:
+        raise ValueError("need at least one (pmc, measured) case")
+    if unpredictable is not None:
+        raise ValueError(unpredictable)
+    low, high = min(errors), max(errors)
+    avg = min(max(math.fsum(errors) / len(errors), low), high)
+    return ErrorSummary(min_pct=low, avg_pct=avg, max_pct=high, n_cases=len(errors))
 
 
 def _predict_rows(intercept: float, coefficients: Sequence[float], counts):

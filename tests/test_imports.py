@@ -5,7 +5,9 @@ subcommand imports only the modules it runs: ``partition``, ``loss`` and
 ``stats`` need no numpy, nor :mod:`dataclasses`, :mod:`json` (unless the
 report is JSON) or :mod:`pathlib`; ``conserve`` without its composability
 probe and ``predict --counts`` need no numpy either, and the probe imports
-none of the loaders or the fitting code. No command imports :mod:`dataclasses`.
+none of the loaders or the fitting code. ``predict --runs`` and ``evaluate``
+import numpy only when the parse cache misses: each test here has a cache of
+its own, so every command starts cold. No command imports :mod:`dataclasses`.
 """
 
 import importlib
@@ -30,7 +32,17 @@ b,r1,2,s,1.0,41.5,20,3
 c,r1,2,s,1.0,14.5,5,9
 """
 
+COMPOUNDS = """compound_id,base_a,base_b,dynamic_energy_j,X1,X2
+ab,a,b@2:s,64.0,30,8
+bc,b,c,57.0,25,12
+"""
+
 MODEL = """{"kind": "zero_intercept", "pmc_names": ["X1", "X2"], "intercept": 0.0,
+ "coefficients": [2.0, 0.5]}
+"""
+
+# Names a PMC that the runs file does not have.
+LACKING_MODEL = """{"kind": "zero_intercept", "pmc_names": ["X1", "X9"], "intercept": 0.0,
  "coefficients": [2.0, 0.5]}
 """
 
@@ -38,6 +50,13 @@ MODEL = """{"kind": "zero_intercept", "pmc_names": ["X1", "X2"], "intercept": 0.
 BAD_MODEL = """{"kind": "unconstrained", "pmc_names": ["X1", "X2"], "intercept": 1.5,
  "coefficients": [2.0, -0.5]}
 """
+
+
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path, monkeypatch):
+    """A parse cache of this test's own, for its child processes too: a
+    command's cache state must not depend on which tests ran before."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
 
 
 @pytest.fixture
@@ -50,7 +69,8 @@ def inputs(tmp_path):
     )
     paths = {}
     for name, text in (("f1.csv", func1), ("f2.csv", func2), ("values.txt", "1.0 1.1\n0.9 1.0\n"),
-                       ("runs.csv", RUNS), ("model.json", MODEL), ("bad.json", BAD_MODEL)):
+                       ("runs.csv", RUNS), ("compounds.csv", COMPOUNDS), ("model.json", MODEL),
+                       ("bad.json", BAD_MODEL), ("lacking.json", LACKING_MODEL)):
         (tmp_path / name).write_text(text, encoding="utf-8")
         paths[name] = str(tmp_path / name)
     return paths
@@ -179,6 +199,60 @@ def test_numpy_commands_import_no_dataclasses(inputs, argv):
     code, modules = new_modules([inputs.get(arg, arg) for arg in argv])
     assert code == 0
     assert "numpy" in modules and "dataclasses" not in modules, sorted(modules)
+
+
+RUNS_COMMANDS = [
+    pytest.param(["predict", "--model", "model.json", "--runs", "runs.csv"], id="predict-runs"),
+    pytest.param(["predict", "--model", "model.json", "--runs", "runs.csv", "--format", "csv"],
+                 id="predict-runs-csv"),
+    pytest.param(["evaluate", "--model", "model.json", "--runs", "runs.csv"], id="evaluate"),
+    pytest.param(["evaluate", "--model", "model.json", "--runs", "runs.csv",
+                  "--compounds", "compounds.csv"], id="evaluate-compounds"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("argv", RUNS_COMMANDS)
+def test_runs_commands_import_numpy_only_on_a_miss(inputs, argv, warm):
+    """A miss parses and checks the files with numpy; a hit reads the checked
+    columns and predicts in pure Python. Either way the same emodel modules load."""
+    argv = [inputs.get(arg, arg) for arg in argv]
+    if warm:
+        assert loaded_emodel_modules(argv)[0] == 0
+    code, modules = new_modules(argv)
+    assert code == 0
+    assert {name for name in modules if name.split(".")[0] == "emodel"} == BASE
+    assert any(name.split(".")[0] == "numpy" for name in modules) is not warm, sorted(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    *RUNS_COMMANDS,
+    pytest.param(["predict", "--model", "lacking.json", "--runs", "runs.csv"],
+                 id="predict-runs-lacking"),
+    pytest.param(["evaluate", "--model", "lacking.json", "--runs", "runs.csv",
+                  "--compounds", "compounds.csv"], id="evaluate-lacking"),
+])
+def test_warm_runs_commands_run_without_numpy(inputs, argv):
+    """Once a cold run has kept its loads, the same command runs with every
+    import of numpy failing and prints the cold run's bytes."""
+    expected = ((1, b"emodel: error: PMC 'X9' not present in vector\n") if "lacking.json" in argv
+                else (0, b""))
+    argv = [inputs.get(arg, arg) for arg in argv]
+    cold = subprocess.run([sys.executable, "-m", "emodel.cli", *argv], capture_output=True)
+    warm = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv], capture_output=True)
+    assert (cold.returncode, cold.stderr) == expected
+    assert (warm.returncode, warm.stdout, warm.stderr) == (cold.returncode, cold.stdout,
+                                                           cold.stderr)
+
+
+def test_a_warm_load_of_runs_and_compounds_imports_no_numpy(inputs):
+    code = ("import sys\nfrom emodel import load_compounds, load_runs\n"
+            "compounds = load_compounds(sys.argv[2], load_runs(sys.argv[1]))\n"
+            "print(len(compounds), 'numpy' in sys.modules)\n")
+    outputs = [subprocess.run([sys.executable, "-c", code, inputs["runs.csv"],
+                               inputs["compounds.csv"]], capture_output=True, text=True,
+                              check=True).stdout for _ in range(2)]
+    assert outputs == ["2 True\n", "2 False\n"]
 
 
 def test_composability_probe_imports_no_loader_or_fitting(inputs):

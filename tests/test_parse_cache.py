@@ -1,7 +1,8 @@
 """The parse cache under the runs and compounds loaders.
 
-A load that finds its file's parse in the cache must give what parsing the
-file gives, bit for bit, and the same fault text. Everything that keeps the
+A load that finds its file's checked columns in the cache must give what
+parsing and checking the file gives, bit for bit. A file with a fault is never
+kept, so every load of it gives the same fault text. Everything that keeps the
 cache from working must leave the load to parse the file: a missing, short or
 garbage entry, a cache directory that cannot be made, a file that is not a
 regular file, and a file whose bytes changed. A cache directory that another
@@ -20,7 +21,6 @@ import zlib
 import numpy as np
 import pytest
 
-import emodel._common
 from emodel import DataFormatError, load_compounds, load_runs
 from emodel._cache import _HEADER, _MAGIC, MAX_ENTRIES
 from emodel.core import _load_run_columns
@@ -145,7 +145,7 @@ def test_a_warm_load_gives_the_cold_load_fault(cache, tmp_path, text, fault):
 def test_a_fault_found_by_a_check_is_found_again_on_the_kept_parse(cache, tmp_path):
     path = write(tmp_path / "runs.csv", FAULTY_RUNS[0][0])
     cold = outcome(lambda: load_runs(path))
-    assert len(entries(cache)) == 1
+    assert len(entries(cache)) == 0
     assert outcome(lambda: load_runs(path)) == cold
 
 
@@ -164,8 +164,54 @@ def test_a_warm_compounds_load_gives_the_cold_load_fault(cache, tmp_path, text, 
     path = write(tmp_path / "compounds.csv", text)
     cold = outcome(lambda: load_compounds(path, dataset))
     assert isinstance(cold, str) and cold.endswith(fault)
-    assert len(entries(cache)) == 2
+    assert len(entries(cache)) == 1
     assert outcome(lambda: load_compounds(path, dataset)) == cold
+
+
+FAULTY_COMPOUNDS = [
+    "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,mystery,fft,180.0,1801,899\n",
+    "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,dgemm,fft,1.0,-2,899\n",
+    "compound_id,base_a,base_b,dynamic_energy_j,X2,X1\nc1,dgemm,fft,1.0,2,899\n",
+    "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,dgemm,fft,1.0,2\n",
+]
+
+
+@pytest.mark.parametrize("runs, compounds", [
+    *((text, None) for text, _ in FAULTY_RUNS),
+    *((HEADER + GOOD, text) for text in FAULTY_COMPOUNDS),
+])
+def test_a_faulty_file_leaves_no_entry_and_every_load_gives_its_fault(
+        cache, tmp_path, runs, compounds):
+    """Only a load that passed every check is kept: a faulty runs file
+    leaves no entry, a faulty compounds file none beside its runs' entry,
+    and the file is parsed and its fault found on every load."""
+    runs = write(tmp_path / "runs.csv", runs)
+    if compounds is None:
+        load = lambda: load_runs(runs)
+    else:
+        path = write(tmp_path / "compounds.csv", compounds)
+        load = lambda: load_compounds(path, load_runs(runs))
+    faults = [outcome(load) for _ in range(3)]
+    assert isinstance(faults[0], str) and faults == faults[:1] * 3
+    assert len(entries(cache)) == (compounds is not None)
+
+
+def test_compounds_are_kept_per_runs_file(cache, tmp_path):
+    """Bases resolve against the dataset, so one compounds file loaded
+    against two runs files keeps two entries: a bare ``fft`` names one
+    group in the first and two in the second."""
+    one = write(tmp_path / "one.csv", HEADER + GOOD)
+    two = write(tmp_path / "two.csv", HEADER + GOOD + "fft,r1,4,1024,8.0,80.0,800,400\n")
+    path = write(tmp_path / "compounds.csv",
+                 "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\nc1,dgemm,fft,180.0,1801,899\n")
+    expected = compound_fields(load_compounds_by_rows(path, load_runs_by_rows(one)))
+    ambiguous = "row 2: ambiguous base reference 'fft': matches fft@2:1024, fft@4:1024"
+    for _ in range(2):  # cold, then warm
+        assert compound_fields(load_compounds(path, load_runs(one))) == expected
+        fault = outcome(lambda: load_compounds(path, load_runs(two)))
+        assert isinstance(fault, str) and fault.endswith(ambiguous)
+        assert compound_fields(load_compounds(path, _load_run_columns(one))) == expected
+    assert len(entries(cache)) == 3  # both runs files and the compounds against the first
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage", "huge row count", "empty"])
@@ -205,27 +251,6 @@ def test_an_entry_with_any_bit_flipped_misses(cache, tmp_path):
         entry.write_bytes(damaged)
         assert columns(load_runs(path)) == expected, bit
         assert entry.read_bytes() == whole, bit
-
-
-def test_a_fault_found_on_a_kept_parse_does_not_read_the_rest_of_the_file(
-        cache, tmp_path, monkeypatch):
-    """A kept parse shows that the whole file reads without a fault, so a
-    fault that the checks find on it is raised without reading on."""
-    text = HEADER + GOOD.replace("800,400", "-1,400") + GOOD.replace("r1", "r2") * 50
-    path = write(tmp_path / "runs.csv", text)
-    read = []
-    records = emodel._common._records
-
-    def counted(*args):
-        for record in records(*args):
-            read.append(record)
-            yield record
-
-    monkeypatch.setattr(emodel._common, "_records", counted)
-    for lines in (len(text.splitlines()), 1):  # a parse reads every line; a hit, the header
-        read.clear()
-        assert outcome(lambda: load_runs(path)).endswith("row 3, column 'X1': negative count -1.0")
-        assert len(read) == lines
 
 
 def test_a_cache_directory_that_cannot_be_made_leaves_the_load_to_parse(tmp_path, monkeypatch):

@@ -162,3 +162,20 @@ def test_records_pickled_under_emodel_core_still_load():
         assert b"emodel.model\n" in data
         old = pickle.loads(data.replace(b"emodel.model\n", b"emodel.core\n"))
         assert type(old) is type(record) and old == record
+
+
+def test_error_summaries_pickled_under_emodel_fitting_still_load():
+    """``ErrorSummary`` and ``evaluate`` moved from ``emodel.fitting`` to
+    ``emodel.model``; the old names are the same objects, and a pickle that
+    names ``emodel.fitting`` loads through the re-export."""
+    import emodel
+    import emodel.fitting
+    import emodel.model
+
+    assert emodel.fitting.ErrorSummary is emodel.model.ErrorSummary is emodel.ErrorSummary
+    assert emodel.fitting.evaluate is emodel.model.evaluate is emodel.evaluate
+    summary = ErrorSummary(0.5, 1.0, 2.0, 3)
+    data = pickle.dumps(summary, protocol=0)
+    assert b"emodel.model\n" in data
+    old = pickle.loads(data.replace(b"emodel.model\n", b"emodel.fitting\n"))
+    assert type(old) is ErrorSummary and old == summary
