@@ -27,6 +27,7 @@ _EXPORTS = {
     "CompoundRun": "model",
     "AggregatedRun": "model",
     "Dataset": "core",
+    "Compounds": "core",
     "ModelKind": "_common",
     "EnergyModel": "model",
     "DataFormatError": "_common",

@@ -13,7 +13,10 @@ found, on every load. Reading an entry needs no numpy.
 
 Entries live in ``$XDG_CACHE_HOME/emodel`` (``~/.cache/emodel`` by default),
 and removing them is always safe. Each entry is a header, the float columns
-as raw little-endian float64 bytes, then the other columns as JSON. The
+as raw little-endian float64 bytes, then the other columns as JSON: for runs,
+the float columns, then ``[pmc_names, app_id, run_id, cores, problem_size]``;
+for compounds, the counts and energies, then ``[compound_id, base_a, base_b]``,
+each base its run group's number in the dataset the spec's runs key names. The
 header holds the CRC-32 of everything after it, so an entry with any damaged
 bit misses. Nothing is pickled. Whatever keeps the cache from working leaves
 the load to parse and check the file as before, silently: a missing, short,
@@ -36,8 +39,9 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-#: Changed whenever a load or an entry's layout changes, so older entries miss.
-VERSION = 3
+#: Changed whenever a load or an entry's layout changes, so older entries miss; a
+#: test pins a digest of the loaders' sources beside it, so both change together.
+VERSION = 4
 #: The number of entries kept: a write beyond it removes the oldest by mtime.
 MAX_ENTRIES = 16
 
@@ -98,16 +102,19 @@ def _floats(data) -> memoryview:
 
 def _read(path: str):
     """The floats and the document kept at ``path``, or None when the entry is
-    missing, not whole or damaged."""
+    missing, not whole or damaged. The floats are read into bytes of their own,
+    which a load may keep without the rest of the entry."""
     try:
         with open(path, "rb") as fh:
-            whole = fh.read()
-        end = _HEADER + 8 * int.from_bytes(whole[_HEADER - 8:_HEADER], "little")
-        crc = zlib.crc32(memoryview(whole)[len(_MAGIC) + 4:]).to_bytes(4, "little")
-        if whole[:len(_MAGIC)] != _MAGIC or len(whole) <= end or (
-                crc != whole[len(_MAGIC):_HEADER - 8]):
+            header = fh.read(_HEADER)
+            size = 8 * int.from_bytes(header[_HEADER - 8:], "little")
+            if _HEADER + size >= os.fstat(fh.fileno()).st_size:  # no JSON after the floats
+                return None
+            data, rest = fh.read(size), fh.read()
+        crc = zlib.crc32(rest, zlib.crc32(data, zlib.crc32(header[_HEADER - 8:])))
+        if header[:_HEADER - 8] != _MAGIC + crc.to_bytes(4, "little"):
             return None
-        return _floats(memoryview(whole)[_HEADER:end]), json.loads(whole[end:])
+        return _floats(data), json.loads(rest)
     except (OSError, ValueError):
         return None
 

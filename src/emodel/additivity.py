@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._common import _csv_table, _Record
-from .core import CompoundRun, Dataset
+from .core import CompoundRun, Compounds, Dataset
 
 __all__ = [
     "INFINITE",
@@ -173,19 +173,23 @@ def run_additivity_test(
     stage 1 and its maximum error does not exceed ``tolerance_pct``.
     Both stages run on blocks of ``BLOCK_COLUMNS`` PMCs, with bit-identical
     stage-2 errors and the per-PMC stage-1 verdicts (see :func:`_stage1`).
+    Stage 2 reads a :class:`~emodel.core.Compounds` record resolved against
+    ``dataset`` as it is, and checks other compounds with ``check_compounds``.
     """
     if not (tolerance_pct > 0):
         raise ValueError(f"tolerance_pct must be > 0, got {tolerance_pct!r}")
     if not (reproducibility_cov >= 0):
         raise ValueError(f"reproducibility_cov must be >= 0, got {reproducibility_cov!r}")
-    if compounds is None:
-        compounds = dataset.compounds
-
-    base_a, base_b = (np.array(groups, dtype=np.intp)
-                      for groups in dataset.check_compounds(compounds))
+    compounds = dataset.compounds if compounds is None else compounds
+    rows, width = len(compounds), len(dataset.pmc_names)
+    if isinstance(compounds, Compounds) and compounds.dataset is dataset:
+        groups, counts = (compounds.base_a, compounds.base_b), np.frombuffer(compounds.floats)
+    else:
+        groups = dataset.check_compounds(compounds)
+        counts = np.array([comp.pmc.counts for comp in compounds], dtype=float)
+    base_a, base_b = (np.array(group, dtype=np.intp) for group in groups)
+    compound_counts = counts.reshape(-1)[:rows * width].reshape(rows, width)
     means = dataset.group_means(dataset.counts)
-    compound_counts = np.array([comp.pmc.counts for comp in compounds], dtype=float)
-    compound_counts = compound_counts.reshape(len(compounds), len(dataset.pmc_names))
 
     per_pmc = []
     for first in range(0, len(dataset.pmc_names), BLOCK_COLUMNS):

@@ -174,10 +174,10 @@ def _cmd_additivity(args) -> int:
     from .additivity import (
         report_to_csv, report_to_json_dict, run_additivity_test, tolerance_sweep,
     )
-    from .core import _load_run_columns, load_compounds
+    from .core import _load_compound_columns, _load_run_columns
 
     dataset = _load_run_columns(args.runs)
-    compounds = load_compounds(args.compounds, dataset) if args.compounds else []
+    compounds = _load_compound_columns(args.compounds, dataset) if args.compounds else []
     report = run_additivity_test(
         dataset, compounds, args.tolerance, reproducibility_cov=args.cov
     )
@@ -244,17 +244,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .core import _load_run_columns, load_compounds
-    from .model import _error_summary, _predict_each, evaluate, load_model
+    from .core import _load_compound_columns, _load_run_columns
+    from .model import _error_summary, _predict_each, load_model
 
     model = load_model(args.model)
     dataset = _load_run_columns(args.runs)
     if args.compounds:
-        compounds = load_compounds(args.compounds, dataset)
-        summary = evaluate(model, [(c.pmc, c.dynamic_energy_j) for c in compounds])
+        counts, energies = _load_compound_columns(args.compounds, dataset)._python_columns()
     else:
         counts, _, energies = dataset._python_columns()
-        summary = _error_summary(zip(_predict_each(model, dataset.pmc_names, counts), energies))
+    summary = _error_summary(zip(_predict_each(model, dataset.pmc_names, counts), energies))
     _emit(_one_row(summary.to_json_dict(), args.format), args.out)
     return 0
 

@@ -10,9 +10,9 @@ defined in the numpy-free :mod:`emodel.model` and re-exported here.
 A runs or compounds load that finds its file's bytes in the parse cache
 (:mod:`emodel._cache`) reads the checked columns kept there and imports no
 numpy: a dataset's float columns become numpy arrays only on first access,
-and its rows and the compounds are built without them. Only a load that
-misses, and so parses and checks the file, imports numpy here, as the group
-index and the group means do.
+and its rows and the objects of a :class:`Compounds` record are built without
+them, and by no ``emodel`` command. Only a load that misses, and so parses and
+checks the file, imports numpy here, as the group index and the group means do.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._cache import cached_load
 from ._common import DataFormatError, ModelKind, _gc_paused, _read_csv, _Record, _row_again
@@ -39,6 +40,7 @@ __all__ = [
     "CompoundRun",
     "AggregatedRun",
     "Dataset",
+    "Compounds",
     "ModelKind",
     "EnergyModel",
     "load_runs",
@@ -49,17 +51,11 @@ __all__ = [
 ]
 
 
-def _row_tuples(matrix) -> Iterator[tuple[float, ...]]:
-    """The rows of a matrix as tuples of floats, one at a time: converting all
-    rows first would leave as many lists for the garbage collector to scan."""
-    return (tuple(row.tolist()) for row in matrix)
-
-
-def _unpacked(floats: memoryview, rows: int, width: int) -> Iterator[tuple[float, ...]]:
-    """The first ``rows`` x ``width`` doubles of ``floats`` as one tuple per row, without numpy."""
-    if not width:
-        return iter([()] * rows)
-    return struct.iter_unpack(f"{width}d", floats[:rows * width])
+def _unpacked(floats, rows: int, width: int) -> tuple[Iterator[tuple[float, ...]], Sequence[float]]:
+    """The first ``rows`` x ``width`` doubles of ``floats``, a flat buffer of doubles, as one
+    tuple per row, made one at a time and without numpy; and the doubles after them."""
+    counts = struct.iter_unpack(f"{width}d", floats[:rows * width]) if width else iter([()] * rows)
+    return counts, floats[rows * width:]
 
 
 def _two_sum(a, b):
@@ -153,12 +149,12 @@ class Dataset(_Record):
         self.__dict__.update(_floats=floats, app_id=tuple(app_id), run_id=tuple(run_id),
                              cores=tuple(cores), problem_size=tuple(sizes))
 
-    def _python_columns(self) -> tuple[Iterator[tuple[float, ...]], list[float], list[float]]:
-        """The rows of ``counts`` as tuples, and ``exec_time_s`` and
-        ``dynamic_energy_j`` as lists: the float columns, read without numpy."""
-        floats, rows, width = self.__dict__["_floats"], len(self.app_id), len(self.pmc_names)
-        return (_unpacked(floats, rows, width), floats[rows * width:rows * (width + 1)].tolist(),
-                floats[rows * (width + 1):].tolist())
+    def _python_columns(self) -> tuple[Iterator[tuple[float, ...]], memoryview, memoryview]:
+        """The rows of ``counts`` as tuples, one at a time, and ``exec_time_s`` and
+        ``dynamic_energy_j`` as views: the float columns, read without numpy."""
+        rows = len(self.app_id)
+        counts, rest = _unpacked(self.__dict__["_floats"], rows, len(self.pmc_names))
+        return counts, rest[:rows], rest[rows:]
 
     def __getattr__(self, name: str):
         # Reached only for a missing attribute: the rows or the arrays, not yet built.
@@ -264,8 +260,8 @@ class Dataset(_Record):
 
     def points(self) -> tuple[AggregatedRun, ...]:
         """One aggregated point per (app_id, config): means over repetitions."""
-        index = self.group_index
-        counts = _row_tuples(self.group_means(self.counts))
+        index, width = self.group_index, len(self.pmc_names)
+        counts, _ = _unpacked(self.group_means(self.counts).reshape(-1), len(index.sizes), width)
         times = self.group_means(self.exec_time_s).tolist()
         energies = self.group_means(self.dynamic_energy_j).tolist()
         return tuple(
@@ -322,6 +318,42 @@ class Dataset(_Record):
                 f"{', '.join(RunRef(a, RunConfig(c, s)).label() for a, c, s in matches)}"
             )
         return matches[0]
+
+
+class Compounds(_Record, Sequence):
+    """Compounds resolved against ``dataset`` as columns, as a loader checked
+    them: ids, the group numbers of the first and second bases, and ``floats``,
+    the native doubles of the counts (row by row), then of the energies. Also an
+    immutable sequence of :class:`CompoundRun`, built without numpy on first access."""
+
+    _FIELDS = ("compound_id", "base_a", "base_b", "floats", "pmc_names", "dataset")
+
+    def __init__(self, compound_id: Iterable[str], base_a: Iterable[int], base_b: Iterable[int],
+                 floats: bytes, pmc_names: Iterable[str], dataset: Dataset) -> None:
+        self.__dict__.update(zip(self._FIELDS, (tuple(compound_id), tuple(base_a), tuple(base_b),
+                                                bytes(floats), tuple(pmc_names), dataset)))
+
+    def __len__(self) -> int:
+        return len(self.compound_id)
+
+    def __getitem__(self, index):
+        return self._runs[index]
+
+    def __iter__(self) -> Iterator[CompoundRun]:
+        return iter(self._runs)
+
+    def _python_columns(self) -> tuple[Iterator[tuple[float, ...]], memoryview]:
+        """The counts' rows as tuples, one at a time, and the energies as a view."""
+        return _unpacked(memoryview(self.floats).cast("d"), len(self), len(self.pmc_names))
+
+    @cached_property
+    def _runs(self) -> tuple[CompoundRun, ...]:
+        keys, names = list(self.dataset._group_codes[0]), self.pmc_names
+        refs = {g: RunRef(keys[g][0], RunConfig(*keys[g][1:]))
+                for g in {*self.base_a, *self.base_b}}
+        return tuple([CompoundRun(id_, refs[a], refs[b], PmcVector._checked(names, row), energy)
+                      for id_, a, b, row, energy in zip(
+                          self.compound_id, self.base_a, self.base_b, *self._python_columns())])
 
 
 # Runs-CSV column names with fixed meaning; everything else is a PMC column.
@@ -592,7 +624,7 @@ def _checked_runs(path, header: list[str], rows) -> tuple[bytearray, list]:
             [pmc_names, app_ids, run_ids, cores, sizes])
 
 
-def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
+def load_compounds(path, dataset: Dataset) -> Compounds:
     """Load a compounds CSV, resolving base references against ``dataset``.
 
     Header: ``compound_id,base_a,base_b,dynamic_energy_j`` followed by the
@@ -601,28 +633,28 @@ def load_compounds(path, dataset: Dataset) -> list[CompoundRun]:
     A file with a valid header and zero data rows is an empty test set, not
     an error. Resolved against a dataset that :func:`load_runs` read, the
     checked compounds are kept in the parse cache under both files' bytes.
+    Gives a :class:`Compounds` record, not a list, its objects built at load.
     """
+    compounds = _load_compound_columns(path, dataset)
+    compounds._runs  # built now, without numpy, so later analysis is not charged for them
+    return compounds
+
+
+def _load_compound_columns(path, dataset: Dataset) -> Compounds:
+    """:func:`load_compounds` leaving the objects to be built on first access."""
     runs_key = vars(dataset).get("_key")
     with _read_csv(path) as (header, rows):
-        _, floats, (compound_ids, refs, bases_a, bases_b) = cached_load(
-            rows.file if runs_key else None, ("compounds", runs_key),
-            lambda: _checked_compounds(path, header, rows, dataset))
-    refs = [RunRef(app_id, RunConfig(cores, size)) for app_id, cores, size in refs]
-    names, count = dataset.pmc_names, len(compound_ids)
-    return [
-        CompoundRun(compound_id, refs[a], refs[b], PmcVector._checked(names, row), energy)
-        for compound_id, a, b, row, energy in zip(
-            compound_ids, bases_a, bases_b, _unpacked(floats, count, len(names)),
-            floats[count * len(names):].tolist())
-    ]
+        _, floats, document = cached_load(rows.file if runs_key else None, ("compounds", runs_key),
+                                          lambda: _checked_compounds(path, header, rows, dataset))
+    # On a hit, ``floats.obj`` is the bytes read from the entry: the record keeps them uncopied.
+    return Compounds(*document, floats.obj, dataset.pmc_names, dataset)
 
 
 def _checked_compounds(path, header: list[str], rows, dataset: Dataset) -> tuple[bytearray, list]:
     """Parse and check a compounds file against ``dataset``: the floats of the
-    counts and of the energies, and the document ``[compound_id, refs, base_a,
-    base_b]``, where each base is a position in ``refs``, the keys ``(app_id,
-    cores, problem_size)`` of the run groups the bases resolve to; or the
-    file's first fault."""
+    counts and of the energies, and the document ``[compound_id, base_a,
+    base_b]``, where each base is the number of the dataset's run group it
+    resolves to; or the file's first fault."""
     columns = _columns(path, header)
     required = ("compound_id", "base_a", "base_b", "dynamic_energy_j")
     missing = [c for c in required if c not in columns]
@@ -642,13 +674,13 @@ def _checked_compounds(path, header: list[str], rows, dataset: Dataset) -> tuple
     number = dict(zip(number_columns, values.T))
     check = lambda name, *bound: _number_checks(path, columns[name], name, number[name], *bound)
     energies = number["dynamic_energy_j"]
-    ref_of = {}
+    code_of, group_of = dataset._group_codes[0], {}
     for text in set(base_texts[0]).union(base_texts[1]):
         try:
-            ref_of[text] = dataset._group_key(text)
+            group_of[text] = code_of[dataset._group_key(text)]
         except DataFormatError as exc:
-            ref_of[text] = f": {exc}"
-    bases_a, bases_b = ([ref_of[text] for text in texts] for texts in base_texts)
+            group_of[text] = f": {exc}"
+    bases_a, bases_b = ([group_of[text] for text in texts] for texts in base_texts)
     del base_texts
     _raise_first_fault(path, row_numbers, [
         (len(values), lambda i: f": expected {len(header)} cells, got {cells}"),
@@ -659,7 +691,4 @@ def _checked_compounds(path, header: list[str], rows, dataset: Dataset) -> tuple
         *chain.from_iterable(check(name, number[name] < 0, "negative count")
                              for name in pmc_columns),
     ])
-    position: dict[tuple[str, int, str], int] = {}
-    bases = [[position.setdefault(key, len(position)) for key in keys]
-             for keys in (bases_a, bases_b)]
-    return _entry_floats(values[:, :-1], energies), [compound_ids, list(position), *bases]
+    return _entry_floats(values[:, :-1], energies), [compound_ids, bases_a, bases_b]

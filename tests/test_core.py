@@ -306,7 +306,7 @@ def test_load_compounds_unknown_base_named(tmp_path):
 def test_load_compounds_empty_body_is_empty_list(tmp_path):
     dataset = load_runs(write(tmp_path / "runs.csv", RUNS_CSV))
     text = "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\n"
-    assert load_compounds(write(tmp_path / "comp.csv", text), dataset) == []
+    assert list(load_compounds(write(tmp_path / "comp.csv", text), dataset)) == []
 
 
 def test_load_compounds_pmc_mismatch(tmp_path):
@@ -799,7 +799,7 @@ def test_load_compounds_matches_row_by_row_reference(tmp_path_factory, text):
     got = outcome(load_compounds, path, dataset)
     expected = outcome(load_compounds_by_rows, path, dataset)
     if isinstance(expected, list):
-        assert got == expected
+        assert list(got) == expected
         assert [hexed(c.pmc.counts) + [c.dynamic_energy_j.hex()] for c in got] == [
             hexed(c.pmc.counts) + [c.dynamic_energy_j.hex()] for c in expected
         ]
@@ -854,5 +854,5 @@ def test_load_compounds_without_pmc_columns(tmp_path):
     path = write(tmp_path / "compounds.csv",
                  "compound_id,base_a,base_b,dynamic_energy_j\nc,a,a,2.5\nd,a,a,1e3\n")
     compounds = load_compounds(path, dataset)
-    assert compounds == load_compounds_by_rows(path, dataset)
+    assert list(compounds) == load_compounds_by_rows(path, dataset)
     assert [c.dynamic_energy_j for c in compounds] == [2.5, 1000.0]

@@ -9,6 +9,7 @@ regular file, and a file whose bytes changed. A cache directory that another
 user could write to is neither read nor written.
 """
 
+import hashlib
 import os
 import random
 import stat
@@ -22,7 +23,8 @@ import numpy as np
 import pytest
 
 from emodel import DataFormatError, load_compounds, load_runs
-from emodel._cache import _HEADER, _MAGIC, MAX_ENTRIES
+import emodel
+from emodel._cache import _HEADER, _MAGIC, MAX_ENTRIES, VERSION
 from emodel.core import _load_run_columns
 from helpers import load_compounds_by_rows, load_runs_by_rows
 
@@ -354,3 +356,22 @@ def test_a_loading_process_does_not_import_hashlib(cache, tmp_path):
                                 check=True)
         assert result.stdout == "False\n", result.stderr
         assert len(entries(cache)) == 1
+
+
+#: The parse cache's VERSION, with the SHA-256 of the sources of the loads that
+#: fill and read its entries, taken together in this order. A warm load runs no
+#: check and takes the entry's computed values as they are, so an edit to these
+#: sources that left VERSION alone would give the old answer on every warm run
+#: and the new one on every cold run. Any edit to them fails this pin until
+#: VERSION is bumped and the new digest pinned with it.
+LOADER_SOURCES = ("_cache.py", "_common.py", "core.py")
+LOADER_PIN = (4, "9f6ee155329b07825a5c175f0fa82512bec8b5ea9cc93fa95a5c2392cce3deea")
+
+
+def test_an_edit_to_the_loaders_bumps_the_cache_version():
+    digest = hashlib.sha256()
+    for name in LOADER_SOURCES:
+        with open(os.path.join(os.path.dirname(emodel.__file__), name), "rb") as fh:
+            digest.update(fh.read())
+    assert (VERSION, digest.hexdigest()) == LOADER_PIN, (
+        "the loaders' sources changed: bump emodel._cache.VERSION, then pin it with the new digest")

@@ -10,6 +10,7 @@ AttributeError on assigning or deleting a field.
 import dataclasses
 import inspect
 import pickle
+import struct
 
 import pytest
 
@@ -18,8 +19,8 @@ from emodel.additivity import AdditivityReport, Classification, PmcAdditivity
 from emodel.conservation import (MAX, SUM, ComposabilityReport, CompositionCounterexample,
                                  Operator, OperatorDetection, OperatorTable, Violation,
                                  ViolationKind, ViolationReport)
-from emodel.core import (AggregatedRun, ApplicationRun, CompoundRun, Dataset, EnergyModel,
-                         PmcVector, RunConfig, RunRef)
+from emodel.core import (AggregatedRun, ApplicationRun, CompoundRun, Compounds, Dataset,
+                         EnergyModel, PmcVector, RunConfig, RunRef)
 from emodel.fitting import CorrelationMatrix, ErrorSummary
 from emodel.partitioning import EnergyFunction, PartitionResult
 from emodel.stats import MeanEstimate
@@ -29,6 +30,7 @@ CONFIG = RunConfig(2, "s")
 RUN_A = ApplicationRun("a", CONFIG, VECTOR, 1.0, 20.0, "r1")
 RUN_B = ApplicationRun("b", RunConfig(4), PmcVector(("X1", "X2"), (1.0, 2.0)), 2.0, 10.0)
 COMPOUND = CompoundRun("c", RUN_A.ref, RUN_B.ref, VECTOR, 30.0)
+DATASET = Dataset(("X1", "X2"), (RUN_A, RUN_B))
 WITNESS = CompositionCounterexample(VECTOR, VECTOR, VECTOR, 1.0, 2.5)
 DETECTION = OperatorDetection(MAX, 2, "X2", True, 3, WITNESS)
 PER_PMC = PmcAdditivity("X1", True, 1.5, Classification.ADDITIVE)
@@ -45,6 +47,10 @@ CALLS = {
     AggregatedRun: [(("a", CONFIG, VECTOR, 1.0, 20.0, 2), {})],
     Dataset: [((["X1", "X2"], [RUN_A, RUN_B], [COMPOUND]), {}),
               ((("X1", "X2"), (RUN_A,)), {})],
+    Compounds: [((("c",), (0,), (1,), struct.pack("3d", 3.0, 4.5, 30.0), ("X1", "X2"), DATASET),
+                 {}),
+                ((["c", "d"], [1, 0], [1, 1], bytes(struct.pack("6d", *range(6))), ["X1", "X2"]),
+                 {"dataset": DATASET})],
     EnergyModel: [((["X1", "X2"], 0, [1, 2.5], "zero_intercept_nonneg"), {}),
                   ((("X1",), -1.0, (0.5,), ModelKind.UNCONSTRAINED), {})],
     CorrelationMatrix: [((["y", "X1"], [[1.0, 0.5], [0.5, 1.0]]), {})],
