@@ -48,9 +48,11 @@ __all__ = [
 _OCTAVES = 37
 COUNT_RANGE = (1.0, 2.0 ** _OCTAVES)
 
-#: The most trial rows one kernel call holds, so the probe's memory stays
-#: bounded whatever the trial count. Reports do not depend on it: row t of a
-#: clause's stream is its trial t, and every row is checked on its own.
+#: The probe's first round shares ``_FIRST_ROWS`` trial rows among its live
+#: clauses and each later round twice as many, up to ``_MAX_ROWS``: a clause
+#: caught early draws few trials, and memory is bounded whatever the trial
+#: count. Reports depend on neither: row t of a clause's stream is its trial t.
+_FIRST_ROWS = 128
 _MAX_ROWS = 4096
 
 
@@ -439,31 +441,35 @@ class ComposabilityReport(_Record):
         }
 
 
-def _require_seed(seed) -> None:
+def _require_int(name: str, value, least: int) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is an int, not a bool, >= ``least``."""
     import numpy as np
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-def _draw_counts(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
-    """The next ``rows`` rows of ``width`` counts from ``rng``. Each count is
-    ``ldexp(1 + u1, floor(u2 * 37))`` of the next two ``random`` values, so
-    every octave of ``COUNT_RANGE`` is equally likely. Only correctly rounded
-    operations make a count, so it is the same on every machine; and as each
-    value takes one 64-bit word, rows drawn in blocks equal rows drawn at once."""
+def _counts(u: np.ndarray) -> np.ndarray:
+    """The counts of the uniforms ``u`` from a stream's ``random``, two per
+    count on the last axis: ``ldexp(1 + u1, floor(u2 * 37))``, so every octave
+    of ``COUNT_RANGE`` is equally likely. Only correctly rounded operations
+    make a count, so it is the same on every machine; and as each value takes
+    one 64-bit word, rows drawn in blocks equal rows drawn at once."""
     import numpy as np
-    u = rng.random((rows, width, 2))
     return np.ldexp(1.0 + u[..., 0], np.floor(u[..., 1] * _OCTAVES).astype(np.intc))
 
 
 def _trial_witness(names: tuple[str, ...], a, b, composed, lhs, rhs) -> CompositionCounterexample:
     """The counterexample of one flagged trial row; a row whose composed
-    counts are invalid raises the ``PmcVector`` error for its first one;
-    ``a`` and ``b``, finite and positive from ``_draw_counts``, skip the check."""
+    counts are invalid raises the ``PmcVector`` error for its first one.
+    ``a`` and ``b``, finite and positive from ``_counts``, skip the check,
+    as do composed counts of a finite sum (no NaN or inf) and no negative."""
+    counts = tuple(composed.tolist())
+    valid = min(counts, default=0.0) >= 0.0 and math.isfinite(sum(counts))
     return CompositionCounterexample(
         PmcVector._checked(names, tuple(a.tolist())),
         PmcVector._checked(names, tuple(b.tolist())),
-        PmcVector(names, tuple(composed.tolist())),
+        (PmcVector._checked if valid else PmcVector)(names, counts),
         float(lhs),
         float(rhs),
     )
@@ -489,22 +495,21 @@ def strong_composability_check(
     clause draws from one stream, ``np.random.default_rng([seed, o, k])``
     with ``o`` 0 for the additive clause (``k`` 0), 1 for MAX and 2 for
     SUM_PLUS_DELTA planted at the 1-based position ``k``. Row ``t`` of a
-    stream, ``2 * PMCs`` counts drawn as by ``_draw_counts``, is trial ``t``:
+    stream, ``2 * PMCs`` counts made by ``_counts``, is trial ``t``:
     the first run's counts, then the second's.
 
-    Every live clause takes its next rows in one round of at most
-    ``_MAX_ROWS`` rows (one per clause when more clauses are live). The
-    additive clause keeps every violating trial; a planted clause keeps its
-    first and then drops out. The report, and the ``ValueError`` for a
-    composed count a negative ``delta`` made invalid, are those of a
-    trial-by-trial loop over the clauses in report order.
+    The live clauses share each round's rows evenly: ``_FIRST_ROWS`` in the
+    first, twice the last round's budget in each later one, up to ``_MAX_ROWS``
+    (at least one per clause). The additive clause keeps every violating trial;
+    a planted clause keeps its first and drops out. The report, and the
+    ``ValueError`` for a composed count a negative ``delta`` made invalid, are
+    those of a trial-by-trial loop over the clauses in report order.
     """
     _require_zero_intercept(model, "strong composability")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_int("trials", trials, 1)
     if delta == 0.0 or not math.isfinite(delta):
         raise ValueError(f"delta must be finite and nonzero, got {delta!r}")
-    _require_seed(seed)
+    _require_int("seed", seed, 0)
     import numpy as np
     names = model.pmc_names
     n = len(names)
@@ -516,21 +521,26 @@ def strong_composability_check(
     ]
     streams = [np.random.default_rng([seed, o, k]) for o, _, k in clauses]
     hits: list[list[tuple]] = [[] for _ in clauses]
-    live, start = list(range(len(clauses))), 0
+    live, start, budget = list(range(len(clauses))), 0, min(_FIRST_ROWS, _MAX_ROWS)
     while start < trials:
-        width = min(max(_MAX_ROWS // len(live), 1), trials - start)
-        counts = np.concatenate([_draw_counts(streams[c], width, 2 * n) for c in live])
+        width = min(max(budget // len(live), 1), trials - start)
+        u = np.empty((len(live) * width, 2 * n, 2))
+        for i, c in enumerate(live):
+            streams[c].random(out=u[i * width:(i + 1) * width])
+        counts = _counts(u)
         a, b = counts[:, :n], counts[:, n:]
         planted = [(slice(i * width, (i + 1) * width), clauses[c][2] - 1, clauses[c][1])
                    for i, c in enumerate(live) if c]
         composed = _compose(a, b, SUM, planted)
         lhs, rhs, flagged = _flagged(model, slice(None), a, b, composed, tol)
-        for i, c in enumerate(live):
-            found = np.flatnonzero(flagged[i * width:(i + 1) * width]).tolist()
-            hits[c] += [(start + t, *(m[i * width + t] for m in (a, b, composed, lhs, rhs)))
-                        for t in (found if c == 0 else found[:1])]
+        for row in np.flatnonzero(flagged).tolist():
+            c = live[row // width]
+            if c == 0 or not hits[c]:
+                hits[c].append((start + row % width,
+                                *(m[row] for m in (a, b, composed, lhs, rhs))))
         live = [c for c in live if c == 0 or not hits[c]]
         start += width
+        budget = min(2 * budget, _MAX_ROWS)
 
     # In report order, so the first invalid witness raises as a clause loop would.
     additive_counterexamples = [_trial_witness(names, *row) for _, *row in hits[0]]
@@ -571,14 +581,13 @@ def generate_cases(
     drawn from the same stream after every case's counts. With zero noise the
     generating model evaluates to zero error on its own cases.
     """
-    if n_cases < 1:
-        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
+    _require_int("n_cases", n_cases, 1)
     if noise_sigma < 0 or not math.isfinite(noise_sigma):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    _require_seed(seed)
+    _require_int("seed", seed, 0)
     import numpy as np
     rng = np.random.default_rng(seed)
-    counts = _draw_counts(rng, n_cases, len(model.pmc_names))
+    counts = _counts(rng.random((n_cases, len(model.pmc_names), 2)))
     measured = _predict_rows(model.intercept, model.coefficients, counts)
     if noise_sigma > 0:
         measured += rng.normal(0.0, noise_sigma, n_cases)

@@ -386,18 +386,18 @@ def _error_summary(pairs: Iterable[tuple[float, float]]) -> ErrorSummary:
 def _predict_rows(intercept: float, coefficients: Sequence[float], counts):
     """:func:`predict` for each row of the array ``counts`` (columns: the
     model's PMCs, in model order), bit for bit: the one array form of the
-    model-order sum. Totals start at the intercept and add ``coefficient *
-    column`` one column at a time, never a matrix product, which BLAS would
-    sum in another order. An overflow gives the scalar sum's inf or NaN,
-    without a numpy warning. Only a caller that holds an array runs this, so
-    numpy is imported here rather than with the module."""
+    model-order sum. ``np.add.accumulate`` adds the intercept and each term
+    ``coefficient * count`` left to right, one at a time, never as a matrix
+    product or pairwise sum, which add in another order. An overflow gives
+    the scalar sum's inf or NaN, without a numpy warning. Only a caller that
+    holds an array runs this, so numpy is imported here, not with the module."""
     import numpy as np
 
-    totals = np.full(len(counts), intercept, dtype=float)
+    terms = np.empty((len(counts), len(coefficients) + 1))
+    terms[:, 0] = intercept
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, coefficient in enumerate(coefficients):
-            totals += coefficient * counts[:, j]
-    return totals
+        np.multiply(counts, coefficients, out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 @lru_cache(maxsize=64)

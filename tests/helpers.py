@@ -718,7 +718,7 @@ def strong_composability_by_loops(model, trials=100, seed=0, *, delta=1.0, tol=1
     in a loop of their own."""
     _require_zero_intercept_by_loops(model, "strong composability")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if delta == 0.0 or not math.isfinite(delta):
         raise ValueError(f"delta must be finite and nonzero, got {delta!r}")
 

@@ -354,6 +354,28 @@ def test_seed_must_be_non_negative():
         generate_cases(model, 3, seed=-1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("trials", True), ("trials", 2.5), ("trials", "3"), ("trials", 0), ("seed", True),
+    ("seed", 1.0),
+])
+def test_strong_check_arguments_must_be_integers(name, value):
+    model = linear_model((1.0,), kind=ModelKind.ZERO_INTERCEPT)
+    arguments = {"trials": 5, "seed": 0, name: value}
+    bound = "a non-negative integer" if name == "seed" else "an integer >= 1"
+    with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value!r}$"):
+        strong_composability_check(model, **arguments)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_cases", True), ("n_cases", 2.5), ("n_cases", 0), ("seed", False), ("seed", 2.0),
+])
+def test_generate_cases_arguments_must_be_integers(name, value):
+    arguments = {"n_cases": 3, "seed": 0, name: value}
+    bound = "a non-negative integer" if name == "seed" else "an integer >= 1"
+    with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value!r}$"):
+        generate_cases(linear_model((1.0,)), **arguments)
+
+
 def test_huge_delta_overflow_is_still_detected():
     # delta = 1e308 overflows lhs and scale at P1 (2 * 1e308 = inf); compared
     # on counts scaled by a power of two, the planted operator is caught.
@@ -555,17 +577,34 @@ def kernel_rows(monkeypatch):
 
 def test_strong_check_rounds_match_reference_loops(monkeypatch):
     # Tiny coefficients hide planted operators from most trials: 11 clauses
-    # share the first round of 372 trials, the 5 left (the additive one
-    # among them) two more of 819 and 809, and the loops' report is kept.
+    # share the first round of 128 rows, 11 trials each. The clauses left
+    # (the additive one among them) share twice as many rows in each later
+    # round, up to 4,096, and the loops' report is kept.
     model = linear_model((1.0, 1e-12, 3e-13, 1e-13, 2e-14), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
     rows = kernel_rows(monkeypatch)
-    for seed in range(2):
+    schedules = {0: [11 * 11, 8 * 32, 5 * 102, 5 * 204, 5 * 409, 5 * 819, 5 * 423],
+                 1: [11 * 11, 5 * 51, 5 * 102, 5 * 204, 5 * 409, 5 * 819, 5 * 404]}
+    for seed, schedule in schedules.items():
         rows.clear()
         report = strong_composability_check(model, 2000, seed)
-        assert rows == [11 * 372, 5 * 819, 5 * 809]
+        assert rows == schedule
         assert harness_outcome(strong_composability_by_loops, model, 2000, seed) == json.dumps(
             report.to_json_dict())
         assert {d.trials_used for d in report.detections} > {1, 2000}
+
+
+def test_strong_check_draws_few_rows_for_clauses_caught_at_once(monkeypatch):
+    # Every planted operator on these coefficients is caught at trial 1, so
+    # past the first round only the additive clause draws: the kernel sees
+    # at most the first round's rows plus one row per trial.
+    model = linear_model(tuple(range(1, 13)), kind=ModelKind.ZERO_INTERCEPT_NONNEG)
+    rows = kernel_rows(monkeypatch)
+    for trials in (1, 4, 5, 6, 100, 2000):
+        rows.clear()
+        report = strong_composability_check(model, trials, 1)
+        assert {d.trials_used for d in report.detections} == {1}
+        assert rows[0] <= conservation._FIRST_ROWS
+        assert sum(rows) <= conservation._FIRST_ROWS + trials
 
 
 def test_strong_check_row_cap_keeps_reports(monkeypatch):
@@ -592,6 +631,32 @@ def test_strong_check_beyond_row_cap_matches_reference_loops():
     assert [d.trials_used for d in report.detections if d.pmc_index == 2] == [trials, trials]
     assert harness_outcome(strong_composability_by_loops, model, trials, 4) == json.dumps(
         report.to_json_dict())
+
+
+@st.composite
+def round_models(draw):
+    """Zero-intercept models of 1 to 20 PMCs whose coefficients, some tiny,
+    keep planted clauses live for a few rounds."""
+    n = draw(st.integers(1, 20))
+    coefficient = st.sampled_from([0.0, 1.0, -2.5, 1e-12, 3e-14, -1e-15]) | st.floats(-1e3, 1e3)
+    coefficients = draw(st.lists(coefficient, min_size=n, max_size=n))
+    return linear_model(coefficients, kind=ModelKind.ZERO_INTERCEPT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), model=round_models(), seed=st.integers(0, 2**32),
+       delta=st.sampled_from([1.0, -1.0, -1e3, -1e9, 1e9]))
+def test_strong_check_at_round_boundaries_matches_reference_loops(data, model, seed, delta):
+    # Trial counts on either side of where the first round ends, and of where
+    # the second ends for any number of clauses still live after the first.
+    live = 1 + 2 * sum(c != 0.0 for c in model.coefficients)
+    first = max(conservation._FIRST_ROWS // live, 1)
+    boundaries = {first + max(2 * conservation._FIRST_ROWS // left, 1)
+                  for left in range(1, live + 1)} | {first}
+    trials = data.draw(st.sampled_from(sorted({max(t + j, 1) for t in boundaries
+                                               for j in (-1, 0, 1)})))
+    got = harness_outcome(strong_composability_check, model, trials, seed, delta=delta)
+    assert got == harness_outcome(strong_composability_by_loops, model, trials, seed, delta=delta)
 
 
 def test_strong_check_invalid_count_follows_clause_order():

@@ -624,6 +624,37 @@ def test_predict_rows_keeps_zero_signs_and_overflow():
     assert [str(v) for v in expected] == ["-0.0", "0.0", "inf", "-inf", "nan", "0.0"]
 
 
+def test_predict_rows_edge_cases_match_predict_bit_for_bit():
+    def check(model, vectors, counts):
+        totals = fitting._predict_rows(model.intercept, model.coefficients, counts)
+        assert bit_keys(totals.tolist()) == bit_keys([predict(model, v) for v in vectors])
+
+    # No PMCs: each total is the intercept, its sign included.
+    for intercept in (0.0, -0.0, 2.5):
+        model = EnergyModel((), intercept, (), ModelKind.UNCONSTRAINED)
+        check(model, [PmcVector((), ())] * 3, np.empty((3, 0)))
+    # The counts picked as non-contiguous columns of a wider matrix.
+    rng = np.random.default_rng(3)
+    names = tuple(f"C{j}" for j in range(9))
+    matrix = rng.uniform(0.0, 1e9, (7, 9))
+    model = EnergyModel(names[1::2], 0.5, tuple(rng.uniform(-1.0, 1.0, 4)),
+                        ModelKind.UNCONSTRAINED)
+    vectors = [PmcVector(names, tuple(row)) for row in matrix.tolist()]
+    assert not matrix[:, 1::2].flags.c_contiguous
+    check(model, vectors, matrix[:, 1::2])
+    # An overflow in the middle of a row, which a later term of the other
+    # sign does not undo (inf) or turns into NaN; a -0.0 intercept that only
+    # -0.0 terms keep; a subnormal count's term that moves the last bit.
+    model = EnergyModel(("C1", "C2", "C3", "C4"), -0.0, (1e308, 1e308, -1e308, 1.0),
+                        ModelKind.UNCONSTRAINED)
+    rows = [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 2.0, 0.0), (0.0, 0.0, 0.0, -0.0),
+            (-0.0, -0.0, 0.0, -0.0), (5e-324, 0.0, 0.0, 3.0), (1.7e308, 0.0, 0.0, 1.0)]
+    vectors = [PmcVector(model.pmc_names, row) for row in rows]
+    check(model, vectors, np.array(rows))
+    assert [str(predict(model, v)) for v in vectors] == [
+        "inf", "nan", "0.0", "-0.0", "3.0000000000000004", "inf"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_predict_matches_lookup_by_name_bit_for_bit(data):

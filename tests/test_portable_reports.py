@@ -68,6 +68,10 @@ def _energy_function_csv(linear: float, quadratic: float, missing: int) -> str:
 
 MODEL = {"kind": "zero_intercept", "pmc_names": list(PMCS), "intercept": 0.0,
          "coefficients": [0.0201, 0.4987, -0.00125, 0.0102, 3e-05]}
+# Tiny coefficients hide planted operators from most trials: with seed 1 the
+# probe's planted clauses are caught at trials 1 to 68 or never in 2,000.
+TINY_MODEL = {"kind": "zero_intercept_nonneg", "pmc_names": list(PMCS), "intercept": 0.0,
+              "coefficients": [1.0, 3e-14, 1e-14, 3e-15, 1e-15]}
 
 COMMANDS = {
     "additivity": ["additivity", "--runs", "@runs.csv", "--compounds", "@compounds.csv",
@@ -78,6 +82,8 @@ COMMANDS = {
                              "--compounds", "@compounds.csv"],
     "conserve --composability-trials": ["conserve", "--model", "@model.json",
                                         "--composability-trials", "50", "--seed", "7"],
+    "conserve --composability-trials tiny": ["conserve", "--model", "@tiny-model.json",
+                                             "--composability-trials", "2000", "--seed", "1"],
     "correlate": ["correlate", "--runs", "@runs.csv"],
     "partition": ["partition", "--func1", "@f1.csv", "--func2", "@f2.csv", "--n", "4096"],
     "partition --interpolate": ["partition", "--func1", "@f1.csv", "--func2", "@f2.csv",
@@ -106,6 +112,7 @@ DIGESTS = {
     'evaluate --runs': '19b3ca4604d9b471e5cd69911c29e80d7f311ddb575db76acd649bda8accb61e',
     'evaluate --compounds': 'c89ea4cfffae1cdf8ffcf74ee400e5626f9d7459ee4310a7231ef49b6820e0e6',
     'conserve --composability-trials': '89ed3f3de1a98c32ffa3f6038d62d4406c0c7f66f444ea4e44d4de6501087fdc',
+    'conserve --composability-trials tiny': 'a53f60353b3a1ba6885e5b78ef93b94c09b9138fafcaa333ed76c87737e568cf',
     'correlate': 'bd7900176ba22673fdd580481847652ef1e39d49e9032a913e6a87012318bda2',
     'partition': '5e7aa6842ba8d51b80ce1ea6186f15cef97b037b27eb4d7cd200875d2afbaf8b',
     'partition --interpolate': '3768ff548c549391e6aa8167a8c87faff86235718b79cb06ad99aa91127ede13',
@@ -130,7 +137,8 @@ def _report_digests(directory, capsys, monkeypatch) -> dict[str, str]:
     for name, text in [("runs.csv", _runs_csv()), ("compounds.csv", _compounds_csv()),
                        ("f1.csv", _energy_function_csv(0.75, 0.0125, 5)),
                        ("f2.csv", _energy_function_csv(1.5, 0.002, 3)),
-                       ("model.json", json.dumps(MODEL))]:
+                       ("model.json", json.dumps(MODEL)),
+                       ("tiny-model.json", json.dumps(TINY_MODEL))]:
         (directory / name).write_text(text, encoding="utf-8")
     digests = {}
     for number, (name, argv) in enumerate(COMMANDS.items()):
