@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import math
 from contextlib import contextmanager
 from enum import Enum
@@ -155,14 +156,16 @@ class _Rows:
 
 
 @contextmanager
-def _read_csv(path) -> Iterator[tuple[list[str], _Rows]]:
+def _read_csv(path, text: str | None = None) -> Iterator[tuple[list[str], _Rows]]:
     """A CSV file's stripped header cells, and its data rows that are not
     blank, read one at a time, each with its row number (the header is row 1,
-    and blank rows count). A :class:`DataFormatError` raised in the block
+    and blank rows count); from ``text`` when it is given, the file's text
+    already read. A :class:`DataFormatError` raised in the block
     first reads the rest of the file, so that a read fault further on (text
     that is not UTF-8, or a csv error) takes its place: every fault comes in
     the order it would if the whole file were read before any check."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with (open(path, newline="", encoding="utf-8") if text is None
+          else io.StringIO(text, newline="")) as fh:
         records = _records(path, fh)
         rows = _Rows(fh, ((number, cells) for number, cells in enumerate(records, 2)
                           if any(map(str.strip, cells))))
@@ -177,24 +180,25 @@ def _read_csv(path) -> Iterator[tuple[list[str], _Rows]]:
             raise
 
 
-def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_table(path, file) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """:func:`_read_csv`'s header and rows, all read at once, for a file small
-    enough to hold whole. The ``csv`` module reads a text without a quote or
-    NUL, whose lines are no longer than ``csv.field_size_limit()`` (so no cell
-    is either), as its lines split at their commas: such a text is split at
-    its line endings (LF, CRLF or CR, as a file opened with ``newline=""``
-    splits them) and commas in a few passes over the whole text, with no
-    generator step per line. Any other file is read by :func:`_read_csv`."""
+    enough to hold whole: the file at ``path``, read from ``file``, where it is
+    open for binary reading at its start. The ``csv`` module reads a
+    text without a quote or NUL, whose lines are no longer than
+    ``csv.field_size_limit()`` (so no cell is either), as its lines split at
+    their commas: such a text is split at its line endings (LF, CRLF or CR, as
+    a file opened with ``newline=""`` splits them) and commas in a few passes
+    over the whole text, with no generator step per line. Any other text is
+    read by :func:`_read_csv`."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+        text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not lines[-1]:  # the text ends with a line ending, or is empty
         lines.pop()
     if '"' in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
-        with _read_csv(path) as (header, rows):
+        with _read_csv(path, text) as (header, rows):
             return header, list(rows)
     header = [cell.strip() for cell in lines[0].split(",")] if lines else []
     if not any(header):

@@ -295,6 +295,8 @@ def _cmd_conserve(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if args.granularity is not None and args.granularity < 1:
+        raise UsageError(f"error: --granularity must be >= 1, got {args.granularity}")
     from .partitioning import load_energy_function, partition
 
     func1 = load_energy_function(args.func1, granularity=args.granularity)

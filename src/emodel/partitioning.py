@@ -4,19 +4,21 @@ Each processor contributes a table of measured dynamic energies e(x, y) on a
 grid of granularity g, held as its y-slices: for each y, the samples' x and
 energy in ascending x. Partitioning a workload of n rows takes both functions'
 slice at y = n and picks the split (m, k = n - m) minimizing combined energy,
-in one loop for both split kinds. The functions are genuinely discrete: a
-split is only feasible where both samples exist, unless interpolation along x
-is explicitly requested.
+in one scan by columns for both split kinds. The functions are genuinely
+discrete: a split is only feasible where both samples exist, unless
+interpolation along x is explicitly requested. Loaded functions are kept in
+the parse cache (:mod:`emodel._cache`).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
-from itertools import groupby, islice
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from itertools import filterfalse, groupby, islice, repeat
+from operator import add, itemgetter, sub
 
+from ._cache import _float_bytes, cached_load
 from ._common import DataFormatError, _gc_paused, _read_table, _Record
 
 __all__ = [
@@ -81,6 +83,29 @@ class EnergyFunction(_Record):
         self._set(processor_id, tuple(samples), granularity_g)
         object.__setattr__(self, "_slices", slices)
 
+    @classmethod
+    def _from_entry(cls, processor_id: str, floats: memoryview,
+                    granularity_g: int | None) -> "EnergyFunction":
+        """The function whose checked samples a parse-cache entry holds, as
+        :func:`_entry` gives them; ``granularity_g`` None is the GCD of every
+        x and y. Already in (y, x) order and checked, they are neither sorted
+        nor checked again."""
+        count = len(floats) // 3
+        xs = list(map(math.trunc, floats[:count].tolist()))
+        ys, energies = floats[count:2 * count].tolist(), floats[2 * count:].tolist()
+        samples, slices, start = [], {}, 0
+        while start < count:
+            stop = bisect_right(ys, ys[start], start)
+            y = math.trunc(ys[start])
+            curve = slices[y] = dict(zip(xs[start:stop], energies[start:stop]))
+            samples += zip(curve, repeat(y, stop - start), curve.values())
+            start = stop
+        func = object.__new__(cls)
+        func._set(processor_id, tuple(samples),
+                  math.gcd(*xs, *slices) if granularity_g is None else granularity_g)
+        object.__setattr__(func, "_slices", slices)
+        return func
+
 
 class PartitionResult(_Record):
     """Chosen split: m rows on processor one, k on processor two."""
@@ -109,20 +134,45 @@ def slice_at_n(func: EnergyFunction, n: int) -> tuple[tuple[int, float], ...]:
     return tuple(func._slices[n].items())
 
 
-def _energy_at(curve: dict[int, float], xs: list[int], x: int,
-               interpolate: bool) -> float | None:
-    """The energy at x along one slice: its sample, or else (only with
-    ``interpolate``) the piecewise-linear estimate between the neighbouring
-    samples in ``xs``, the slice's x values; None when there is neither."""
-    energy = curve.get(x)
-    if energy is not None or not interpolate:
-        return energy
-    i = bisect_left(xs, x)
-    if i == 0 or i == len(xs):
-        return None
-    x0, x1 = xs[i - 1], xs[i]
-    e0, e1 = curve[x0], curve[x1]
-    return e0 + (e1 - e0) * (x - x0) / (x1 - x0)
+#: The m of an interpolated scan go this many at a time, so that its lists
+#: do not grow with the hull.
+_BLOCK = 2048
+
+
+def _energies(curve: dict[int, float], xs: list[int], start: int, stop: int,
+              g: int) -> list[float]:
+    """The energies along one slice at x in ``range(start, stop, g)``, each x
+    inside the slice's x range: its sample, or else the piecewise-linear
+    estimate between its neighbouring samples in ``xs``, the slice's x
+    values. An estimate whose product overflows is taken with the x offset
+    divided first, so that it is finite and lies between its samples."""
+    grid = range(start, stop, g)
+    energies = list(map(curve.get, grid))
+    i = x1 = 0
+    for x in filterfalse(curve.__contains__, grid):
+        if x > x1:  # past the gap of the last estimate: find this one's
+            i = bisect_left(xs, x, i)
+            x0, x1 = xs[i - 1], xs[i]
+            e0 = curve[x0]
+            rise, run = curve[x1] - e0, x1 - x0
+        energy = e0 + rise * (x - x0) / run
+        if not math.isfinite(energy):
+            energy = e0 + rise * ((x - x0) / run)
+        energies[(x - start) // g] = energy
+    return energies
+
+
+def _hull(curve1: dict[int, float], curve2: dict[int, float], n: int, g: int):
+    """The m inside both slices' x ranges, in blocks of :data:`_BLOCK`
+    ascending m, each with both energies (see :func:`_energies`)."""
+    xs1, xs2 = list(curve1), list(curve2)
+    lo = max(g, xs1[0], n - xs2[-1])
+    hi = min(n - g, xs1[-1], n - xs2[0])
+    for start in range(lo, hi + 1, _BLOCK * g):
+        stop = min(start + _BLOCK * g, hi + g)
+        energies2 = _energies(curve2, xs2, n - stop + g, n - start + g, g)
+        energies2.reverse()  # k = n - m descends as m ascends
+        yield range(start, stop, g), _energies(curve1, xs1, start, stop, g), energies2
 
 
 def partition(
@@ -136,7 +186,10 @@ def partition(
     When both functions have samples at y = n, scans the m on the shared
     grid with both parts at least one granule where both energies are
     available (sampled, or interpolable along x when ``interpolate`` is
-    set), in ascending order. Ties go to the smallest m.
+    set). The scan is by columns: the m in ascending order, the energies of
+    both parts at each, and their totals are lists, and the first smallest
+    total wins, so ties go to the smallest m. An interpolated scan holds
+    :data:`_BLOCK` m at a time.
     """
     g = func1.granularity_g
     if func2.granularity_g != g:
@@ -149,23 +202,25 @@ def partition(
         )
 
     curve1, curve2 = func1._slices.get(n, {}), func2._slices.get(n, {})
-    xs1, xs2 = list(curve1), list(curve2)
     # No other m has both energies: interpolation (along x only) fills m inside
-    # both slices' x ranges, and a sample needs m in slice 1 and n - m in slice 2.
+    # both slices' x ranges, and a sample needs m in slice 1 and n - m in slice 2
+    # (every sample's x is at least g, so then both parts are too).
     if interpolate and curve1 and curve2:
-        candidates = range(max(g, xs1[0], n - xs2[-1]), min(n - g, xs1[-1], n - xs2[0]) + 1, g)
+        blocks = _hull(curve1, curve2, n, g)
     else:
-        candidates = (m for m in xs1 if g <= m <= n - g and n - m in curve2)
+        ks = set(map(sub, repeat(n), curve2))
+        ms = list(filter(ks.__contains__, curve1))
+        blocks = [(ms, list(map(curve1.__getitem__, ms)),
+                   list(map(curve2.__getitem__, map(sub, repeat(n), ms))))]
     best: tuple[float, int, float, float] | None = None
-    for m in candidates:
-        e1 = _energy_at(curve1, xs1, m, interpolate)
-        e2 = _energy_at(curve2, xs2, n - m, interpolate)
-        if e1 is None or e2 is None:
+    for ms, energies1, energies2 in blocks:
+        if not ms:
             continue
-        # m is unique, so the energies after it never decide a comparison.
-        candidate = (e1 + e2, m, e1, e2)
-        if best is None or candidate < best:
-            best = candidate
+        totals = list(map(add, energies1, energies2))
+        i = totals.index(min(totals))
+        # Blocks come in ascending m: a later one wins only with a smaller total.
+        if best is None or totals[i] < best[0]:
+            best = totals[i], ms[i], energies1[i], energies2[i]
     if best is None:
         raise ValueError(
             f"no feasible split of n={n}: no m has energy samples for both "
@@ -242,9 +297,42 @@ def load_energy_function(
     Granularity defaults to the GCD of every x and y in the file; pass it
     explicitly to enforce a coarser grid. The file is read whole, then parsed
     and checked a column at a time; a file with a faulty row reports the first
-    such row's first fault, as a check row by row would.
+    such row's first fault, as a check row by row would. A load that passed
+    every check is kept in the parse cache under the file's bytes and
+    ``granularity``, and a later load of those bytes builds an equal function
+    from it with no parse and no check. A file with a fault is never kept,
+    nor one with an x or y of 2**53 or more (a float64 may not hold it).
     """
-    header, table = _read_table(path)
+    if processor_id is None:
+        # pathlib's stem: the file name without its last suffix.
+        name = os.path.basename(path)
+        dot = name.rfind(".")
+        processor_id = name[:dot] if 0 < dot < len(name) - 1 else name
+    checked = []
+
+    def load():
+        checked.append(_checked_function(path, fh, processor_id, granularity))
+        return _entry(checked[0]), None
+
+    with open(path, "rb") as fh:
+        _, floats, _ = cached_load(fh, ("energy_function", granularity), load)
+    return checked[0] if checked else EnergyFunction._from_entry(processor_id, floats, granularity)
+
+
+def _entry(func: EnergyFunction) -> bytes | None:
+    """The floats of the function's parse-cache entry: its samples' x, then
+    their y, then their energies, each in the samples' (y, x) order; None
+    when an x or y is 2**53 or more, which a float64 may not hold exactly."""
+    xs, ys, energies = zip(*func.samples)
+    if max(xs) >= 2 ** 53 or ys[-1] >= 2 ** 53:
+        return None
+    return _float_bytes(xs, ys, energies)
+
+
+def _checked_function(path, file, processor_id: str, granularity: int | None) -> EnergyFunction:
+    """Parse and check the energy-function file at ``path``, open as ``file``;
+    or its first fault."""
+    header, table = _read_table(path, file)
     if header != ["x", "y", "energy_j"]:
         raise DataFormatError(f"{path}: expected header 'x,y,energy_j', got {','.join(header)!r}")
     if not table:
@@ -256,11 +344,6 @@ def load_energy_function(
                 raise DataFormatError(f"{path}: row {row_no}{fault}")
     xs, ys, energies = columns
 
-    if processor_id is None:
-        # pathlib's stem: the file name without its last suffix.
-        name = os.path.basename(path)
-        dot = name.rfind(".")
-        processor_id = name[:dot] if 0 < dot < len(name) - 1 else name
     samples = list(zip(xs, ys, energies))
     try:
         if granularity is not None:  # the constructor checks the samples against it

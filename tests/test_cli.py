@@ -716,6 +716,20 @@ def test_partition_infeasible(files, capsys):
     assert "error" in err
 
 
+def test_partition_granularity_below_one_names_the_flag(files, capsys, monkeypatch):
+    """A usage error, found before either file is opened: the same text for a
+    missing file as for one that would load."""
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+    for granularity in ("0", "-512"):
+        for func1 in (files["f1.csv"], str(files["dir"] / "missing.csv")):
+            assert run(capsys, "partition", "--func1", func1, "--func2", files["f2.csv"],
+                       "--n", "4096", "--granularity", granularity) == (
+                1, "", f"error: --granularity must be >= 1, got {granularity}\n")
+    assert opened == []
+
+
 def test_loss(files, capsys):
     code, out, _ = run(capsys, "loss", "--alt", "90", "--ref", "100")
     assert code == 0

@@ -7,7 +7,9 @@ report is JSON) or :mod:`pathlib`; ``conserve`` without its composability
 probe and ``predict --counts`` need no numpy either, and the probe imports
 none of the loaders or the fitting code. ``predict --runs`` and ``evaluate``
 import numpy only when the parse cache misses: each test here has a cache of
-its own, so every command starts cold. No command imports :mod:`dataclasses`.
+its own, so every command starts cold. ``partition`` reads its energy
+functions through the cache, without :mod:`json` cold or warm. No command
+imports :mod:`dataclasses`.
 """
 
 import importlib
@@ -130,7 +132,8 @@ NUMPY_FREE_MODEL = {"emodel", "emodel._common", "emodel.model"}
                  id="predict-runs"),
     pytest.param(["conserve", "--model", "model.json"],
                  NUMPY_FREE_MODEL | {"emodel.conservation"}, id="conserve"),
-    pytest.param(PARTITION, {"emodel", "emodel._common", "emodel.partitioning"}, id="partition"),
+    pytest.param(PARTITION, {"emodel", "emodel._cache", "emodel._common", "emodel.partitioning"},
+                 id="partition"),
 ])
 def test_subcommand_imports_only_its_modules(inputs, argv, modules):
     assert loaded_emodel_modules([inputs.get(arg, arg) for arg in argv]) == (0, modules)
@@ -253,6 +256,20 @@ def test_a_warm_load_of_runs_and_compounds_imports_no_numpy(inputs):
                                inputs["compounds.csv"]], capture_output=True, text=True,
                               check=True).stdout for _ in range(2)]
     assert outputs == ["2 True\n", "2 False\n"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--interpolate"]], ids=["exact", "interpolate"])
+def test_a_warm_partition_imports_neither_json_nor_numpy(inputs, tmp_path, flags):
+    """Energy-function entries hold no JSON document: a hit reads only floats."""
+    argv = [inputs.get(arg, arg) for arg in PARTITION + flags]
+    cold = subprocess.run([sys.executable, "-m", "emodel.cli", *argv], capture_output=True)
+    assert (cold.returncode, cold.stderr) == (0, b"")
+    assert len(list((tmp_path / "xdg" / "emodel").iterdir())) == 2
+    code, modules = new_modules(argv)
+    assert code == 0 and "emodel._cache" in modules
+    assert not {"json", "numpy"} & modules, sorted(modules)
+    warm = subprocess.run([sys.executable, "-m", "emodel.cli", *argv], capture_output=True)
+    assert (warm.returncode, warm.stdout, warm.stderr) == (0, cold.stdout, b"")
 
 
 def test_composability_probe_imports_no_loader_or_fitting(inputs):

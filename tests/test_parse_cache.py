@@ -1,4 +1,4 @@
-"""The parse cache under the runs and compounds loaders.
+"""The parse cache under the runs, compounds and energy-function loaders.
 
 A load that finds its file's checked columns in the cache must give what
 parsing and checking the file gives, bit for bit. A file with a fault is never
@@ -22,8 +22,9 @@ import zlib
 import numpy as np
 import pytest
 
-from emodel import DataFormatError, load_compounds, load_runs
+from emodel import DataFormatError, load_compounds, load_energy_function, load_runs
 import emodel
+from emodel.cli import run_cli
 from emodel._cache import _HEADER, _MAGIC, MAX_ENTRIES, VERSION
 from emodel.core import _load_run_columns
 from helpers import load_compounds_by_rows, load_runs_by_rows
@@ -358,14 +359,88 @@ def test_a_loading_process_does_not_import_hashlib(cache, tmp_path):
         assert len(entries(cache)) == 1
 
 
+def energy_text(samples, line="\n"):
+    return line.join(["x,y,energy_j", *(f"{x},{y},{e}" for x, y, e in samples)]) + line
+
+
+QUADRATIC = [(x, 4096, repr((x / 512 - 3) ** 2)) for x in range(512, 4096, 512)]
+#: Energy-function files for ``partition``, each with the number of entries a
+#: cold run of every argument list keeps.
+PARTITION_CASES = {
+    # The fault is found on every load: no entry, and func2 is never read.
+    "faulty": ({"f1.csv": energy_text([(512, 4096, "1.0"), (1024, 4096, "oops")]),
+                "f2.csv": energy_text(QUADRATIC)}, [[]], 0),
+    # A float64 holds 2**53, but not every integer past it: such a file is never kept.
+    "x-at-2**53": ({"f1.csv": energy_text([(x, 8, "1.5") for x in range(1, 8, 2)]
+                                          + [(2 ** 53, 8, "2.0")]),
+                    "f2.csv": energy_text([(x, 8, repr(x / 3)) for x in range(1, 8)])}, [[]], 1),
+    "negative-zero": ({"f1.csv": energy_text([(512, 4096, "-0.0"), (1536, 4096, "-0"),
+                                              (3584, 4096, "0.0")], "\r\n"),
+                       "f2.csv": energy_text([(x, 4096, "-0.0") for x in range(512, 4096, 512)])},
+                      [[]], 2),
+    # One entry per granularity asked for: the file is f1 and f2 both.
+    "two-granularities": ({"f1.csv": energy_text(QUADRATIC[::2])},
+                          [["--granularity", "512"], ["--granularity", "256"]], 2),
+}
+
+
+@pytest.mark.parametrize("case", PARTITION_CASES)
+def test_partition_is_the_same_with_the_cache_off_cold_and_warm(tmp_path, monkeypatch, capsys,
+                                                               case):
+    files, granularities, kept = PARTITION_CASES[case]
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    f1 = str(tmp_path / "f1.csv")
+    f2 = str(tmp_path / ("f2.csv" if "f2.csv" in files else "f1.csv"))
+    n = "8" if case == "x-at-2**53" else "4096"
+    argvs = [["partition", "--func1", f1, "--func2", f2, "--n", n, *flags, *more]
+             for flags in ([], ["--interpolate"]) for more in granularities]
+
+    def outcomes():
+        results = []
+        for argv in argvs:
+            code = run_cli(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    off = tmp_path / "off"
+    (off / "emodel").mkdir(parents=True)
+    os.chmod(off / "emodel", 0o777)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(off))
+    expected = outcomes()
+    assert entries(off / "emodel") == []
+    assert {code for code, _, _ in expected} == ({1} if case == "faulty" else {0})
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert outcomes() == expected  # cold
+    assert len(entries(tmp_path / "xdg" / "emodel")) == kept
+    assert outcomes() == expected  # warm
+    assert len(entries(tmp_path / "xdg" / "emodel")) == kept
+
+
+@pytest.mark.parametrize("granularity", [None, 1])
+def test_an_energy_function_is_kept_only_below_2_to_the_53(cache, tmp_path, granularity):
+    """A warm load gives the cold load's function, slices and all; a file with
+    an x or y of 2**53 or more is parsed on every load."""
+    big = 2 ** 53
+    for samples, keeps in [([(big - 1, 3, "1.0"), (2, 3, "-0.0"), (1, big - 1, "2.5")], True),
+                           ([(big, 3, "1.0"), (2, 3, "0.0")], False),
+                           ([(1, big, "1.0"), (2, 3, "0.0")], False)]:
+        path = write(tmp_path / "func.csv", energy_text(samples))
+        before = entries(cache)
+        cold = load_energy_function(path, granularity=granularity)
+        assert len(entries(cache)) == len(before) + keeps
+        warm = load_energy_function(path, granularity=granularity)
+        assert repr(warm) == repr(cold) and repr(warm._slices) == repr(cold._slices)
+
+
 #: The parse cache's VERSION, with the SHA-256 of the sources of the loads that
 #: fill and read its entries, taken together in this order. A warm load runs no
 #: check and takes the entry's computed values as they are, so an edit to these
 #: sources that left VERSION alone would give the old answer on every warm run
 #: and the new one on every cold run. Any edit to them fails this pin until
 #: VERSION is bumped and the new digest pinned with it.
-LOADER_SOURCES = ("_cache.py", "_common.py", "core.py")
-LOADER_PIN = (4, "9f6ee155329b07825a5c175f0fa82512bec8b5ea9cc93fa95a5c2392cce3deea")
+LOADER_SOURCES = ("_cache.py", "_common.py", "core.py", "partitioning.py")
+LOADER_PIN = (5, "2ac95f588b6194f01d583a078cdd29b9fe126373d13f2b9822ef8df1b468c7ad")
 
 
 def test_an_edit_to_the_loaders_bumps_the_cache_version():

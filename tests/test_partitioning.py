@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import io
+import math
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from emodel import (
     partition,
     slice_at_n,
 )
+from emodel import partitioning
+from emodel.partitioning import _energies
 from helpers import (
     load_energy_function_by_rows,
     partition_by_enumeration,
@@ -315,6 +319,69 @@ def test_interpolation_agrees_on_complete_tables(seed):
     assert partition(func1, func2, n) == partition(func1, func2, n, interpolate=True)
 
 
+def test_an_interpolation_that_overflows_is_finite():
+    # At x = 3, (0.0 - 1.5e308) * 2 overflows: multiplied first, e1_j is -inf at
+    # m = 3, the smallest total. Divided first, the estimate is 5e307, between its samples.
+    func1 = EnergyFunction("p1", ((1, 8, 1.5e308), (4, 8, 0.0)), 1)
+    flat = EnergyFunction("p2", tuple((x, 8, 1.0) for x in range(1, 8)), 1)
+    assert partition(func1, flat, 8, interpolate=True) == PartitionResult(4, 4, 0.0, 1.0, 1.0)
+    assert _energies(func1._slices[8], [1, 4], 1, 5, 1) == [1.5e308, 1e308, 5e307, 0.0]
+
+
+ENERGY_VALUES = st.one_of(st.floats(0.0, 1.7976931348623157e308), st.just(-0.0),
+                          st.sampled_from([5e-324, 1e308, 1.7976931348623157e308]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.integers(1, 40), ENERGY_VALUES, min_size=2, max_size=8),
+       st.sampled_from([1, 3, 512]))
+def test_every_interpolated_energy_is_finite_and_between_its_samples(samples, g):
+    """A sample is its energy; an estimate is the expression
+    ``interpolated_by_scan`` takes, bit for bit, wherever that is finite, and
+    always finite and between its two samples."""
+    curve = {x * g: energy for x, energy in sorted(samples.items())}
+    xs = list(curve)
+    for x, energy in zip(range(xs[0], xs[-1] + g, g), _energies(curve, xs, xs[0], xs[-1] + g, g)):
+        if x in curve:
+            assert repr(energy) == repr(curve[x])
+            continue
+        x0, x1 = max(s for s in xs if s < x), min(s for s in xs if s > x)
+        e0, e1 = curve[x0], curve[x1]
+        assert math.isfinite(energy) and min(e0, e1) <= energy <= max(e0, e1), (x, e0, e1)
+        expected = interpolated_by_scan(curve, x)
+        if math.isfinite(expected):
+            assert repr(energy) == repr(expected)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_a_scan_in_blocks_picks_the_split_of_one_block(monkeypatch, block):
+    """Ties across a block seam still go to the smallest m."""
+    n = 16 * G
+    cases = [(random_energy_function(seed, "p1", n, drop_probability=0.3, integer_energies=True),
+              random_energy_function(seed + 50, "p2", n, drop_probability=0.3,
+                                     integer_energies=True)) for seed in range(20)]
+    cases.append((grid_function("p1", n, lambda x: 5.0), grid_function("p2", n, lambda x: 5.0)))
+    expected = [partition(func1, func2, n, True) for func1, func2 in cases]
+    monkeypatch.setattr(partitioning, "_BLOCK", block)
+    assert [partition(func1, func2, n, True) for func1, func2 in cases] == expected
+    assert expected[-1].m == G
+
+
+def test_an_interpolated_scan_holds_a_block_at_a_time():
+    """Over a hull of 100,000 granules, almost all of them interpolated."""
+    n = 100_002
+    func1 = EnergyFunction("p1", ((1, n, 1.0), (n - 1, n, 2.0)), 1)
+    func2 = EnergyFunction("p2", ((1, n, 1.0), (n - 1, n, 3.0)), 1)
+    tracemalloc.start()
+    try:
+        result = partition(func1, func2, n, interpolate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == PartitionResult(n - 1, 1, 2.0, 1.0, 3.0)
+    assert peak < 1 << 20, peak
+
+
 def test_result_validation():
     with pytest.raises(ValueError):
         PartitionResult(m=0, k=5, e1_j=0.0, e2_j=1.0, total_j=1.0)
@@ -533,12 +600,14 @@ def energy_function_files(draw):
 @example("x,y,energy_j\n512,4096,1.0\n512,0,1.0\n", None)
 def test_load_energy_function_matches_row_by_row_reference(tmp_path_factory, text, granularity):
     """The column-at-a-time loader gives the function, or the fault text,
-    that checking one row and then one sample at a time gives."""
+    that checking one row and then one sample at a time gives: cold, and
+    again from the parse cache."""
     path = tmp_path_factory.getbasetemp() / "func.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(lambda: load_energy_function_by_rows(path, granularity=granularity))
     # repr tells -0.0 from 0.0 and an int from a float.
-    assert repr(outcome(lambda: loaded_fields(path, granularity))) == repr(expected)
+    for _ in range(2):
+        assert repr(outcome(lambda: loaded_fields(path, granularity))) == repr(expected)
 
 
 @dataclasses.dataclass(frozen=True)
