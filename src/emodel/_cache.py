@@ -46,7 +46,7 @@ except ImportError:
 
 #: Changed whenever a load or an entry's layout changes, so older entries miss; a
 #: test pins a digest of the loaders' sources beside it, so both change together.
-VERSION = 5
+VERSION = 6
 #: The number of entries kept: a write beyond it removes the oldest by mtime.
 MAX_ENTRIES = 16
 
@@ -181,13 +181,13 @@ def _write(directory: str, key: str, data: bytes, document) -> None:
 def cached_load(file, spec: tuple, load):
     """``(key, floats, document)`` for the open ``file`` (None: no cache):
     as an earlier load of the same bytes under the same ``spec`` kept them,
-    or as ``load()`` gives them, as little-endian float64 bytes and a JSON
-    document (None: the entry has none). ``load()`` parses and checks the
-    file; what it returns is kept, unless the file changed while it was read
-    or its floats are None (there is nothing to keep), and what it raises is
-    never kept. ``key`` is the digest the entry is kept under (None when
-    there is no cache for this file), and ``floats`` a read-only memoryview
-    of doubles, or None as ``load()`` gave it."""
+    or as ``load(keep)`` gives them, as little-endian float64 bytes and a JSON
+    document (None: the entry has none). ``load`` parses and checks the file,
+    ``keep`` false when there is no cache; what it returns is kept, unless the
+    file changed while it was read or its floats are None (there is nothing to
+    keep), and what it raises is never kept. ``key`` is the digest the entry is
+    kept under (None when there is no cache for this file), and ``floats`` a
+    read-only memoryview of doubles, or None as ``load`` gave it."""
     key = None
     try:
         if file is not None:
@@ -204,7 +204,7 @@ def cached_load(file, spec: tuple, load):
         kept = _read(os.path.join(directory, key))
         if kept is not None:
             return (key, *kept)
-    data, document = load()
+    data, document = load(key is not None)
     if data is None:
         return key, None, document
     try:

@@ -14,9 +14,10 @@ import csv
 import gc
 import io
 import math
+from collections import deque
 from contextlib import contextmanager
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Iterator
 
@@ -50,8 +51,9 @@ class _Record:
     Declared by hand, records import no :mod:`dataclasses` (with
     :mod:`inspect`, about 8 ms of a numpy-free command) and generate no code
     when a module loads. Each class binds its slots' setters and a getter of
-    its fields once, so that the thousands of rows of a runs file are built,
-    compared and hashed without a lookup by field name."""
+    its fields once, so that records are compared and hashed without a lookup
+    by field name, and the thousands of rows of a runs file are built by
+    :meth:`_built` a field at a time."""
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
@@ -68,6 +70,17 @@ class _Record:
     def _set(self, *values) -> None:
         for setter, value in zip(self._setters, values):
             setter(self, value)
+
+    @classmethod
+    def _built(cls, count: int, *columns) -> tuple:
+        """``count`` records of a class whose slots are its fields, from one
+        column per field in ``_FIELDS`` order, of values a loader has already
+        checked: made without ``__init__``, then each field set over every
+        record in one pass, so no loop takes a Python step per record."""
+        records = tuple(map(object.__new__, repeat(cls, count)))
+        for setter, column in zip(cls._setters, columns):
+            deque(map(setter, records, column), 0)
+        return records
 
     def _asdict(self) -> dict:
         return dict(zip(self._FIELDS, self._values))

@@ -466,13 +466,11 @@ def _trial_witness(names: tuple[str, ...], a, b, composed, lhs, rhs) -> Composit
     as do composed counts of a finite sum (no NaN or inf) and no negative."""
     counts = tuple(composed.tolist())
     valid = min(counts, default=0.0) >= 0.0 and math.isfinite(sum(counts))
-    return CompositionCounterexample(
-        PmcVector._checked(names, tuple(a.tolist())),
-        PmcVector._checked(names, tuple(b.tolist())),
-        (PmcVector._checked if valid else PmcVector)(names, counts),
-        float(lhs),
-        float(rhs),
-    )
+    vector_a, vector_b, vector = PmcVector._built(
+        3, (names,) * 3, (tuple(a.tolist()), tuple(b.tolist()), counts))
+    return CompositionCounterexample(vector_a, vector_b,
+                                     vector if valid else PmcVector(names, counts),
+                                     float(lhs), float(rhs))
 
 
 def strong_composability_check(

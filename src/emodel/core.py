@@ -22,7 +22,7 @@ import struct
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -89,13 +89,13 @@ class Dataset(_Record):
     ``counts`` (runs x PMCs), ``exec_time_s`` and ``dynamic_energy_j``, and
     tuples ``app_id``, ``run_id``, ``cores`` and ``problem_size``. The three
     arrays are numpy views of one block of doubles, made on first access.
-    ``runs``, the :class:`ApplicationRun` rows, is built from that block on
-    first access, without numpy: :func:`load_runs` builds it at load, the
-    ``emodel`` commands never do. Repeated (app_id, config) rows are
-    repetition samples. ``points()`` gives the per-group means, which are the
-    base side of additivity testing. ``fit`` and ``correlation_matrix`` take
-    every run row as one sample, repetitions included, and so does
-    ``emodel evaluate`` on a runs file.
+    ``runs``, the :class:`ApplicationRun` rows, is built from those checked
+    columns on first access, a field at a time, with no ``__init__`` and no
+    numpy: :func:`load_runs` builds it at load, the ``emodel`` commands never
+    do. Repeated (app_id, config) rows are repetition samples. ``points()``
+    gives the per-group means, the base side of additivity testing. ``fit``
+    and ``correlation_matrix`` take every run row as one sample, repetitions
+    included, and so does ``emodel evaluate`` on a runs file.
     """
 
     _FIELDS = ("pmc_names", "runs", "compounds")
@@ -160,13 +160,11 @@ class Dataset(_Record):
         # Reached only for a missing attribute: the rows or the arrays, not yet built.
         if name == "runs":
             counts, times, energies = self._python_columns()
-            self.__dict__["runs"] = runs = tuple(
-                ApplicationRun(app_id, self._configs[cores, size],
-                               PmcVector._checked(self.pmc_names, row), time_s, energy, run_id)
-                for app_id, cores, size, row, time_s, energy, run_id in zip(
-                    self.app_id, self.cores, self.problem_size, counts, times, energies,
-                    self.run_id)
-            )
+            rows, configs = len(self.app_id), zip(self.cores, self.problem_size)
+            self.__dict__["runs"] = runs = ApplicationRun._built(
+                rows, self.app_id, map(self._configs.__getitem__, configs),
+                PmcVector._built(rows, repeat(self.pmc_names, rows), counts), times, energies,
+                self.run_id)
             return runs
         if name in ("counts", "exec_time_s", "dynamic_energy_j"):
             import numpy as np
@@ -259,19 +257,18 @@ class Dataset(_Record):
         return means.reshape(-1) if values.ndim == 1 else means
 
     def points(self) -> tuple[AggregatedRun, ...]:
-        """One aggregated point per (app_id, config): means over repetitions."""
+        """One aggregated point per (app_id, config): means over repetitions,
+        built a field at a time from the group means, as ``runs`` is."""
         index, width = self.group_index, len(self.pmc_names)
-        counts, _ = _unpacked(self.group_means(self.counts).reshape(-1), len(index.sizes), width)
+        groups, keys = len(index.sizes), index.code_of
+        counts, _ = _unpacked(self.group_means(self.counts).reshape(-1), groups, width)
         times = self.group_means(self.exec_time_s).tolist()
         energies = self.group_means(self.dynamic_energy_j).tolist()
-        return tuple(
-            AggregatedRun(app_id, self._configs[cores, size],
-                          PmcVector._checked(self.pmc_names, row),
-                          time_s, energy, n)
-            for (app_id, cores, size), row, time_s, energy, n in zip(
-                index.code_of, counts, times, energies, index.sizes.tolist()
-            )
-        )
+        configs = map(self._configs.__getitem__, map(itemgetter(1, 2), keys))
+        return AggregatedRun._built(
+            groups, map(itemgetter(0), keys), configs,
+            PmcVector._built(groups, repeat(self.pmc_names, groups), counts), times, energies,
+            index.sizes.tolist())
 
     @cached_property
     def _keys_by_app(self) -> dict[str, list[tuple[str, int, str]]]:
@@ -324,7 +321,8 @@ class Compounds(_Record, Sequence):
     """Compounds resolved against ``dataset`` as columns, as a loader checked
     them: ids, the group numbers of the first and second bases, and ``floats``,
     the native doubles of the counts (row by row), then of the energies. Also an
-    immutable sequence of :class:`CompoundRun`, built without numpy on first access."""
+    immutable sequence of :class:`CompoundRun`, built on first access from these
+    columns, a field at a time, with no ``__init__`` and no numpy."""
 
     _FIELDS = ("compound_id", "base_a", "base_b", "floats", "pmc_names", "dataset")
 
@@ -348,12 +346,14 @@ class Compounds(_Record, Sequence):
 
     @cached_property
     def _runs(self) -> tuple[CompoundRun, ...]:
-        keys, names = list(self.dataset._group_codes[0]), self.pmc_names
+        keys, count = list(self.dataset._group_codes[0]), len(self)
         refs = {g: RunRef(keys[g][0], RunConfig(*keys[g][1:]))
                 for g in {*self.base_a, *self.base_b}}
-        return tuple([CompoundRun(id_, refs[a], refs[b], PmcVector._checked(names, row), energy)
-                      for id_, a, b, row, energy in zip(
-                          self.compound_id, self.base_a, self.base_b, *self._python_columns())])
+        counts, energies = self._python_columns()
+        return CompoundRun._built(
+            count, self.compound_id, map(refs.__getitem__, self.base_a),
+            map(refs.__getitem__, self.base_b),
+            PmcVector._built(count, repeat(self.pmc_names, count), counts), energies)
 
 
 # Runs-CSV column names with fixed meaning; everything else is a PMC column.
@@ -519,7 +519,8 @@ def _first_repeat(keys, count: int) -> int:
 
 
 def load_runs(path) -> Dataset:
-    """Load a runs CSV into a :class:`Dataset`, its ``runs`` rows and group keys built at load.
+    """Load a runs CSV into a :class:`Dataset`, its group keys and its ``runs`` rows
+    built at load, the rows from the checked columns a field at a time.
 
     Header: ``app_id,cores,problem_size,exec_time_s,dynamic_energy_j`` plus one
     column per PMC, in model variable order. ``run_id`` is optional and marks
@@ -540,7 +541,7 @@ def _load_run_columns(path) -> Dataset:
     :func:`_checked_runs`, which are then kept."""
     with _read_csv(path) as (header, rows):
         key, floats, document = cached_load(rows.file, ("runs",),
-                                            lambda: _checked_runs(path, header, rows))
+                                            lambda _: _checked_runs(path, header, rows))
     return Dataset._from_columns(key, floats, *document)
 
 
@@ -633,7 +634,8 @@ def load_compounds(path, dataset: Dataset) -> Compounds:
     A file with a valid header and zero data rows is an empty test set, not
     an error. Resolved against a dataset that :func:`load_runs` read, the
     checked compounds are kept in the parse cache under both files' bytes.
-    Gives a :class:`Compounds` record, not a list, its objects built at load.
+    Gives a :class:`Compounds` record, not a list, its objects built at load
+    from the checked columns a field at a time.
     """
     compounds = _load_compound_columns(path, dataset)
     compounds._runs  # built now, without numpy, so later analysis is not charged for them
@@ -645,7 +647,7 @@ def _load_compound_columns(path, dataset: Dataset) -> Compounds:
     runs_key = vars(dataset).get("_key")
     with _read_csv(path) as (header, rows):
         _, floats, document = cached_load(rows.file if runs_key else None, ("compounds", runs_key),
-                                          lambda: _checked_compounds(path, header, rows, dataset))
+                                          lambda _: _checked_compounds(path, header, rows, dataset))
     # On a hit, ``floats.obj`` is the bytes read from the entry: the record keeps them uncopied.
     return Compounds(*document, floats.obj, dataset.pmc_names, dataset)
 

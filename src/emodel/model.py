@@ -44,15 +44,6 @@ class PmcVector(_Record):
                 raise ValueError(f"PMC {name!r} has invalid count {count!r}")
 
     @classmethod
-    def _checked(cls, names: tuple[str, ...], counts: tuple[float, ...]) -> "PmcVector":
-        """A vector of unique names and finite, non-negative float counts that
-        the caller has already checked, built without the constructor's checks."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "names", names)
-        object.__setattr__(vector, "counts", counts)
-        return vector
-
-    @classmethod
     def from_dict(cls, mapping: Mapping[str, float]) -> "PmcVector":
         return cls(tuple(mapping.keys()), tuple(mapping.values()))
 

@@ -310,9 +310,9 @@ def load_energy_function(
         processor_id = name[:dot] if 0 < dot < len(name) - 1 else name
     checked = []
 
-    def load():
+    def load(keep: bool):
         checked.append(_checked_function(path, fh, processor_id, granularity))
-        return _entry(checked[0]), None
+        return _entry(checked[0]) if keep else None, None
 
     with open(path, "rb") as fh:
         _, floats, _ = cached_load(fh, ("energy_function", granularity), load)

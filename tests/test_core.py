@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,7 +26,8 @@ from emodel import (
     run_additivity_test,
     save_model,
 )
-from emodel.core import _load_run_columns, model_to_dict
+from emodel._common import _Record
+from emodel.core import AggregatedRun, _load_run_columns, model_to_dict
 from helpers import (
     group_means_by_fsum,
     groups_by_dict,
@@ -774,6 +776,77 @@ def test_points_share_the_rows_configs(tmp_path):
     points = dataset.points()
     for g, row in enumerate(index.order[index.starts].tolist()):
         assert points[g].config is dataset.runs[row].config
+
+
+def bits(value):
+    """``value`` with each float as its hex, and each record as its class name
+    and fields, through tuples: equal only where every field has the same type
+    and bits (a float subclass, or a -0.0 for a 0.0, differs)."""
+    if type(value) is float:
+        return "float", value.hex()
+    if isinstance(value, _Record):
+        return type(value).__name__, tuple(bits(getattr(value, name)) for name in value._FIELDS)
+    if isinstance(value, tuple):
+        return tuple(map(bits, value))
+    return type(value).__name__, value
+
+
+BUILT_RUNS = {
+    "dynamic": "app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,X1,X2\n"
+               "a,r1,2,s,1.5,-0.0,1e9,-0.0\n"
+               "a,,2,s,2.5,3.25,7,0.1\n"
+               "b,r1,02,s,0.1,0.0,5,0.2\n"
+               "a,r2,2,s,1e-3,1e300,0,3\n"
+               "b,r2,4,t,0.3,2.0,9,0.3\n"
+               "c,,4,t,0.7,0.5,1.5,1e-310\n",
+    "total-energy": "X1,app_id,cores,problem_size,exec_time_s,total_energy_j,static_power_w\n"
+                    "1,a,1,,2.0,10.0,0.5\n"
+                    "2,b,1,,2.0,10.0,5.0\n"
+                    "3,c,3,n,0.25,1.0,0.125\n",
+}
+BUILT_COMPOUNDS = {
+    "dynamic": "compound_id,base_a,base_b,dynamic_energy_j,X1,X2\n"
+               "ab,a,b@2:s,-0.0,1e9,-0.0\n"
+               "ba,b@4:t,a@2:s,4.5,0.5,1e-310\n"
+               "cc,c,c,1e300,2,3\n",
+    "total-energy": "compound_id,base_a,base_b,X1,dynamic_energy_j\nab,a,b,7,0.0\n",
+}
+
+
+@pytest.mark.parametrize("case", BUILT_RUNS)
+def test_rows_compounds_and_points_match_the_row_by_row_loaders_cold_and_warm(
+        tmp_path, monkeypatch, case):
+    """Rows, compound objects and points, built a field at a time from the
+    checked columns, equal field by field what the row-by-row loaders build
+    and the fsum group means, on a load that parses and on one from the cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    runs_path = write(tmp_path / "runs.csv", BUILT_RUNS[case])
+    compounds_path = write(tmp_path / "compounds.csv", BUILT_COMPOUNDS[case])
+    expected = load_runs_by_rows(runs_path)
+    runs = expected.runs
+    names = expected.pmc_names
+    means = [group_means_by_fsum(runs, values).tolist() for values in (
+        [run.pmc.counts for run in runs], [run.exec_time_s for run in runs],
+        [run.dynamic_energy_j for run in runs])]
+    points = tuple(AggregatedRun(app_id, config, PmcVector(names, counts), time_s, energy,
+                                 len(rows))
+                   for ((app_id, config), rows), counts, time_s, energy in zip(
+                       groups_by_dict(runs).items(), means[0], means[1], means[2]))
+    for load in ("cold", "warm"):
+        dataset = load_runs(runs_path)
+        assert bits(dataset.runs) == bits(runs), load
+        assert bits(tuple(load_compounds(compounds_path, dataset))) == bits(
+            tuple(load_compounds_by_rows(compounds_path, dataset))), load
+        assert bits(dataset.points()) == bits(points), load
+        # One RunConfig per (cores, problem_size), shared by the rows and the points.
+        configs = {(run.config.cores, run.config.problem_size): run.config
+                   for run in dataset.runs}
+        assert all(run.config is configs[run.config.cores, run.config.problem_size]
+                   for run in dataset.runs)
+        assert all(point.config is configs[point.config.cores, point.config.problem_size]
+                   for point in dataset.points())
+        assert len(os.listdir(tmp_path / "xdg" / "emodel")) == 2
+    assert [run.run_id for run in dataset.runs].count(None) == (2 if case == "dynamic" else 3)
 
 
 COMPOUND_BASES = (

@@ -10,6 +10,7 @@ user could write to is neither read nor written.
 """
 
 import hashlib
+import json
 import os
 import random
 import stat
@@ -24,6 +25,7 @@ import pytest
 
 from emodel import DataFormatError, load_compounds, load_energy_function, load_runs
 import emodel
+from emodel import partitioning
 from emodel.cli import run_cli
 from emodel._cache import _HEADER, _MAGIC, MAX_ENTRIES, VERSION
 from emodel.core import _load_run_columns
@@ -359,6 +361,74 @@ def test_a_loading_process_does_not_import_hashlib(cache, tmp_path):
         assert len(entries(cache)) == 1
 
 
+MODEL = ('{"kind": "zero_intercept", "pmc_names": ["X1", "X2", "X3", "X4"], "intercept": 0.0, '
+         '"coefficients": [2.5e-7, 1e-7, 3e-8, 0.0]}\n')
+#: Every command that loads a runs file (and a compounds file) through the cache.
+RUNS_COMMANDS = [
+    ["predict", "--model", "model.json", "--runs", "runs.csv"],
+    ["predict", "--model", "model.json", "--runs", "runs.csv", "--format", "csv"],
+    ["evaluate", "--model", "model.json", "--runs", "runs.csv"],
+    ["evaluate", "--model", "model.json", "--runs", "runs.csv", "--compounds", "compounds.csv"],
+    ["additivity", "--runs", "runs.csv", "--compounds", "compounds.csv"],
+    ["fit", "--runs", "runs.csv", "--kind", "zero_intercept_nonneg"],
+    ["correlate", "--runs", "runs.csv"],
+]
+#: Run through run_cli in a child process in which every import of numpy fails.
+WARM_WITHOUT_NUMPY = """\
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from emodel.cli import run_cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_runs_commands_are_the_same_with_the_cache_off_cold_and_warm(tmp_path, monkeypatch,
+                                                                      capsys):
+    """Each command that loads runs, on two runs files and one compounds file
+    resolved against both, prints the same bytes and exits alike with the
+    cache off, cold and warm; and warm without numpy, in a child process."""
+    files = {"model.json": MODEL, "compounds.csv": compounds_text(),
+             "dynamic.csv": runs_text(rows=60), "total.csv": runs_text(rows=60, seed=5, total=True)}
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    argvs = [[str(tmp_path / {"runs.csv": runs}.get(arg, arg)) if arg.endswith((".csv", ".json"))
+              else arg for arg in argv] for runs in ("dynamic.csv", "total.csv")
+             for argv in RUNS_COMMANDS]
+
+    def outcomes():
+        results = []
+        for argv in argvs:
+            code = run_cli(argv)
+            results.append([code, *capsys.readouterr()])
+        return results
+
+    off = tmp_path / "off"
+    (off / "emodel").mkdir(parents=True)
+    os.chmod(off / "emodel", 0o777)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(off))
+    expected = outcomes()
+    assert entries(off / "emodel") == []
+    assert [(code, err) for code, _, err in expected] == [(0, "")] * len(argvs)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert outcomes() == expected  # cold
+    # Two runs entries, and the compounds resolved against each runs file.
+    assert len(entries(tmp_path / "xdg" / "emodel")) == 4
+    assert outcomes() == expected  # warm
+    assert len(entries(tmp_path / "xdg" / "emodel")) == 4
+    numpy_free = [i for i, argv in enumerate(argvs) if argv[0] in ("predict", "evaluate")]
+    child = subprocess.run(
+        [sys.executable, "-c", WARM_WITHOUT_NUMPY, json.dumps([argvs[i] for i in numpy_free])],
+        capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert json.loads(child.stdout) == [expected[i] for i in numpy_free]
+
+
 def energy_text(samples, line="\n"):
     return line.join(["x,y,energy_j", *(f"{x},{y},{e}" for x, y, e in samples)]) + line
 
@@ -433,6 +503,44 @@ def test_an_energy_function_is_kept_only_below_2_to_the_53(cache, tmp_path, gran
         assert repr(warm) == repr(cold) and repr(warm._slices) == repr(cold._slices)
 
 
+@pytest.mark.parametrize("off", ["world-writable", "no-home", "fifo"])
+def test_an_energy_function_load_builds_its_entry_only_for_a_cache(tmp_path, monkeypatch, off):
+    """With no cache to keep it in, a load does not build the entry: it gives
+    the function a cold load with a cache gives, which keeps its entry."""
+    if off == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes")
+    text = energy_text(QUADRATIC + [(512, 8192, "-0.0"), (1024, 8192, "2.5")])
+    path = write(tmp_path / "func.csv", text)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    cold = load_energy_function(path, "p")
+    assert len(entries(tmp_path / "xdg" / "emodel")) == 1
+    expected = repr(cold), repr(cold._slices)
+
+    def unused(func):
+        raise AssertionError("an entry built with no cache to keep it in")
+
+    monkeypatch.setattr(partitioning, "_entry", unused)
+    if off == "world-writable":
+        (tmp_path / "off" / "emodel").mkdir(parents=True)
+        os.chmod(tmp_path / "off" / "emodel", 0o777)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "off"))
+    elif off == "no-home":  # "~" stays as it is: no absolute place for a cache
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+    else:
+        path = tmp_path / "func.fifo"
+        os.mkfifo(path)
+        feeder = threading.Thread(target=write, args=(path, text), daemon=True)
+        feeder.start()
+    func = load_energy_function(path, "p")
+    assert (repr(func), repr(func._slices)) == expected
+    if off == "fifo":
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+    assert entries(tmp_path / "off" / "emodel") == []
+    assert len(entries(tmp_path / "xdg" / "emodel")) == 1
+
+
 #: The parse cache's VERSION, with the SHA-256 of the sources of the loads that
 #: fill and read its entries, taken together in this order. A warm load runs no
 #: check and takes the entry's computed values as they are, so an edit to these
@@ -440,7 +548,7 @@ def test_an_energy_function_is_kept_only_below_2_to_the_53(cache, tmp_path, gran
 #: and the new one on every cold run. Any edit to them fails this pin until
 #: VERSION is bumped and the new digest pinned with it.
 LOADER_SOURCES = ("_cache.py", "_common.py", "core.py", "partitioning.py")
-LOADER_PIN = (5, "2ac95f588b6194f01d583a078cdd29b9fe126373d13f2b9822ef8df1b468c7ad")
+LOADER_PIN = (6, "b8377b5a7b16a16738d4ca2d103122ed931cb724b7eefc8c5032f3aa975ed58a")
 
 
 def test_an_edit_to_the_loaders_bumps_the_cache_version():

@@ -138,6 +138,44 @@ def test_a_record_behaves_as_a_frozen_dataclass_of_its_fields(cls, args, kwargs)
         record.extra = 1
 
 
+@pytest.mark.parametrize("cls", [cls for cls in CALLS
+                                 if tuple(vars(cls).get("__slots__", ())) == cls._FIELDS],
+                         ids=lambda cls: cls.__name__)
+def test_records_built_a_field_at_a_time_match_the_constructors(cls):
+    """``_built`` makes, with no ``__init__``, the records the constructor
+    makes of the same field values: equal, hashed, printed, pickled and
+    matched alike, and frozen alike."""
+    made = [cls(*args, **kwargs) for args, kwargs in CALLS[cls]]
+    columns = [[getattr(record, name) for record in made] for name in cls._FIELDS]
+    built = cls._built(len(made), *map(iter, columns))
+    assert type(built) is tuple and len(built) == len(made)
+    assert cls._built(0, *columns) == ()
+    for record, twin in zip(made, built):
+        assert type(twin) is cls and twin == record and record == twin
+        assert repr(twin) == repr(record) and twin._asdict() == record._asdict()
+        try:
+            expected_hash = hash(record)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(twin)
+        else:
+            assert hash(twin) == expected_hash
+        assert pickle.dumps(twin) == pickle.dumps(record)
+        copy = pickle.loads(pickle.dumps(twin))
+        assert type(copy) is cls and copy == record and repr(copy) == repr(record)
+        assert twin.__match_args__ == record.__match_args__ == cls._FIELDS
+        assert matched(twin, cls) == matched(record, cls)
+        for name in cls._FIELDS:
+            value = getattr(record, name)
+            assert getattr(twin, name) is value
+            assert error(lambda: setattr(twin, name, value)) == error(
+                lambda: setattr(record, name, value))
+            assert error(lambda: delattr(twin, name)) == error(lambda: delattr(record, name))
+            assert getattr(twin, name) is value
+        with pytest.raises(AttributeError):
+            twin.extra = 1
+
+
 def test_constructors_normalise_their_fields():
     assert repr(PmcVector(["X1"], [7]).counts) == "(7.0,)"
     model = EnergyModel(["X1", "X2"], 0, [1, 2.5], "zero_intercept_nonneg")
