@@ -46,7 +46,7 @@ except ImportError:
 
 #: Changed whenever a load or an entry's layout changes, so older entries miss; a
 #: test pins a digest of the loaders' sources beside it, so both change together.
-VERSION = 6
+VERSION = 7
 #: The number of entries kept: a write beyond it removes the oldest by mtime.
 MAX_ENTRIES = 16
 

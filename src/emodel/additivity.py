@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._common import _csv_table, _Record
-from .core import CompoundRun, Compounds, Dataset
+from .core import CompoundRun, Compounds, Dataset, GroupIndex
 
 __all__ = [
     "INFINITE",
@@ -39,7 +39,8 @@ INFINITE = math.inf
 #: repetition samples, matching the measurement methodology's 2.5% precision.
 DEFAULT_REPRODUCIBILITY_COV = 0.025
 
-#: PMCs per block of the additivity test: no runs x PMCs temporary is held.
+#: PMCs per block of the additivity test. No runs x PMCs temporary is held: stage 1
+#: gathers a block of the repeated groups' rows, and means are taken for the groups read.
 BLOCK_COLUMNS = 8
 
 class Classification(str, Enum):
@@ -121,9 +122,19 @@ def _group_cov(values: Sequence[float]) -> float:
     return statistics.stdev(values) / mean
 
 
-def _stage1(dataset: Dataset, columns: slice, means: np.ndarray, bound: float) -> np.ndarray:
-    """Whether each PMC of a block of columns (group means ``means``) has every
-    repetition group's CoV within ``bound``.
+def _gathered(index: GroupIndex, groups: np.ndarray) -> GroupIndex:
+    """The groups numbered ``groups`` of ``index`` alone, as groups 0, 1, ...,
+    with their rows gathered in that order (``code_of`` is left as it is)."""
+    sizes = index.sizes[groups]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.repeat(index.starts[groups] - starts, sizes) + np.arange(sizes.sum())
+    return GroupIndex(index.code_of, sizes, index.order[rows], starts)
+
+
+def _stage1(counts: np.ndarray, index: GroupIndex, means: np.ndarray, bound: float) -> np.ndarray:
+    """Whether each PMC of a block of ``counts`` columns has every repetition
+    group's CoV within ``bound``: ``index`` holds the groups of two or more
+    repetitions and no other, ``means`` their means, so only their rows are read.
 
     A two-pass CoV over all groups and the block's columns at once decides a
     cell unless it lies within 1e-9 of the bound (absolute below 1, where a
@@ -133,26 +144,23 @@ def _stage1(dataset: Dataset, columns: slice, means: np.ndarray, bound: float) -
     column alone may be summed pairwise: a CoV may move in its last bits, far
     inside that band, and the verdicts are the per-PMC, per-group ones.
     """
-    index = dataset.group_index
-    repeated = np.flatnonzero(index.sizes >= 2)
-    if not repeated.size:
+    if not index.sizes.size:
         return np.ones(means.shape[1], dtype=bool)
-    # In place: each block's temporaries are runs x BLOCK_COLUMNS.
-    scaled = dataset.counts[index.order, columns]
+    # In place: each block's temporaries are repeated rows x BLOCK_COLUMNS.
+    scaled = counts[index.order]
     spread = np.repeat(means, index.sizes, axis=0)
     scaled -= spread
     spread[spread == 0] = 1.0
     scaled /= spread
     scaled *= scaled
-    cov = np.add.reduceat(scaled, index.starts, axis=0)[repeated]
-    cov /= (index.sizes[repeated] - 1)[:, None]
+    cov = np.add.reduceat(scaled, index.starts, axis=0)
+    cov /= (index.sizes - 1)[:, None]
     np.sqrt(cov, out=cov)
     near = np.abs(cov - bound) <= 1e-9 * np.maximum(np.maximum(cov, bound), 1.0)
-    near |= (means[repeated] > 0) & (means[repeated] < np.finfo(float).tiny)
+    near |= (means > 0) & (means < np.finfo(float).tiny)
     for i, k in zip(*np.nonzero(near)):
-        start, size = index.starts[repeated[i]], index.sizes[repeated[i]]
-        rows = index.order[start:start + size]
-        cov[i, k] = _group_cov(dataset.counts[rows, columns.start + k].tolist())
+        rows = index.order[index.starts[i]:index.starts[i] + index.sizes[i]]
+        cov[i, k] = _group_cov(counts[rows, k].tolist())
     return (cov <= bound).all(axis=0)
 
 
@@ -175,6 +183,8 @@ def run_additivity_test(
     stage-2 errors and the per-PMC stage-1 verdicts (see :func:`_stage1`).
     Stage 2 reads a :class:`~emodel.core.Compounds` record resolved against
     ``dataset`` as it is, and checks other compounds with ``check_compounds``.
+    Repetition means are taken only for the groups the stages read: every group
+    when all are repeated, else those with >= 2 samples and the compounds' bases.
     """
     if not (tolerance_pct > 0):
         raise ValueError(f"tolerance_pct must be > 0, got {tolerance_pct!r}")
@@ -189,12 +199,20 @@ def run_additivity_test(
         counts = np.array([comp.pmc.counts for comp in compounds], dtype=float)
     base_a, base_b = (np.array(group, dtype=np.intp) for group in groups)
     compound_counts = counts.reshape(-1)[:rows * width].reshape(rows, width)
-    means = dataset.group_means(dataset.counts)
+    index = stage1_index = dataset.group_index
+    repeated = np.flatnonzero(index.sizes >= 2)
+    if len(repeated) < len(index.sizes):  # the groups the two stages read, and no other
+        stage1_index = _gathered(index, repeated)
+        needed, compact = np.unique(np.concatenate((repeated, base_a, base_b)), return_inverse=True)
+        index = _gathered(index, needed)
+        repeated, base_a, base_b = np.split(compact, [len(repeated), len(repeated) + rows])
+    means = dataset._group_means(dataset.counts, index)
 
     per_pmc = []
     for first in range(0, len(dataset.pmc_names), BLOCK_COLUMNS):
         block = slice(first, first + BLOCK_COLUMNS)
-        stage1 = _stage1(dataset, block, means[:, block], reproducibility_cov).tolist()
+        stage1 = _stage1(dataset.counts[:, block], stage1_index, means[repeated, block],
+                         reproducibility_cov).tolist()
         base_sums, compound = means[base_a, block] + means[base_b, block], compound_counts[:, block]
         with np.errstate(all="ignore"):
             errors = np.subtract(compound, base_sums)

@@ -53,18 +53,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage().rstrip()}\nerror: {message}")
 
 
-def _split_names(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _split_names(text: str, flag: str) -> list[str]:
+    """The parts of a comma-separated flag value; a usage error when it has none."""
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
+        raise UsageError(f"error: {flag} is empty")
+    return names
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        values = [float(part) for part in _split_names(text)]
+        return [float(part) for part in _split_names(text, flag)]
     except ValueError:
         raise UsageError(f"error: {flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"error: {flag} is empty")
-    return values
 
 
 def _parse_counts(text: str):
@@ -72,7 +73,7 @@ def _parse_counts(text: str):
     from .model import PmcVector
 
     pairs = {}
-    for part in _split_names(text):
+    for part in _split_names(text, "--counts"):
         name, eq, value = part.partition("=")
         if not eq or not name:
             raise UsageError(
@@ -84,15 +85,13 @@ def _parse_counts(text: str):
             pairs[name] = float(value)
         except ValueError:
             raise UsageError(f"error: --counts value for {name!r} is not numeric") from None
-    if not pairs:
-        raise UsageError("error: --counts is empty")
     return PmcVector.from_dict(pairs)
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write a report, given whole or as its pieces in order, to ``out`` or stdout."""
     pieces = [text] if isinstance(text, str) else text
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
     elif sys.stdout is None:
@@ -177,11 +176,13 @@ def _cmd_additivity(args) -> int:
     from .core import _load_compound_columns, _load_run_columns
 
     dataset = _load_run_columns(args.runs)
-    compounds = _load_compound_columns(args.compounds, dataset) if args.compounds else []
+    compounds = [] if args.compounds is None else _load_compound_columns(args.compounds, dataset)
     report = run_additivity_test(
         dataset, compounds, args.tolerance, reproducibility_cov=args.cov
     )
-    sweep = tolerance_sweep(report, _parse_floats(args.sweep, "--sweep")) if args.sweep else None
+    sweep = None
+    if args.sweep is not None:
+        sweep = tolerance_sweep(report, _parse_floats(args.sweep, "--sweep"))
 
     if args.format == "csv":
         text = report_to_csv(report)
@@ -203,7 +204,7 @@ def _cmd_correlate(args) -> int:
     from .fitting import correlation_matrix
 
     dataset = _load_run_columns(args.runs)
-    pmcs = _split_names(args.pmcs) if args.pmcs else None
+    pmcs = None if args.pmcs is None else _split_names(args.pmcs, "--pmcs")
     matrix = correlation_matrix(dataset, pmcs)
     text = matrix.to_csv() if args.format == "csv" else _json_text(matrix.to_json_dict())
     _emit(text, args.out)
@@ -215,7 +216,7 @@ def _cmd_fit(args) -> int:
     from .fitting import fit
 
     dataset = _load_run_columns(args.runs)
-    pmcs = _split_names(args.pmcs) if args.pmcs else None
+    pmcs = None if args.pmcs is None else _split_names(args.pmcs, "--pmcs")
     model = fit(dataset, pmcs, ModelKind(args.kind))
     _emit(_json_text(model_to_dict(model)), args.out)
     return 0
@@ -225,7 +226,7 @@ def _cmd_predict(args) -> int:
     from .model import _predict_each, load_model, predict
 
     model = load_model(args.model)
-    if args.counts:
+    if args.counts is not None:
         value = predict(model, _parse_counts(args.counts))
         _emit(_one_row({"prediction_j": value}, args.format), args.out)
         return 0
@@ -249,7 +250,7 @@ def _cmd_evaluate(args) -> int:
 
     model = load_model(args.model)
     dataset = _load_run_columns(args.runs)
-    if args.compounds:
+    if args.compounds is not None:
         counts, energies = _load_compound_columns(args.compounds, dataset)._python_columns()
     else:
         counts, _, energies = dataset._python_columns()
@@ -316,7 +317,7 @@ def _cmd_loss(args) -> int:
 def _cmd_stats(args) -> int:
     from .stats import sample_mean_ci
 
-    if args.values:
+    if args.values is not None:
         samples = _parse_floats(args.values, "--values")
     else:
         try:

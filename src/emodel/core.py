@@ -232,11 +232,17 @@ class Dataset(_Record):
         ``math.fsum(samples) / n`` bit for bit: TwoSum layers keep each running
         sum's exact error, and a cell whose error sum was inexact or whose
         running sum reached 2**1022 is summed again with ``fsum``, so an
-        overflowing sum raises :class:`OverflowError`.
+        overflowing sum raises :class:`OverflowError`. ``run_additivity_test``
+        takes the same means for only the groups it reads, with ``_group_means``.
         """
+        return self._group_means(values, self.group_index)
+
+    def _group_means(self, values: np.ndarray, index: GroupIndex) -> np.ndarray:
+        """``group_means`` of the groups ``index`` holds, in its order: the rows
+        of ``group_means(values)`` bit for bit, with work and temporaries for
+        those groups only."""
         import numpy as np
 
-        index = self.group_index
         values = np.asarray(values, dtype=float)
         columns = values[:, None] if values.ndim == 1 else values
         sums = columns[index.order[index.starts]]

@@ -1,17 +1,22 @@
 import math
 import statistics
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emodel import (
     INFINITE,
+    Dataset,
     AdditivityReport,
     Classification,
     PmcAdditivity,
     additivity_error,
     core_config_analysis,
+    load_compounds,
+    load_runs,
     run_additivity_test,
     tolerance_sweep,
 )
@@ -290,6 +295,75 @@ def check_against_brute_force(case):
         runs = groups[point.ref]
         for i, mean in enumerate(point.pmc.counts):
             assert mean.hex() == (math.fsum(r.pmc.counts[i] for r in runs) / len(runs)).hex()
+
+
+def mixed_case(seed):
+    """Rows of repeated and single-run groups interleaved, compounds over two
+    repeated bases, two single-run bases and one of each, and single-run groups
+    that no compound names. One PMC's bases are zero, so one error is infinite."""
+    rng = np.random.default_rng(seed)
+    names = ("P0", "P1", "P2", "ZERO")
+    sizes = {"r0": 3, "s0": 1, "r1": 2, "s1": 1, "s2": 1, "r2": 4, "s3": 1, "s4": 1}
+    means, runs = {}, []
+    for app, size in sizes.items():
+        level = 10.0 ** rng.uniform(3.0, 9.0, 3)
+        rows = [list(level * rng.uniform(0.98, 1.02, 3)) + [0.0] for _ in range(size)]
+        means[app] = [math.fsum(column) / size for column in zip(*rows)]
+        runs += [make_run(app, names, row, 1.0, run_id=f"x{rep}") for rep, row in enumerate(rows)]
+    pairs = [("r0", "r2"), ("s0", "s1"), ("r1", "s2"), ("s2", "r0"), ("s1", "s1")]
+    compounds = [
+        make_compound(f"c{c}", a, b, names, [(x + y) * rng.choice([1.0, 1.01, 1.2])
+                                             for x, y in zip(means[a][:3], means[b][:3])] + [c],
+                      1.0)
+        for c, (a, b) in enumerate(pairs)]
+    return make_dataset(names, [runs[i] for i in rng.permutation(len(runs))]), compounds
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("bound", [0.0, 0.005, 0.025])
+def test_mixed_singleton_and_repeated_groups_match_brute_force(tmp_path, seed, bound):
+    dataset, compounds = mixed_case(seed)
+    check_against_brute_force((dataset, compounds, bound))
+    # The same inputs as files: the compounds record resolved against the dataset.
+    runs = tmp_path / "runs.csv"
+    runs.write_text("app_id,run_id,cores,problem_size,exec_time_s,dynamic_energy_j,"
+                    + ",".join(dataset.pmc_names) + "\n" + "".join(
+                        f"{r.app_id},{r.run_id},2,1024,10.0,1.0,"
+                        + ",".join(map(repr, r.pmc.counts)) + "\n" for r in dataset.runs),
+                    encoding="utf-8")
+    path = tmp_path / "compounds.csv"
+    path.write_text("compound_id,base_a,base_b,dynamic_energy_j," + ",".join(dataset.pmc_names)
+                    + "\n" + "".join(f"{c.compound_id},{c.base_a.app_id},{c.base_b.app_id},1.0,"
+                                     + ",".join(map(repr, c.pmc.counts)) + "\n"
+                                     for c in compounds), encoding="utf-8")
+    loaded = load_runs(runs)
+    expected = run_additivity_test(dataset, compounds, 5.0, reproducibility_cov=bound)
+    assert run_additivity_test(loaded, load_compounds(path, loaded), 5.0,
+                               reproducibility_cov=bound) == expected
+    assert math.isinf(expected.entry("ZERO").max_error_pct)
+
+
+def test_additivity_on_single_run_groups_holds_less_than_one_counts_matrix():
+    # Stage 1 has no group to read and stage 2 reads 20 of 50,000 groups: a mean
+    # for every group would take one runs x PMCs array, and its error sums another.
+    rows, names = 50_000, tuple(f"P{j}" for j in range(8))
+    counts = np.random.default_rng(3).uniform(1.0, 1e9, (rows, len(names)))
+    floats = np.concatenate([counts.ravel(), np.ones(rows), np.ones(rows)])
+    dataset = Dataset._from_columns(None, memoryview(floats).toreadonly(), names,
+                                    [f"a{i}" for i in range(rows)], [None] * rows, [1] * rows,
+                                    ["s"] * rows)
+    compounds = [make_compound(f"c{c}", f"a{2 * c}", f"a{2 * c + 1}", names,
+                               counts[2 * c] + counts[2 * c + 1], 1.0, cores=1, size="s")
+                 for c in range(10)]
+    dataset.group_index, dataset.counts  # as a load leaves them
+    tracemalloc.start()
+    try:
+        report = run_additivity_test(dataset, compounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.additive_names() == names
+    assert peak < counts.nbytes
 
 
 def test_tolerance_sweep_counts():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -1206,3 +1207,96 @@ def test_deeply_nested_model_is_an_input_error(files, capsys):
     assert (code, out) == (1, "")
     assert err.startswith(f"emodel: error: {path}: not valid JSON: ")
     assert err.count("\n") == 1
+
+
+# --- empty flag values -------------------------------------------------------------
+
+# One invocation per subcommand and source that sets every flag which takes free text
+# (paths, names, numbers as a list), each to a valid value; "{name}" is a file of `files`.
+FULL_INVOCATIONS = [
+    ["additivity", "--runs", "{runs_add.csv}", "--compounds", "{compounds_add.csv}",
+     "--sweep", "5,10", "--out", "{report.out}"],
+    ["correlate", "--runs", "{runs_add.csv}", "--pmcs", "X1", "--out", "{report.out}"],
+    ["fit", "--runs", "{runs_fit.csv}", "--kind", "unconstrained", "--pmcs", "X1,X2",
+     "--out", "{report.out}"],
+    ["predict", "--model", "{clean.json}", "--counts", "X1=1,X2=2", "--out", "{report.out}"],
+    ["predict", "--model", "{clean.json}", "--runs", "{runs_add.csv}", "--out", "{report.out}"],
+    ["evaluate", "--model", "{clean.json}", "--runs", "{runs_add.csv}",
+     "--compounds", "{compounds_add.csv}", "--out", "{report.out}"],
+    ["conserve", "--model", "{clean.json}", "--out", "{report.out}"],
+    ["partition", "--func1", "{f1.csv}", "--func2", "{f2.csv}", "--n", "4096",
+     "--out", "{report.out}"],
+    ["loss", "--alt", "90", "--ref", "100", "--out", "{report.out}"],
+    ["stats", "--values", "10,12,11", "--out", "{report.out}"],
+    ["stats", "--values-file", "{samples.txt}", "--out", "{report.out}"],
+]
+
+
+def in_dir(files, argv):
+    (files["dir"] / "samples.txt").write_text("10 12 11\n", encoding="utf-8")
+    return [str(files["dir"] / arg[1:-1]) if arg.startswith("{") else arg for arg in argv]
+
+
+def subcommand_parsers():
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def text_flags(subcommand):
+    """The flags of a subcommand that take a value of free text: no type, no choices."""
+    return {action.option_strings[-1] for action in subcommand_parsers()[subcommand]._actions
+            if action.option_strings and action.nargs is None and action.type is None
+            and action.choices is None and not action.const and action.dest != "help"}
+
+
+def test_the_empty_value_cases_cover_every_text_flag():
+    covered = {}
+    for argv in FULL_INVOCATIONS:
+        covered.setdefault(argv[0], set()).update(a for a in argv if a.startswith("--"))
+    assert set(covered) == set(subcommand_parsers())
+    for subcommand, flags in covered.items():
+        assert text_flags(subcommand) <= flags, subcommand
+
+
+@pytest.mark.parametrize("argv", FULL_INVOCATIONS)
+def test_an_empty_text_flag_is_one_error_line_and_exit_1(files, capsys, argv):
+    argv, out = in_dir(files, argv), files["dir"] / "report.out"
+    assert run(capsys, *argv)[0] in (0, 2)  # every value valid
+    for position, flag in enumerate(argv):
+        if flag not in text_flags(argv[0]):
+            continue
+        out.unlink(missing_ok=True)
+        emptied = argv[:position + 1] + [""] + argv[position + 2:]
+        code, stdout, stderr = run(capsys, *emptied)
+        assert (code, stdout, stderr.count("\n")) == (1, "", 1), emptied
+        assert "Traceback" not in stderr and stderr.startswith(("error: ", "emodel: error: "))
+        assert not out.exists(), emptied
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--values", ""], "error: --values is empty"),
+    (["stats", "--values", ","], "error: --values is empty"),
+    (["predict", "--model", "{clean.json}", "--counts", ""], "error: --counts is empty"),
+    (["additivity", "--runs", "{runs_add.csv}", "--sweep", ""], "error: --sweep is empty"),
+    (["correlate", "--runs", "{runs_add.csv}", "--pmcs", ""], "error: --pmcs is empty"),
+    (["fit", "--runs", "{runs_fit.csv}", "--kind", "unconstrained", "--pmcs", " , "],
+     "error: --pmcs is empty"),
+    (["additivity", "--runs", "{runs_add.csv}", "--compounds", ""],
+     "emodel: error: [Errno 2] No such file or directory: ''"),
+    (["evaluate", "--model", "{clean.json}", "--runs", "{runs_add.csv}", "--compounds", ""],
+     "emodel: error: [Errno 2] No such file or directory: ''"),
+    (["additivity", "--runs", ""], "emodel: error: [Errno 2] No such file or directory: ''"),
+    (["loss", "--alt", "90", "--ref", "100", "--out", ""],
+     "emodel: error: [Errno 2] No such file or directory: ''"),
+])
+def test_an_empty_flag_is_never_read_as_absent(files, capsys, argv, message):
+    assert run(capsys, *in_dir(files, argv)) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv", [["stats", "--values", ""],
+                                  ["predict", "--model", "{clean.json}", "--counts", ""]])
+def test_an_empty_flag_of_a_numpy_free_command_has_no_traceback(files, argv):
+    result = subprocess.run([sys.executable, "-m", "emodel.cli", *in_dir(files, argv)],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr

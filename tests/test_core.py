@@ -27,6 +27,7 @@ from emodel import (
     save_model,
 )
 from emodel._common import _Record
+from emodel.additivity import _gathered
 from emodel.core import AggregatedRun, _load_run_columns, model_to_dict
 from helpers import (
     group_means_by_fsum,
@@ -164,6 +165,44 @@ def test_group_means_match_fsum(case):
         means = dataset.group_means(values)
         assert means.shape == expected.shape
         assert hexes(means) == hexes(expected)
+
+
+@st.composite
+def grouped_cells_and_groups(draw):
+    """A :func:`grouped_cells` case and some of its group numbers, in any order."""
+    labels, cells = draw(grouped_cells())
+    return labels, cells, draw(st.lists(st.integers(0, max(labels)), unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_cells_and_groups())
+@example(([0, 1, 0, 2], [[-0.0], [-0.0], [-0.0], [5e-324]], [2, 0]))
+@example(([0, 1, 0, 1], [[5e-324, 1e308], [-5e-324, 1.0], [5e-324, 1e308], [1.0, 2.0]], [0]))
+@example(([1, 0, 0, 2], [[1.0], [2.0 ** 1022], [2.0 ** 1022 * 0.75], [-0.0]], [0, 2]))
+@example(([0, 1, 1, 1], [[3.0], [1e308], [1e308], [1e308]], [0]))
+@example(([0, 1, 1, 1], [[3.0], [1e308], [1e308], [1e308]], [1]))
+def test_group_means_of_some_groups_are_their_rows_of_all_group_means(case):
+    labels, cells, groups = case
+    dataset = dataset_of_groups(labels)
+    index = _gathered(dataset.group_index, np.array(groups, dtype=np.intp))
+    matrix = np.array(cells, dtype=float)
+    for values in (matrix, matrix[:, 0]):
+        try:
+            expected = hexes(dataset.group_means(values)[groups])
+        except OverflowError:
+            # Some group's sum overflows: the chosen groups' means raise only if one of theirs does.
+            columns = values.reshape(len(labels), -1)
+            rows = list(groups_by_dict(dataset.runs).values())
+            try:
+                expected = hexes([[math.fsum(columns[rows[g], j].tolist()) / len(rows[g])
+                                   for j in range(columns.shape[1])] for g in groups])
+            except OverflowError:
+                expected = "overflow"
+        try:
+            got = hexes(dataset._group_means(values, index))
+        except OverflowError:
+            got = "overflow"
+        assert got == expected
 
 
 @pytest.mark.parametrize("samples, rechecked", [
